@@ -209,7 +209,7 @@ def cmd_coevolve(args, argv):
         outcome = coevolution.AbsorptionOutcome(
             absorption_time=traj.consensus_time,
             final_heart_fraction=float(traj.q[-1]) if len(traj.q) else np.nan,
-            final_edge_count=-1,
+            final_edge_count=traj.final_edge_count,
             verdict=coevolution.CONSENSUS if traj.consensus_time is not None
             else coevolution.UNRESOLVED)
     else:

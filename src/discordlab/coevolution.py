@@ -83,7 +83,8 @@ class AbsorptionOutcome:
 @dataclass
 class DenseTrajectory:
     """Sampled densities of the dense co-evolution: q (hearts), p (edges),
-    and the four pair classes, all normalized by C(n,2)."""
+    and the four pair classes, all normalized by C(n,2).  ``final_edge_count``
+    is the edge count when the run stopped."""
 
     times: np.ndarray
     q: np.ndarray
@@ -94,6 +95,7 @@ class DenseTrajectory:
     disc_nonedge: np.ndarray
     consensus_time: float | None = None
     n_events: int = 0
+    final_edge_count: int = 0
 
 
 def classify_outcome(state_or_heart, n_vertices=None, n_discordant=None) -> str:
@@ -543,7 +545,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
             break
         if events >= max_events:
             raise SimulationTimeout(
-                f"dense run exceeded max_events={max_events} at t={t:.6g}")
+                f"dense run exceeded max_events={max_events} at t={t:.6g}",
+                partial=_dense_traj(out, cons_t, events, ecount))
         t_next = t - math.log(1.0 - rr()) / total
         flush(t_next)
         if t_next > horizon:
@@ -595,6 +598,10 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
                     edges.add(key)
 
     flush(math.inf)
+    return _dense_traj(out, cons_t, events, ecount)
+
+
+def _dense_traj(out, cons_t, events, ecount) -> DenseTrajectory:
     return DenseTrajectory(
         times=np.asarray(out["t"]),
         q=np.asarray(out["q"]),
@@ -605,6 +612,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         disc_nonedge=np.asarray(out["dn"]),
         consensus_time=cons_t,
         n_events=events,
+        final_edge_count=ecount,
     )
 
 

@@ -207,7 +207,9 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
 
     while True:
         nd = len(disc_items)
-        vr = per_slot * nd if regular else W
+        # the float W can keep a rounding residue after the last discordant
+        # slot is gone, so emptiness is decided on the integer count
+        vr = per_slot * nd if regular else (W if nd else 0.0)
         total = vr + rew_rate
         if absorbed or total <= 0.0:
             # consensus freezes opinions and (under swaps) stays concordant;
@@ -355,8 +357,13 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
               max_events=DEFAULT_MAX_EVENTS, check=False) -> Trajectory:
     """Voter model on a fixed graph: each vertex at rate 1 copies the opinion
     across a uniform incident edge slot (multi-edges weight adoption,
-    self-loop slots are no-ops)."""
-    if isinstance(g, Graph) and g.is_complete and not check:
+    self-loop slots are no-ops).
+
+    On a K_n whose edge lists were never read (``g.implicit_complete``) the
+    heart-count chain runs instead, in O(1) per event; ``check=True`` takes
+    the per-edge engine, which builds the lists.
+    """
+    if isinstance(g, Graph) and g.implicit_complete and not check:
         return _voter_complete_engine(g.n, sum(state.opinions), horizon,
                                       schedule, rng, max_events)
     return _voter_engine(g, state, 0.0, horizon, schedule, rng,
@@ -431,7 +438,7 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
 
     while True:
         nd = len(disc_items)
-        vr = nd / dmin if regular else W
+        vr = nd / dmin if regular else (W if nd else 0.0)
         if absorbed or vr <= 0.0:
             break
         if events >= max_events:

@@ -10,6 +10,7 @@ aggregation is a deterministic reduction in replica order.
 from __future__ import annotations
 
 import json
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -66,7 +67,39 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        """Parse a config, rejecting unknown keys, missing required keys
+        and values of the wrong JSON type with InvalidParameterError."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"config is not valid JSON: {exc}") \
+                from None
+        if not isinstance(data, dict):
+            raise InvalidParameterError("config must be a JSON object")
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(data) - set(hints))
+        if unknown:
+            raise InvalidParameterError(f"unknown config keys: {unknown}")
+        for key, value in data.items():
+            if not _json_fits(value, hints[key]):
+                want = getattr(hints[key], "__name__", hints[key])
+                raise InvalidParameterError(
+                    f"config key {key!r} must be {want}, got {value!r}")
+        try:
+            return cls(**data)
+        except TypeError as exc:  # only a missing required key is left
+            raise InvalidParameterError(f"bad config: {exc}") from None
+
+
+def _json_fits(value, hint) -> bool:
+    """isinstance against an annotation, where a float field takes a JSON
+    integer and an int field does not take a boolean."""
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) and bool not in allowed:
+        return False
+    return isinstance(value, allowed)
 
 
 def build_graph(model: dict, rng):

@@ -9,9 +9,29 @@ Conventions used throughout the package:
   half-edge pairing construction), so sum(deg) == 2*M always holds.
 * Edge ids are stable: rewiring replaces endpoints in place, so Poisson
   clocks attached to edge ids stay attached through swaps.
+
+Generator costs, for n vertices and m edges out:
+
+* ``generate_complete``: O(n).  K_n stays implicit until something reads
+  its edge lists (see :class:`Graph`); building them then costs O(n^2).
+* ``generate_random_regular``: O(n*d) per pairing attempt; with
+  ``policy="reject"`` the expected number of attempts is about
+  exp((d^2 - 1)/4), a constant in n.
+* ``generate_directed_configuration``: O(n + m).
+* ``generate_erdos_renyi``: O(n + m) time and memory, by geometric skipping
+  over the C(n,2) pair indices (Batagelj & Brandes, Phys. Rev. E 71,
+  036113, 2005).
+* ``generate_gnm``: O(n + m) expected while m is at most a constant
+  fraction of C(n,2) (rejection of repeated pairs).
+
+All of them fill the incidence lists in one bulk pass from the endpoint
+arrays, with the same content and order as one ``add_edge`` per edge.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -38,36 +58,85 @@ class Graph:
     ``eu[e], ev[e]`` are the endpoints of edge id ``e``; ``inc[v]`` lists the
     edge ids incident to ``v`` (a self-loop id appears twice).  Endpoint
     replacement costs O(deg) for the incidence fix-up and nothing else.
+
+    The K_n that :func:`generate_complete` returns holds no edge lists:
+    ``m``, ``edges()`` and ``copy()`` answer from n alone, and the first read
+    of ``eu``, ``ev`` or ``inc`` builds the lists in place.  From then on it
+    is an ordinary graph that callers may mutate, so ``implicit_complete``
+    turns False and stays False.
     """
 
-    __slots__ = ("n", "eu", "ev", "inc", "allows_self_loops",
-                 "allows_multi_edges", "is_complete")
+    __slots__ = ("n", "_eu", "_ev", "_inc", "allows_self_loops",
+                 "allows_multi_edges")
 
-    def __init__(self, n, *, allows_self_loops=True, allows_multi_edges=True):
+    def __init__(self, n, us=(), vs=(), *, allows_self_loops=True,
+                 allows_multi_edges=True):
+        """Graph on ``range(n)`` whose edge ``e`` joins ``us[e]`` and ``vs[e]``.
+
+        The incidence lists come out as one ``add_edge`` per edge in id
+        order would leave them, built in one pass.
+        """
         if n < 0:
             raise InvalidParameterError("vertex count must be >= 0")
         self.n = int(n)
-        self.eu: list[int] = []
-        self.ev: list[int] = []
-        self.inc: list[list[int]] = [[] for _ in range(self.n)]
         self.allows_self_loops = allows_self_loops
         self.allows_multi_edges = allows_multi_edges
-        self.is_complete = False
+        self._set_edges(np.asarray(us, dtype=np.int64),
+                        np.asarray(vs, dtype=np.int64))
+
+    def _set_edges(self, us, vs):
+        if len(us) != len(vs):
+            raise InvalidParameterError("endpoint arrays differ in length")
+        ends = np.empty(2 * len(us), dtype=np.int64)
+        ends[0::2] = us
+        ends[1::2] = vs
+        if len(ends) and not (0 <= ends.min() and ends.max() < self.n):
+            raise InvalidParameterError("endpoint out of range")
+        if not self.allows_self_loops and np.any(us == vs):
+            raise InvalidParameterError("self-loops are disabled on this graph")
+        self._eu = us.tolist()
+        self._ev = vs.tolist()
+        self._inc = _grouped(self.n, ends, np.arange(len(ends)) >> 1)
+
+    @property
+    def implicit_complete(self) -> bool:
+        """True while this is a K_n whose edge lists were never read."""
+        return self._eu is None
+
+    def _lists(self):
+        if self._eu is None:
+            self._set_edges(*np.triu_indices(self.n, k=1))
+        return self._eu, self._ev, self._inc
+
+    @property
+    def eu(self) -> list[int]:
+        return self._lists()[0]
+
+    @property
+    def ev(self) -> list[int]:
+        return self._lists()[1]
+
+    @property
+    def inc(self) -> list[list[int]]:
+        return self._lists()[2]
 
     @property
     def m(self) -> int:
-        return len(self.eu)
+        if self._eu is None:
+            return self.n * (self.n - 1) // 2
+        return len(self._eu)
 
     def add_edge(self, u, v) -> int:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise InvalidParameterError(f"endpoint out of range: ({u}, {v})")
         if u == v and not self.allows_self_loops:
             raise InvalidParameterError("self-loops are disabled on this graph")
-        e = len(self.eu)
-        self.eu.append(u)
-        self.ev.append(v)
-        self.inc[u].append(e)
-        self.inc[v].append(e)
+        eu, ev, inc = self._lists()
+        e = len(eu)
+        eu.append(u)
+        ev.append(v)
+        inc[u].append(e)
+        inc[v].append(e)
         return e
 
     def endpoints(self, e):
@@ -80,15 +149,19 @@ class Graph:
         return [len(a) for a in self.inc]
 
     def edges(self):
-        return zip(self.eu, self.ev)
+        if self._eu is None:
+            return itertools.combinations(range(self.n), 2)
+        return zip(self._eu, self._ev)
 
     def copy(self) -> "Graph":
         g = Graph(self.n, allows_self_loops=self.allows_self_loops,
                   allows_multi_edges=self.allows_multi_edges)
-        g.eu = list(self.eu)
-        g.ev = list(self.ev)
-        g.inc = [list(a) for a in self.inc]
-        g.is_complete = self.is_complete
+        if self._eu is None:
+            g._eu = g._ev = g._inc = None
+        else:
+            g._eu = list(self._eu)
+            g._ev = list(self._ev)
+            g._inc = [list(a) for a in self._inc]
         return g
 
     def has_self_loop(self) -> bool:
@@ -109,14 +182,15 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
+        eu, ev, inc = self._lists()
         seen = bytearray(self.n)
         stack = [0]
         seen[0] = 1
         count = 1
         while stack:
             v = stack.pop()
-            for e in self.inc[v]:
-                w = self.ev[e] if self.eu[e] == v else self.eu[e]
+            for e in inc[v]:
+                w = ev[e] if eu[e] == v else eu[e]
                 if not seen[w]:
                     seen[w] = 1
                     count += 1
@@ -125,14 +199,15 @@ class Graph:
 
     def check_consistency(self):
         """Full rebuild check of the incidence structure and flags."""
-        if sum(len(a) for a in self.inc) != 2 * self.m:
+        inc = self.inc
+        if sum(len(a) for a in inc) != 2 * self.m:
             raise AssertionError("handshake violated: sum(deg) != 2M")
         rebuilt = [[] for _ in range(self.n)]
         for e, (u, v) in enumerate(self.edges()):
             rebuilt[u].append(e)
             rebuilt[v].append(e)
         for v in range(self.n):
-            if sorted(rebuilt[v]) != sorted(self.inc[v]):
+            if sorted(rebuilt[v]) != sorted(inc[v]):
                 raise AssertionError(f"incidence list of vertex {v} is stale")
         if not self.allows_self_loops and self.has_self_loop():
             raise AssertionError("self-loop present despite flag")
@@ -145,14 +220,25 @@ class DirectedGraph:
 
     __slots__ = ("n", "tails", "heads", "out_adj", "in_adj")
 
-    def __init__(self, n):
+    def __init__(self, n, tails=(), heads=()):
+        """Digraph on ``range(n)`` whose arc ``a`` points from ``tails[a]``
+        to ``heads[a]``; the adjacency lists come out as one ``add_arc`` per
+        arc in id order would leave them."""
         if n < 0:
             raise InvalidParameterError("vertex count must be >= 0")
+        if len(tails) != len(heads):
+            raise InvalidParameterError("endpoint arrays differ in length")
         self.n = int(n)
-        self.tails: list[int] = []
-        self.heads: list[int] = []
-        self.out_adj: list[list[int]] = [[] for _ in range(self.n)]
-        self.in_adj: list[list[int]] = [[] for _ in range(self.n)]
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        if len(tails) and not (0 <= min(tails.min(), heads.min())
+                               and max(tails.max(), heads.max()) < self.n):
+            raise InvalidParameterError("endpoint out of range")
+        ids = np.arange(len(tails))
+        self.tails: list[int] = tails.tolist()
+        self.heads: list[int] = heads.tolist()
+        self.out_adj: list[list[int]] = _grouped(self.n, tails, ids)
+        self.in_adj: list[list[int]] = _grouped(self.n, heads, ids)
 
     @property
     def m(self) -> int:
@@ -186,23 +272,29 @@ class DirectedGraph:
         return g
 
 
+def _grouped(n, keys, ids) -> list[list[int]]:
+    """For each v in range(n), the ``ids[i]`` with ``keys[i] == v`` in
+    increasing i: the lists that appending ids[i] to list keys[i] for
+    i = 0, 1, ... builds."""
+    size = len(keys)
+    # keys*size + i are distinct, so any sort orders equal keys by i
+    pos = np.sort(keys * size + np.arange(size)) % size
+    flat = ids[pos].tolist()
+    cuts = [0] + np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 # ----------------------------------------------------------------------
 # generators
 # ----------------------------------------------------------------------
 
 def generate_complete(n) -> Graph:
-    """Simple graph on n >= 2 vertices with all C(n,2) edges."""
+    """Simple graph on n >= 2 vertices with all C(n,2) edges, held
+    implicitly: the edge lists are built on first read."""
     if n < 2:
         raise InvalidParameterError("complete graph needs n >= 2")
     g = Graph(n, allows_self_loops=False, allows_multi_edges=False)
-    iu, iv = np.triu_indices(n, k=1)
-    g.eu = iu.tolist()
-    g.ev = iv.tolist()
-    inc = g.inc
-    for e in range(len(g.eu)):
-        inc[g.eu[e]].append(e)
-        inc[g.ev[e]].append(e)
-    g.is_complete = True
+    g._eu = g._ev = g._inc = None
     return g
 
 
@@ -233,12 +325,8 @@ def generate_random_regular(n, d, rng, policy="reject") -> Graph:
             key = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
             if len(np.unique(key)) != len(key):
                 continue
-        g = Graph(n,
-                  allows_self_loops=(policy == "allow"),
-                  allows_multi_edges=(policy == "allow"))
-        for u, v in zip(us.tolist(), vs.tolist()):
-            g.add_edge(u, v)
-        return g
+        return Graph(n, us, vs, allows_self_loops=(policy == "allow"),
+                     allows_multi_edges=(policy == "allow"))
 
 
 def generate_directed_configuration(d_in, d_out, rng) -> DirectedGraph:
@@ -255,26 +343,47 @@ def generate_directed_configuration(d_in, d_out, rng) -> DirectedGraph:
     tails = np.repeat(np.arange(n), d_out)
     heads = np.repeat(np.arange(n), d_in)
     heads = heads[rng.permutation(len(heads))]
-    g = DirectedGraph(n)
-    for t, h in zip(tails.tolist(), heads.tolist()):
-        g.add_arc(t, h)
-    return g
+    return DirectedGraph(n, tails, heads)
+
+
+def _bernoulli_indices(total, p, rng) -> np.ndarray:
+    """Increasing indices in range(total), each present independently with
+    probability p.  The gaps between successive indices are i.i.d.
+    Geometric(p), so the cost is O(1 + p*total) rather than O(total).
+    Each batch asks for the expected remaining count plus four standard
+    deviations; a short batch only means another round of the loop."""
+    parts = []
+    last = -1
+    while True:
+        mean = (total - 1 - last) * p
+        gaps = rng.geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 1)
+        pos = last + np.cumsum(gaps)
+        if pos[-1] >= total:
+            parts.append(pos[:np.searchsorted(pos, total)])
+            return np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])
 
 
 def generate_erdos_renyi(n, p, rng) -> Graph:
-    """Each of the C(n,2) possible edges present independently with prob p."""
+    """Each of the C(n,2) possible edges present independently with prob p.
+
+    Pairs are indexed row-major, (0,1), (0,2), ..., (1,2), ..., so the edges
+    come out in that order; p=1 gives every pair.
+    """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("edge probability must be in [0,1]")
     if n < 0:
         raise InvalidParameterError("vertex count must be >= 0")
-    g = Graph(n, allows_self_loops=False, allows_multi_edges=False)
     if n < 2 or p == 0.0:
-        return g
-    iu, iv = np.triu_indices(n, k=1)
-    keep = rng.random(len(iu)) < p
-    for u, v in zip(iu[keep].tolist(), iv[keep].tolist()):
-        g.add_edge(u, v)
-    return g
+        return Graph(n, allows_self_loops=False, allows_multi_edges=False)
+    idx = _bernoulli_indices(n * (n - 1) // 2, p, rng)
+    # row u holds the pairs (u, u+1), ..., (u, n-1) from index start[u] on
+    rows = np.arange(n, dtype=np.int64)
+    start = rows * (2 * n - rows - 1) // 2
+    us = np.searchsorted(start, idx, side="right") - 1
+    vs = idx - start[us] + us + 1
+    return Graph(n, us, vs, allows_self_loops=False, allows_multi_edges=False)
 
 
 def generate_gnm(n, m, rng) -> Graph:
@@ -282,8 +391,7 @@ def generate_gnm(n, m, rng) -> Graph:
     n_pairs = n * (n - 1) // 2
     if not 0 <= m <= n_pairs:
         raise InvalidParameterError(f"edge count must be in [0, {n_pairs}]")
-    g = Graph(n, allows_self_loops=False, allows_multi_edges=False)
-    chosen = set()
+    chosen = {}  # insertion-ordered: edge ids follow the draw order
     while len(chosen) < m:
         u = int(rng.integers(n))
         v = int(rng.integers(n))
@@ -291,10 +399,10 @@ def generate_gnm(n, m, rng) -> Graph:
             continue
         if u > v:
             u, v = v, u
-        if (u, v) not in chosen:
-            chosen.add((u, v))
-            g.add_edge(u, v)
-    return g
+        chosen[(u, v)] = None
+    pairs = np.array(list(chosen), dtype=np.int64).reshape(-1, 2)
+    return Graph(n, pairs[:, 0], pairs[:, 1], allows_self_loops=False,
+                 allows_multi_edges=False)
 
 
 # ----------------------------------------------------------------------
@@ -369,17 +477,11 @@ def parse_edgelist(text: str):
     fields = dict(tok.split("=") for tok in lines[0][1:].split())
     n = int(fields["n"])
     directed = bool(int(fields.get("directed", "0")))
+    pairs = np.array([ln.split() for ln in lines[1:]],
+                     dtype=np.int64).reshape(-1, 2)
     if directed:
-        g = DirectedGraph(n)
-        for ln in lines[1:]:
-            t, h = ln.split()
-            g.add_arc(int(t), int(h))
-        return g
-    g = Graph(n)
-    for ln in lines[1:]:
-        u, v = ln.split()
-        g.add_edge(int(u), int(v))
-    return g
+        return DirectedGraph(n, pairs[:, 0], pairs[:, 1])
+    return Graph(n, pairs[:, 0], pairs[:, 1])
 
 
 def read_edgelist(path):

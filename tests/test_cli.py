@@ -7,6 +7,7 @@ import pytest
 
 from discordlab import experiments
 from discordlab.cli import dispatch
+from discordlab.errors import InvalidParameterError
 
 
 def sha(path):
@@ -202,3 +203,44 @@ def test_help_exists_for_every_subcommand(capsys):
         code = dispatch([sub, "--help"])
         assert code == 0
         assert "usage" in capsys.readouterr().out
+
+
+def test_coevolve_dense_writes_final_edge_count(tmp_path):
+    out = tmp_path / "dense.csv"
+    assert dispatch(["coevolve", "--model", "dense", "--n", "40",
+                     "--horizon", "0.5", "--samples", "6", "--seed", "3",
+                     "--out", str(out), "--quiet"]) == 0
+    outcome = json.loads((tmp_path / "dense.csv.outcome.json").read_text())
+    last_p = float(out.read_text().splitlines()[-1].split(",")[2])
+    assert outcome["final_edge_count"] == round(last_p * 40 * 39 / 2)
+    assert outcome["final_edge_count"] > 0
+
+
+@pytest.mark.parametrize("patch", [
+    {"replicaz": 3},               # unknown key
+    {"replicas": "3"},             # string for an int
+    {"u": True},                   # boolean for a float
+    {"model": ["rrg"]},            # list for a dict
+    {"horizon": "never"},          # string for a float or null
+])
+def test_ensemble_bad_config_exits_2(tmp_path, capsys, patch):
+    cfg = experiments.ExperimentConfig(
+        model={"family": "rrg", "n": 20, "d": 3}, u=0.5, replicas=3,
+        master_seed=1, horizon=1.0, sample_times=[1.0])
+    data = json.loads(cfg.to_json())
+    data.update(patch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    with pytest.raises(InvalidParameterError):
+        experiments.ExperimentConfig.from_json(cfg_path.read_text())
+    rc = dispatch(["ensemble", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "res"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"u": 0.5}', "{", "[1, 2]"])
+def test_config_missing_keys_or_not_an_object(text):
+    with pytest.raises(InvalidParameterError):
+        experiments.ExperimentConfig.from_json(text)

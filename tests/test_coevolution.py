@@ -6,7 +6,7 @@ import pytest
 from discordlab import coevolution, graphs, limits
 from discordlab.coevolution import (CONSENSUS, POLARISATION, UNRESOLVED,
                                     DenseState, SwitchProbs)
-from discordlab.errors import InvalidParameterError
+from discordlab.errors import InvalidParameterError, SimulationTimeout
 
 
 def two_vertex_edge():
@@ -258,3 +258,18 @@ def test_classify_outcome_cases(rng):
     st = DenseState.iid(12, 0.5, 0.5, rng)
     verdict = coevolution.classify_outcome(st)
     assert verdict in (CONSENSUS, POLARISATION, UNRESOLVED)
+
+
+def test_dense_timeout_carries_partial(rng):
+    st = DenseState.iid(30, 0.4, 0.5, rng)
+    sched = np.linspace(0.0, 50.0, 501)
+    with pytest.raises(SimulationTimeout) as info:
+        coevolution.run_dense(st, 1.0, 1.0, FIG9, 50.0, sched, rng,
+                              max_events=2000)
+    part = info.value.partial
+    assert isinstance(part, coevolution.DenseTrajectory)
+    assert part.n_events == 2000
+    assert 0 < len(part.times) < len(sched)
+    assert np.array_equal(part.times, sched[:len(part.times)])
+    assert len(part.q) == len(part.p) == len(part.times)
+    assert 0 <= part.final_edge_count <= st.n_pairs

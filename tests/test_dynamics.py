@@ -172,6 +172,116 @@ def test_frozen_disconnected_graph_reports_timeout(rng):
         dynamics.consensus_time(g, st, rng)
 
 
+def test_sparse_er_frozen_runs_time_out_instead_of_crashing():
+    # ER(60, 1.5/60) is disconnected and non-regular: most runs freeze with
+    # both opinions alive.  The float flip rate W can keep a rounding
+    # residue after the last discordant edge is gone; the engine must stop
+    # on the empty discordant set and report a timeout, not index into it.
+    timeouts = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        g = graphs.generate_erdos_renyi(60, 1.5 / 60, rng)
+        st = dynamics.init_opinions_iid(60, 0.5, rng)
+        try:
+            dynamics.consensus_time(g, st, rng)
+        except SimulationTimeout:
+            timeouts += 1
+    assert timeouts >= 20
+
+
+def test_directed_frozen_runs_time_out_instead_of_crashing():
+    # mixed out-degrees take the same float-W path in the directed engine
+    timeouts = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d_out = rng.integers(1, 4, 40).tolist()
+        g = graphs.generate_directed_configuration(
+            rng.permutation(d_out).tolist(), d_out, rng)
+        st = dynamics.init_opinions_iid(40, 0.5, rng)
+        try:
+            dynamics.consensus_time(g, st, rng, max_events=20_000)
+        except SimulationTimeout:
+            timeouts += 1
+    assert timeouts >= 1
+
+
+def test_swaps_continue_without_discordant_edges(rng):
+    # a path and a triangle, each unanimous but of opposite opinions: no
+    # discordant edge and no consensus.  With nu > 0 the swap clock keeps
+    # running, joins the two parts, and the run absorbs.
+    g = graphs.Graph(5, [0, 2, 3, 4], [1, 3, 4, 2])
+    st = dynamics.OpinionState([0, 0, 1, 1, 1], 3)
+    with pytest.raises(SimulationTimeout):
+        dynamics.consensus_time(g, st, rng)
+    for seed in range(20):
+        tau = dynamics.consensus_time(g, st, np.random.default_rng(seed),
+                                      nu=1.0)
+        assert tau > 0
+
+
+# ----------------------------------------------------------------------
+# complete graph: implicit K_n against an explicit edge list
+# ----------------------------------------------------------------------
+
+def explicit_complete(n):
+    """K_n with its edge lists built up front: the reference that the
+    implicit K_n of generate_complete must match."""
+    iu, iv = np.triu_indices(n, k=1)
+    return graphs.Graph(n, iu, iv, allows_self_loops=False,
+                        allows_multi_edges=False)
+
+
+def test_complete_check_run_matches_explicit_edge_list():
+    n = 12
+    st = dynamics.init_opinions_iid(n, 0.5, np.random.default_rng(1))
+    sched = [0.25 * i for i in range(1, 40)]
+    runs = [dynamics.run_voter(g, st, 10.0, sched, np.random.default_rng(2),
+                               check=True)
+            for g in (graphs.generate_complete(n), explicit_complete(n))]
+    assert np.array_equal(runs[0].heart_frac, runs[1].heart_frac)
+    assert np.array_equal(runs[0].discordant_frac, runs[1].discordant_frac)
+    assert runs[0].n_events == runs[1].n_events
+
+
+def test_complete_rewiring_matches_explicit_edge_list():
+    n = 10
+    st = dynamics.init_opinions_iid(n, 0.5, np.random.default_rng(3))
+    sched = [0.5 * i for i in range(1, 11)]
+    g = graphs.generate_complete(n)
+    runs = [dynamics.run_voter_rewiring(h, st, 2.0, 5.0, sched,
+                                        np.random.default_rng(4), check=True)
+            for h in (g, explicit_complete(n))]
+    assert np.array_equal(runs[0].heart_frac, runs[1].heart_frac)
+    assert np.array_equal(runs[0].discordant_frac, runs[1].discordant_frac)
+    assert g.implicit_complete  # the engine rewired a copy
+
+    gm = graphs.generate_complete(n)
+    dynamics.run_voter_rewiring(gm, st, 2.0, 5.0, sched,
+                                np.random.default_rng(4), mutate_graph=True)
+    assert not gm.implicit_complete
+    gm.check_consistency()
+    assert sorted(gm.degrees()) == [n - 1] * n
+
+
+def test_complete_count_chain_only_while_implicit():
+    n = 30
+    st = dynamics.init_opinions_iid(n, 0.5, np.random.default_rng(5))
+    g = graphs.generate_complete(n)
+    graphs.count_discordant(g, st)
+    graphs.edgelist_text(g)
+    assert g.implicit_complete and g.copy().implicit_complete
+    chain = dynamics.run_voter(g, st, 5.0, [5.0], np.random.default_rng(6))
+    assert g.implicit_complete
+    g.inc  # reading the lists makes it an ordinary graph
+    assert not g.implicit_complete
+    edge = dynamics.run_voter(g, st, 5.0, [5.0], np.random.default_rng(6))
+    ref = dynamics.run_voter(explicit_complete(n), st, 5.0, [5.0],
+                             np.random.default_rng(6))
+    assert edge.n_events == ref.n_events
+    assert np.array_equal(edge.heart_frac, ref.heart_frac)
+    assert chain.n_events != ref.n_events
+
+
 # ----------------------------------------------------------------------
 # rewiring
 # ----------------------------------------------------------------------

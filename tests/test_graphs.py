@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +145,120 @@ def test_erdos_renyi_edge_count_concentration():
     assert hits >= 19  # 4 sigma: essentially all seeds
 
 
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_erdos_renyi_p1_is_every_pair_in_order(n):
+    g = graphs.generate_erdos_renyi(n, 1.0, np.random.default_rng(n))
+    assert list(g.edges()) == list(itertools.combinations(range(n), 2))
+    g.check_consistency()
+
+
+def test_erdos_renyi_sparse_edge_count_mean_and_variance():
+    # m ~ Binomial(C(n,2), p): mean Np, variance Np(1-p)
+    n, p, seeds = 300, 0.004, 400
+    n_pairs = n * (n - 1) // 2
+    ms = np.array([graphs.generate_erdos_renyi(
+        n, p, np.random.default_rng(5000 + s)).m for s in range(seeds)])
+    mean, var = n_pairs * p, n_pairs * p * (1 - p)
+    assert abs(ms.mean() - mean) <= 4 * math.sqrt(var / seeds)
+    # sample variance of near-normal data: sd ~ var * sqrt(2/(seeds-1))
+    assert abs(ms.var(ddof=1) - var) <= 4 * var * math.sqrt(2 / (seeds - 1))
+
+
+def test_erdos_renyi_pair_inclusion_uniform():
+    # chi-square over the 28 pairs of n=8: per-pair inclusion counts are
+    # independent Binomial(R, p), so the statistic is ~ chi2(28)
+    from scipy.stats import chi2
+    n, p, reps = 8, 0.3, 3000
+    pairs = list(itertools.combinations(range(n), 2))
+    counts = dict.fromkeys(pairs, 0)
+    for s in range(reps):
+        g = graphs.generate_erdos_renyi(n, p, np.random.default_rng(s))
+        edges = list(g.edges())
+        assert edges == sorted(set(edges))  # simple, row-major order
+        for e in edges:
+            counts[e] += 1
+    c = np.array([counts[e] for e in pairs], dtype=float)
+    stat = float(np.sum((c - reps * p) ** 2) / (reps * p * (1 - p)))
+    assert chi2.sf(stat, len(pairs)) > 1e-3
+
+
+class ShortBatchRng:
+    """Hands out at most ``cap`` geometric draws per call, so a generator
+    must come back for more; the underlying stream is unchanged."""
+
+    def __init__(self, seed, cap):
+        self.rng = np.random.default_rng(seed)
+        self.cap = cap
+        self.calls = 0
+
+    def geometric(self, p, size):
+        self.calls += 1
+        return self.rng.geometric(p, min(size, self.cap))
+
+
+@pytest.mark.parametrize("p", [1.0, 1 - 1e-9, 0.999, 0.9, 0.05])
+def test_erdos_renyi_skipping_runs_past_first_batch(p):
+    # geometric draws are consumed in order, so cutting them into short
+    # batches must give the same graph as one long batch
+    n = 60
+    for seed in range(5):
+        short = ShortBatchRng(seed, cap=7)
+        g = graphs.generate_erdos_renyi(n, p, short)
+        ref = graphs.generate_erdos_renyi(n, p, np.random.default_rng(seed))
+        assert short.calls > 1
+        assert list(g.edges()) == list(ref.edges())
+        assert g.is_simple()
+    if p == 1.0:
+        assert g.m == n * (n - 1) // 2
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_erdos_renyi_memory_is_linear():
+    # about 1.5e5 edges; an all-pairs draw would take 5e9 uniforms (40 GB)
+    peak = _peak_bytes(lambda: graphs.generate_erdos_renyi(
+        10**5, 3e-5, np.random.default_rng(0)))
+    assert peak < 100 * 2**20
+
+
+def test_complete_build_allocates_no_edges():
+    # eagerly built C(4000, 2) edge lists take over 1 GB
+    from discordlab.experiments import build_graph
+    peak = _peak_bytes(lambda: build_graph({"family": "complete", "n": 4000},
+                                           None))
+    assert peak < 2**20
+
+
+def test_graph_bulk_constructor_matches_add_edge(rng):
+    us = rng.integers(0, 15, 60)
+    vs = rng.integers(0, 15, 60)
+    bulk = graphs.Graph(15, us, vs)
+    one_by_one = graphs.Graph(15)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        one_by_one.add_edge(u, v)
+    assert (bulk.eu, bulk.ev, bulk.inc) == \
+        (one_by_one.eu, one_by_one.ev, one_by_one.inc)
+    d = graphs.DirectedGraph(15, us, vs)
+    d1 = graphs.DirectedGraph(15)
+    for t, h in zip(us.tolist(), vs.tolist()):
+        d1.add_arc(t, h)
+    assert (d.tails, d.heads, d.out_adj, d.in_adj) == \
+        (d1.tails, d1.heads, d1.out_adj, d1.in_adj)
+    with pytest.raises(InvalidParameterError):
+        graphs.Graph(3, [0, 3], [1, 1])
+    with pytest.raises(InvalidParameterError):
+        graphs.DirectedGraph(3, [0], [-1])
+    with pytest.raises(InvalidParameterError):
+        graphs.Graph(3, [0, 2], [1, 2], allows_self_loops=False)
+
+
 def test_gnm_exact_count(rng):
     g = graphs.generate_gnm(30, 60, rng)
     assert g.m == 60
@@ -214,6 +330,11 @@ def test_count_discordant_complete_product():
     for k in range(10):
         ops = [1] * k + [0] * (9 - k)
         assert graphs.count_discordant(g, ops) == k * (9 - k)
+    assert g.implicit_complete
+    g.inc
+    for k in range(10):  # same counts from the built edge lists
+        ops = [1] * k + [0] * (9 - k)
+        assert graphs.count_discordant(g, ops) == k * (9 - k)
 
 
 def test_count_discordant_self_loops_and_multi(rng):
@@ -255,6 +376,18 @@ def test_edgelist_roundtrip_directed(tmp_path, rng):
     g2 = graphs.read_edgelist(p)
     assert isinstance(g2, graphs.DirectedGraph)
     assert list(g2.arcs()) == list(g.arcs())
+
+
+def test_edgelist_complete_same_text_implicit_or_built(tmp_path):
+    g = graphs.generate_complete(6)
+    text = graphs.edgelist_text(g)
+    graphs.write_edgelist(g, tmp_path / "k6.edges")
+    assert g.implicit_complete
+    g.eu  # build the lists
+    assert graphs.edgelist_text(g) == text
+    assert (tmp_path / "k6.edges").read_text() == text
+    assert text.splitlines()[1:3] == ["0 1", "0 2"]
+    assert len(text.splitlines()) == 1 + 15
 
 
 def test_edgelist_rejects_headerless(tmp_path):
