@@ -200,7 +200,8 @@ def cmd_coevolve(args, argv):
             state = coevolution.DenseState.iid(args.n, args.p0, args.q0, rng)
         schedule = np.linspace(0.0, args.horizon, args.samples)
         traj = coevolution.run_dense(state, args.eta, args.rho, s,
-                                     args.horizon, schedule, rng)
+                                     args.horizon, schedule, rng,
+                                     max_events=args.max_events)
         _write_csv(args.out,
                    ["t", "q", "p", "conc_edge", "disc_edge",
                     "conc_nonedge", "disc_nonedge"],

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sset import SampleableSet
-from .dynamics import Trajectory, _derive_rnd, _disc_pop, _mk_traj  # noqa: F401
+from ._sset import SampleableSet, drop, refile
+from .dynamics import _derive_rnd, _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
 from .graphs import generate_erdos_renyi, generate_gnm
+from .limits import SwitchProbs
 
 __all__ = [
     "SwitchProbs",
@@ -45,31 +46,6 @@ UNRESOLVED = "UNRESOLVED"
 
 TO_RANDOM = "TO_RANDOM"
 TO_SAME = "TO_SAME"
-
-
-@dataclass(frozen=True)
-class SwitchProbs:
-    """Switch weights for the four pair classes of the dense model.
-
-    s_c1: concordant connected pairs disconnect, s_c0: concordant
-    disconnected pairs connect, s_d1/s_d0: same for discordant pairs.
-    Values above 1 are read as relative rates (the pair stream is thinned
-    against the maximum weight), which realizes per-pair switch rate rho*s
-    exactly and reduces to plain acceptance probabilities when all <= 1.
-    """
-
-    s_c1: float
-    s_c0: float
-    s_d1: float
-    s_d0: float
-
-    def __post_init__(self):
-        if min(self.s_c1, self.s_c0, self.s_d1, self.s_d0) < 0:
-            raise InvalidParameterError("switch weights must be >= 0")
-
-    @property
-    def max_weight(self) -> float:
-        return max(self.s_c1, self.s_c0, self.s_d1, self.s_d0)
 
 
 @dataclass
@@ -142,11 +118,27 @@ class _Recorder:
                 self.stride *= 2
         self.count += 1
 
-    def final(self, t, h, d):
+    def finish(self, t, ops, heart, nd, m, events, resolved):
+        """Record the final state (at most once per time) and return the
+        run as (AbsorptionOutcome, Trajectory); unresolved runs carry no
+        absorption time."""
+        n = len(ops)
         if not self.t or self.t[-1] != t:
             self.t.append(t)
-            self.h.append(h)
-            self.d.append(d)
+            self.h.append(heart / n)
+            self.d.append(nd / m if m else 0.0)
+        verdict = classify_outcome(heart, n, nd) if resolved else UNRESOLVED
+        outcome = AbsorptionOutcome(
+            absorption_time=t if resolved else None,
+            final_heart_fraction=heart / n,
+            final_edge_count=m,
+            verdict=verdict,
+        )
+        consensus = verdict == CONSENSUS
+        traj = _mk_traj(self.t, self.h, self.d,
+                        t if (resolved and consensus) else None,
+                        ops[0] if consensus else None, events)
+        return outcome, traj
 
 
 def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
@@ -189,25 +181,23 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
              SampleableSet(v for v in range(n) if ops[v] == 1))
-    disc_items = []
-    disc_pos = {}
-    for e in range(m):
-        if ops[eu[e]] != ops[ev[e]]:
-            disc_pos[e] = len(disc_items)
-            disc_items.append(e)
+    disc_items, disc_pos = [], {}
+    refile(range(m), disc_items, disc_pos, eu, ev, ops)
 
     adopt_p = beta / n
     t = 0.0
     events = 0
     rec = _Recorder()
-    rec.maybe(0.0, heart / n, len(disc_items) / m if m else 0.0)
+    maybe = rec.maybe
+    log = math.log
+    maybe(0.0, heart / n, len(disc_items) / m if m else 0.0)
     resolved = True
     while disc_items:
         if events >= max_events:
             resolved = False
             break
         nd = len(disc_items)
-        t -= math.log(1.0 - rr()) / nd
+        t -= log(1.0 - rr()) / nd
         e = disc_items[int(rr() * nd)]
         u, v = eu[e], ev[e]
         if rr() < adopt_p:
@@ -217,13 +207,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
             heart += 1 if ops[other] == 1 else -1
             by_op[old].discard(flip)
             by_op[1 - old].add(flip)
-            for e2 in inc[flip]:
-                a, b = eu[e2], ev[e2]
-                if ops[a] == ops[b]:
-                    _disc_pop(disc_items, disc_pos, e2)
-                elif e2 not in disc_pos:
-                    disc_pos[e2] = len(disc_items)
-                    disc_items.append(e2)
+            refile(inc[flip], disc_items, disc_pos, eu, ev, ops)
         else:
             keep, lose = (u, v) if rr() < 0.5 else (v, u)
             if variant == TO_RANDOM:
@@ -233,7 +217,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
                 if len(cand) == 1:
                     # keeper is the last of its opinion: nowhere to reattach
                     events += 1
-                    rec.maybe(t, heart / n, len(disc_items) / m)
+                    maybe(t, heart / n, len(disc_items) / m)
                     continue
                 w = keep
                 while w == keep:
@@ -243,26 +227,12 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
                 inc[w].add(e)
                 eu[e] = keep
                 ev[e] = w
-            if ops[eu[e]] == ops[ev[e]]:
-                _disc_pop(disc_items, disc_pos, e)
-            elif e not in disc_pos:
-                disc_pos[e] = len(disc_items)
-                disc_items.append(e)
+            if ops[keep] == ops[w]:  # else e is still the discordant slot it was
+                drop((e,), disc_items, disc_pos, eu, ev)
         events += 1
-        rec.maybe(t, heart / n, len(disc_items) / m)
+        maybe(t, heart / n, len(disc_items) / m)
 
-    rec.final(t, heart / n, len(disc_items) / m if m else 0.0)
-    verdict = classify_outcome(heart, n, len(disc_items)) if resolved else UNRESOLVED
-    outcome = AbsorptionOutcome(
-        absorption_time=t if resolved else None,
-        final_heart_fraction=heart / n,
-        final_edge_count=m,
-        verdict=verdict,
-    )
-    traj = _mk_traj(rec.t, rec.h, rec.d,
-                    t if (resolved and verdict == CONSENSUS) else None,
-                    ops[0] if verdict == CONSENSUS else None, events)
-    return outcome, traj
+    return rec.finish(t, ops, heart, len(disc_items), m, events, resolved)
 
 
 def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
@@ -282,25 +252,18 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     rnd = _derive_rnd(rng)
     rr = rnd.random
 
-    eu, ev = g.eu, g.ev
+    eu, ev, inc = g.eu, g.ev, g.inc
     m = g.m
-    inc = [[] for _ in range(n)]
-    for e in range(m):
-        inc[eu[e]].append(e)
-        inc[ev[e]].append(e)
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
              SampleableSet(v for v in range(n) if ops[v] == 1))
-    disc_items = []
-    disc_pos = {}
-    for e in range(m):
-        if ops[eu[e]] != ops[ev[e]]:
-            disc_pos[e] = len(disc_items)
-            disc_items.append(e)
+    disc_items, disc_pos = [], {}
+    refile(range(m), disc_items, disc_pos, eu, ev, ops)
 
     steps = 0
     rec = _Recorder()
-    rec.maybe(0.0, heart / n, len(disc_items) / m if m else 0.0)
+    maybe = rec.maybe
+    maybe(0.0, heart / n, len(disc_items) / m if m else 0.0)
     resolved = True
     while disc_items:
         if steps >= max_steps:
@@ -310,7 +273,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
         v = int(rr() * n)
         dv = len(inc[v])
         if dv == 0:
-            rec.maybe(float(steps), heart / n, len(disc_items) / m)
+            maybe(float(steps), heart / n, len(disc_items) / m)
             continue
         e = inc[v][int(rr() * dv)]
         other = ev[e] if eu[e] == v else eu[e]
@@ -325,35 +288,19 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
                     inc[w].append(e)
                     eu[e] = v
                     ev[e] = w
-                if ops[eu[e]] == ops[ev[e]]:
-                    _disc_pop(disc_items, disc_pos, e)
+                if e in disc_pos:  # e now joins two vertices of one opinion
+                    drop((e,), disc_items, disc_pos, eu, ev)
         elif ops[v] != ops[other]:
             old = ops[v]
             ops[v] = ops[other]
             heart += 1 if ops[other] == 1 else -1
             by_op[old].discard(v)
             by_op[1 - old].add(v)
-            for e2 in inc[v]:
-                a, b = eu[e2], ev[e2]
-                if ops[a] == ops[b]:
-                    _disc_pop(disc_items, disc_pos, e2)
-                elif e2 not in disc_pos:
-                    disc_pos[e2] = len(disc_items)
-                    disc_items.append(e2)
-        rec.maybe(float(steps), heart / n, len(disc_items) / m)
+            refile(inc[v], disc_items, disc_pos, eu, ev, ops)
+        maybe(float(steps), heart / n, len(disc_items) / m)
 
-    rec.final(float(steps), heart / n, len(disc_items) / m if m else 0.0)
-    verdict = classify_outcome(heart, n, len(disc_items)) if resolved else UNRESOLVED
-    outcome = AbsorptionOutcome(
-        absorption_time=float(steps) if resolved else None,
-        final_heart_fraction=heart / n,
-        final_edge_count=m,
-        verdict=verdict,
-    )
-    traj = _mk_traj(rec.t, rec.h, rec.d,
-                    float(steps) if (resolved and verdict == CONSENSUS) else None,
-                    ops[0] if verdict == CONSENSUS else None, steps)
-    return outcome, traj
+    return rec.finish(float(steps), ops, heart, len(disc_items), m, steps,
+                      resolved)
 
 
 # ----------------------------------------------------------------------
@@ -413,16 +360,12 @@ class DenseState:
 
     def pair_class_counts(self):
         """(edge_conc, edge_disc, nonedge_conc, nonedge_disc); sums to C(n,2)."""
-        h = self.heart_count
-        total_conc = h * (h - 1) // 2 + (self.n - h) * (self.n - h - 1) // 2
-        ec = self.edge_conc_count
-        ed = self.edge_count - ec
-        nc = total_conc - ec
-        ndisc = self.n_pairs - self.edge_count - nc
-        return ec, ed, nc, ndisc
+        return _pair_classes(self.n, self.heart_count, self.edge_count,
+                             self.edge_conc_count)
 
     def recount(self):
-        """Brute-force recount of the four pair classes from the matrices."""
+        """Brute-force recount of the four pair classes from the matrices,
+        in the order of :meth:`pair_class_counts`."""
         iu, iv = np.triu_indices(self.n, k=1)
         conn = self.adj[iu, iv]
         same = self.opinions[iu] == self.opinions[iv]
@@ -433,6 +376,13 @@ class DenseState:
 
     def copy(self) -> "DenseState":
         return DenseState(self.opinions, self.adj)
+
+
+def _pair_classes(n, heart, ecount, econc):
+    """The four pair-class counts from the heart, edge and connected-
+    concordant counts, in the order of DenseState.pair_class_counts."""
+    nc = heart * (heart - 1) // 2 + (n - heart) * (n - heart - 1) // 2 - econc
+    return econc, ecount - econc, nc, n * (n - 1) // 2 - ecount - nc
 
 
 def conflict_concordant_profile(x, y):
@@ -493,7 +443,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         raise InvalidParameterError("need n >= 2")
     if horizon is None:
         raise InvalidParameterError("dense runs need a finite horizon")
-    sched = _sched_check(schedule, horizon)
+    sched = _prepared_schedule(schedule, horizon)
 
     st = state.copy()
     n = st.n
@@ -521,21 +471,19 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
 
     def flush(limit):
         nonlocal si
-        h = heart
-        total_conc = h * (h - 1) // 2 + (n - h) * (n - h - 1) // 2
-        ed = ecount - econc
-        nc = total_conc - econc
-        nd = npairs - ecount - nc
+        kept = _pair_classes(n, heart, ecount, econc)
+        ec, ed, nc, nd = kept
         while si < len(sched) and sched[si] < limit:
             out["t"].append(sched[si])
-            out["q"].append(h / n)
+            out["q"].append(heart / n)
             out["p"].append(ecount / npairs)
-            out["ce"].append(econc / npairs)
+            out["ce"].append(ec / npairs)
             out["de"].append(ed / npairs)
             out["cn"].append(nc / npairs)
             out["dn"].append(nd / npairs)
-            if check:
-                _dense_recount_assert(ops, adj, econc, ed, nc, nd)
+            if check and st.recount() != kept:
+                raise AssertionError(f"pair-class bookkeeping diverged: "
+                                     f"{st.recount()} != {kept}")
             si += 1
 
     while True:
@@ -548,7 +496,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
                 f"dense run exceeded max_events={max_events} at t={t:.6g}",
                 partial=_dense_traj(out, cons_t, events, ecount))
         t_next = t - math.log(1.0 - rr()) / total
-        flush(t_next)
+        if si < len(sched) and sched[si] < t_next:
+            flush(t_next)
         if t_next > horizon:
             t = horizon
             break
@@ -614,28 +563,3 @@ def _dense_traj(out, cons_t, events, ecount) -> DenseTrajectory:
         n_events=events,
         final_edge_count=ecount,
     )
-
-
-def _sched_check(schedule, horizon):
-    sched = [float(x) for x in schedule]
-    if any(x < 0 for x in sched):
-        raise InvalidParameterError("schedule times must be >= 0")
-    if any(x > horizon for x in sched):
-        raise InvalidParameterError("schedule times must lie in [0, horizon]")
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise InvalidParameterError("schedule must be strictly increasing")
-    return sched
-
-
-def _dense_recount_assert(ops, adj, ec, ed, nc, nd):
-    n = len(ops)
-    iu, iv = np.triu_indices(n, k=1)
-    conn = adj[iu, iv]
-    same = ops[iu] == ops[iv]
-    truth = (int(np.count_nonzero(conn & same)),
-             int(np.count_nonzero(conn & ~same)),
-             int(np.count_nonzero(~conn & same)),
-             int(np.count_nonzero(~conn & ~same)))
-    if truth != (ec, ed, nc, nd):
-        raise AssertionError(f"pair-class bookkeeping diverged: {truth} != "
-                             f"{(ec, ed, nc, nd)}")

@@ -20,17 +20,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
+from ._sset import drop, refile
 from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import DirectedGraph, Graph, count_discordant
+from .graphs import DirectedGraph, Graph, count_discordant, swap_endpoints
 
 __all__ = [
-    "Opinion",
-    "HEART",
-    "DIAMOND",
     "OpinionState",
     "Trajectory",
     "REWIRE_RATE_CONVENTION",
@@ -42,14 +39,6 @@ __all__ = [
     "consensus_time",
 ]
 
-
-class Opinion(IntEnum):
-    DIAMOND = 0
-    HEART = 1
-
-
-HEART = int(Opinion.HEART)
-DIAMOND = int(Opinion.DIAMOND)
 
 DEFAULT_MAX_EVENTS = 10**9
 
@@ -120,15 +109,31 @@ def _derive_rnd(rng) -> random.Random:
     return random.Random(int(rng.integers(1 << 63)))
 
 
-def _disc_pop(items, pos, e):
-    i = pos.pop(e, None)
-    if i is None:
-        return False
-    last = items.pop()
-    if i < len(items):
-        items[i] = last
-        pos[last] = i
-    return True
+class _Samples:
+    """The (heart, discordant) fractions of a run carried to each schedule
+    time.  ``next`` is the first time not yet recorded, inf once all are."""
+
+    __slots__ = ("sched", "si", "next", "t", "h", "d")
+
+    def __init__(self, schedule, horizon):
+        self.sched = _prepared_schedule(schedule, horizon) + [math.inf]
+        self.si = 0
+        self.next = self.sched[0]
+        self.t, self.h, self.d = [], [], []
+
+    def record(self, limit, h, d):
+        """Record (h, d) at every schedule time before ``limit``."""
+        sched, si = self.sched, self.si
+        while sched[si] < limit:
+            self.t.append(sched[si])
+            self.h.append(h)
+            self.d.append(d)
+            si += 1
+        self.si = si
+        self.next = sched[si]
+
+    def traj(self, cons_t, cons_v, events) -> Trajectory:
+        return _mk_traj(self.t, self.h, self.d, cons_t, cons_v, events)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +153,7 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
         raise InvalidParameterError("rewiring needs at least two edges")
     if rate_convention not in ("pair", "edge"):
         raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
-    sched = _prepared_schedule(schedule, horizon)
+    samples = _Samples(schedule, horizon)
 
     if nu > 0:
         if not mutate_graph:
@@ -164,16 +169,12 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
     regular = dmin == dmax
     per_slot = 2.0 / dmin  # flip rate carried by one discordant slot (regular case)
     wmax = 2.0 / dmin
-
+    # slot {u,v} flips u at rate 1/deg(u) and v at rate 1/deg(v); on a
+    # regular graph every slot carries per_slot and W is not kept
+    inv = None if regular else [1.0 / dd if dd else 0.0 for dd in degs]
     disc_items: list[int] = []
     disc_pos: dict[int, int] = {}
-    W = 0.0
-    for e in range(m):
-        a, b = eu[e], ev[e]
-        if ops[a] != ops[b]:
-            disc_pos[e] = len(disc_items)
-            disc_items.append(e)
-            W += 1.0 / degs[a] + 1.0 / degs[b]
+    W = refile(range(m), disc_items, disc_pos, eu, ev, ops, inv, inv)
 
     rew_rate = 0.0
     if nu > 0:
@@ -182,10 +183,9 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
 
     rnd = _derive_rnd(rng)
     rnd_random = rnd.random
-    out_t: list[float] = []
-    out_h: list[float] = []
-    out_d: list[float] = []
-    si = 0
+    log = math.log
+    m1 = m - 1
+    hz = math.inf if horizon is None else horizon
     t = 0.0
     events = 0
     cons_t = None
@@ -195,15 +195,10 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
         cons_t, cons_v = 0.0, ops[0]
 
     def flush(limit):
-        nonlocal si
         nd = len(disc_items)
-        while si < len(sched) and sched[si] < limit:
-            out_t.append(sched[si])
-            out_h.append(heart / n)
-            out_d.append(nd / m)
-            if check and nd != count_discordant(g, ops):
-                raise AssertionError("discordance bookkeeping diverged")
-            si += 1
+        if check and nd != count_discordant(g, ops):
+            raise AssertionError("discordance bookkeeping diverged")
+        samples.record(limit, heart / n, nd / m)
 
     while True:
         nd = len(disc_items)
@@ -218,11 +213,11 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
         if events >= max_events:
             raise SimulationTimeout(
                 f"event cap {max_events} reached at t={t:.6g}",
-                partial=_mk_traj(out_t, out_h, out_d, cons_t, cons_v, events))
-        t_next = t - math.log(1.0 - rnd_random()) / total
-        if si < len(sched) and sched[si] < t_next:
+                partial=samples.traj(cons_t, cons_v, events))
+        t_next = t - log(1.0 - rnd_random()) / total
+        if samples.next < t_next:
             flush(t_next)
-        if horizon is not None and t_next > horizon:
+        if t_next > hz:
             t = horizon
             break
         t = t_next
@@ -237,8 +232,8 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
                 while True:
                     e = disc_items[int(rnd_random() * len(disc_items))]
                     u, v = eu[e], ev[e]
-                    wu = 1.0 / degs[u]
-                    wv = 1.0 / degs[v]
+                    wu = inv[u]
+                    wv = inv[v]
                     if rnd_random() * wmax < wu + wv:
                         break
             flip = u if rnd_random() * (wu + wv) < wu else v
@@ -246,50 +241,24 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
             newop = ops[other]
             ops[flip] = newop
             heart += 1 if newop == 1 else -1
-            for e2 in inc[flip]:
-                a, b = eu[e2], ev[e2]
-                if ops[a] == ops[b]:
-                    if _disc_pop(disc_items, disc_pos, e2) and not regular:
-                        W -= 1.0 / degs[a] + 1.0 / degs[b]
-                elif e2 not in disc_pos:
-                    disc_pos[e2] = len(disc_items)
-                    disc_items.append(e2)
-                    if not regular:
-                        W += 1.0 / degs[a] + 1.0 / degs[b]
+            W = refile(inc[flip], disc_items, disc_pos, eu, ev, ops, inv, inv, W)
             if heart == 0 or heart == n:
                 absorbed = True
                 cons_t, cons_v = t, ops[0]
         else:
             # one swap: uniform unordered pair of slots, uniform crossed matching
             i = int(rnd_random() * m)
-            j = int(rnd_random() * (m - 1))
+            j = int(rnd_random() * m1)
             if j >= i:
                 j += 1
-            for e2 in (i, j):
-                if _disc_pop(disc_items, disc_pos, e2) and not regular:
-                    W -= 1.0 / degs[eu[e2]] + 1.0 / degs[ev[e2]]
-            b = ev[i]
-            if rnd_random() < 0.5:
-                x = eu[j]
-                eu[j] = b
-            else:
-                x = ev[j]
-                ev[j] = b
-            ev[i] = x
-            inc[b].remove(i)
-            inc[x].append(i)
-            inc[x].remove(j)
-            inc[b].append(j)
-            for e2 in (i, j):
-                a, b2 = eu[e2], ev[e2]
-                if ops[a] != ops[b2]:
-                    disc_pos[e2] = len(disc_items)
-                    disc_items.append(e2)
-                    if not regular:
-                        W += 1.0 / degs[a] + 1.0 / degs[b2]
+            pair = (i, j)
+            if i in disc_pos or j in disc_pos:  # else drop is a no-op call
+                W = drop(pair, disc_items, disc_pos, eu, ev, inv, inv, W)
+            swap_endpoints(eu, ev, inc, i, j, rnd_random() < 0.5)
+            W = refile(pair, disc_items, disc_pos, eu, ev, ops, inv, inv, W)
 
     flush(math.inf)
-    return _mk_traj(out_t, out_h, out_d, cons_t, cons_v, events)
+    return samples.traj(cons_t, cons_v, events)
 
 
 def _mk_traj(out_t, out_h, out_d, cons_t, cons_v, events):
@@ -311,17 +280,13 @@ def _voter_complete_engine(n, heart0, horizon, schedule, rng, max_events):
     the same law as the per-edge engine with O(1) instead of O(n) work per
     event.
     """
-    sched = _prepared_schedule(schedule, horizon)
+    samples = _Samples(schedule, horizon)
     m = n * (n - 1) // 2
     rnd = _derive_rnd(rng)
     rnd_random = rnd.random
     k = heart0
     t = 0.0
-    si = 0
     events = 0
-    out_t: list[float] = []
-    out_h: list[float] = []
-    out_d: list[float] = []
     cons_t = cons_v = None
     if k == 0 or k == n:
         cons_t, cons_v = 0.0, (1 if k == n else 0)
@@ -329,14 +294,11 @@ def _voter_complete_engine(n, heart0, horizon, schedule, rng, max_events):
         if events >= max_events:
             raise SimulationTimeout(
                 f"event cap {max_events} reached at t={t:.6g}",
-                partial=_mk_traj(out_t, out_h, out_d, cons_t, cons_v, events))
+                partial=samples.traj(cons_t, cons_v, events))
         total = 2.0 * k * (n - k) / (n - 1)
         t_next = t - math.log(1.0 - rnd_random()) / total
-        while si < len(sched) and sched[si] < t_next:
-            out_t.append(sched[si])
-            out_h.append(k / n)
-            out_d.append(k * (n - k) / m)
-            si += 1
+        if samples.next < t_next:
+            samples.record(t_next, k / n, k * (n - k) / m)
         if horizon is not None and t_next > horizon:
             t = horizon
             break
@@ -345,12 +307,8 @@ def _voter_complete_engine(n, heart0, horizon, schedule, rng, max_events):
         k += 1 if rnd_random() < 0.5 else -1
         if k == 0 or k == n:
             cons_t, cons_v = t, (1 if k == n else 0)
-    while si < len(sched):
-        out_t.append(sched[si])
-        out_h.append(k / n)
-        out_d.append(k * (n - k) / m)
-        si += 1
-    return _mk_traj(out_t, out_h, out_d, cons_t, cons_v, events)
+    samples.record(math.inf, k / n, k * (n - k) / m)
+    return samples.traj(cons_t, cons_v, events)
 
 
 def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
@@ -398,11 +356,13 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
         raise InvalidParameterError("opinion vector length != vertex count")
     if adopt_from not in ("out", "in"):
         raise InvalidParameterError("adopt_from must be 'out' or 'in'")
-    sched = _prepared_schedule(schedule, horizon)
+    samples = _Samples(schedule, horizon)
 
-    tails, heads = g.tails, g.heads
-    out_adj, in_adj = g.out_adj, g.in_adj
-    degs = g.out_degrees() if adopt_from == "out" else g.in_degrees()
+    # us[a] is the end of arc a that copies the other end vs[a]
+    if adopt_from == "out":
+        us, vs, degs = g.tails, g.heads, g.out_degrees()
+    else:
+        us, vs, degs = g.heads, g.tails, g.in_degrees()
     if any(d == 0 for d in degs):
         raise InvalidParameterError(
             f"every vertex needs {adopt_from}-degree >= 1")
@@ -411,24 +371,16 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     dmin, dmax = min(degs), max(degs)
     regular = dmin == dmax
     wmax = 1.0 / dmin
-
-    # weight of a discordant arc = 1/deg(flipping endpoint)
-    flip_of = (lambda a: tails[a]) if adopt_from == "out" else (lambda a: heads[a])
+    # a discordant arc flips us[a] at rate 1/deg(us[a]) and never vs[a]
+    inv = None if regular else [1.0 / d for d in degs]
+    zero = None if regular else [0.0] * n
+    inc = [o + i for o, i in zip(g.out_adj, g.in_adj)]
     disc_items: list[int] = []
     disc_pos: dict[int, int] = {}
-    W = 0.0
-    for a in range(m):
-        if ops[tails[a]] != ops[heads[a]]:
-            disc_pos[a] = len(disc_items)
-            disc_items.append(a)
-            W += 1.0 / degs[flip_of(a)]
+    W = refile(range(m), disc_items, disc_pos, us, vs, ops, inv, zero)
 
     rnd = _derive_rnd(rng)
     rnd_random = rnd.random
-    out_t: list[float] = []
-    out_h: list[float] = []
-    out_d: list[float] = []
-    si = 0
     t = 0.0
     events = 0
     cons_t = cons_v = None
@@ -444,15 +396,12 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
         if events >= max_events:
             raise SimulationTimeout(
                 f"event cap {max_events} reached at t={t:.6g}",
-                partial=_mk_traj(out_t, out_h, out_d, cons_t, cons_v, events))
+                partial=samples.traj(cons_t, cons_v, events))
         t_next = t - math.log(1.0 - rnd_random()) / vr
-        while si < len(sched) and sched[si] < t_next:
-            out_t.append(sched[si])
-            out_h.append(heart / n)
-            out_d.append(nd / m)
+        if samples.next < t_next:
             if check and nd != count_discordant(g, ops):
                 raise AssertionError("discordance bookkeeping diverged")
-            si += 1
+            samples.record(t_next, heart / n, nd / m)
         if horizon is not None and t_next > horizon:
             t = horizon
             break
@@ -463,41 +412,19 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
         else:
             while True:
                 a = disc_items[int(rnd_random() * len(disc_items))]
-                if rnd_random() * wmax < 1.0 / degs[flip_of(a)]:
+                if rnd_random() * wmax < inv[us[a]]:
                     break
-        flip = flip_of(a)
-        other = heads[a] if flip == tails[a] else tails[a]
-        newop = ops[other]
+        flip = us[a]
+        newop = ops[vs[a]]
         ops[flip] = newop
         heart += 1 if newop == 1 else -1
-        for a2 in out_adj[flip]:
-            if ops[tails[a2]] == ops[heads[a2]]:
-                if _disc_pop(disc_items, disc_pos, a2) and not regular:
-                    W -= 1.0 / degs[flip_of(a2)]
-            elif a2 not in disc_pos:
-                disc_pos[a2] = len(disc_items)
-                disc_items.append(a2)
-                if not regular:
-                    W += 1.0 / degs[flip_of(a2)]
-        for a2 in in_adj[flip]:
-            if ops[tails[a2]] == ops[heads[a2]]:
-                if _disc_pop(disc_items, disc_pos, a2) and not regular:
-                    W -= 1.0 / degs[flip_of(a2)]
-            elif a2 not in disc_pos:
-                disc_pos[a2] = len(disc_items)
-                disc_items.append(a2)
-                if not regular:
-                    W += 1.0 / degs[flip_of(a2)]
+        W = refile(inc[flip], disc_items, disc_pos, us, vs, ops, inv, zero, W)
         if heart == 0 or heart == n:
             absorbed = True
             cons_t, cons_v = t, ops[0]
 
-    while si < len(sched):
-        out_t.append(sched[si])
-        out_h.append(heart / n)
-        out_d.append(len(disc_items) / m)
-        si += 1
-    return _mk_traj(out_t, out_h, out_d, cons_t, cons_v, events)
+    samples.record(math.inf, heart / n, len(disc_items) / m)
+    return samples.traj(cons_t, cons_v, events)
 
 
 def consensus_time(g, state: OpinionState, rng, *,

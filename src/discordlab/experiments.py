@@ -93,7 +93,11 @@ class ExperimentConfig:
 
 def _json_fits(value, hint) -> bool:
     """isinstance against an annotation, where a float field takes a JSON
-    integer and an int field does not take a boolean."""
+    integer, an int field does not take a boolean and ``list[X]`` checks
+    every element against X."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(
+            _json_fits(x, typing.get_args(hint)[0]) for x in value)
     allowed = typing.get_args(hint) or (hint,)
     if float in allowed:
         allowed += (int,)
@@ -102,9 +106,35 @@ def _json_fits(value, hint) -> bool:
     return isinstance(value, allowed)
 
 
+# the keys each graph family reads from a model spec, with their types
+_MODEL_KEYS = {
+    "complete": {"n": int},
+    "rrg": {"n": int, "d": int},
+    "er": {"n": int, "p": float},
+    "dcm": {"n": int, "d": int},
+}
+_DCM_SEQUENCE_KEYS = {"d_in": list[int], "d_out": list[int]}
+
+
 def build_graph(model: dict, rng):
-    """Instantiate the graph family described by a model spec dict."""
+    """Instantiate the graph family described by a model spec dict.  An
+    unknown family, or a key the family needs that is missing or of the
+    wrong JSON type, raises InvalidParameterError."""
     family = model.get("family")
+    if family == "dcm" and "d" not in model:
+        keys = _DCM_SEQUENCE_KEYS
+    elif family in _MODEL_KEYS:
+        keys = _MODEL_KEYS[family]
+    else:
+        raise InvalidParameterError(f"unknown graph family {family!r}")
+    for key, hint in keys.items():
+        if key not in model:
+            raise InvalidParameterError(
+                f"graph family {family!r} needs model key {key!r}")
+        if not _json_fits(model[key], hint):
+            raise InvalidParameterError(
+                f"model key {key!r} must be {hint.__name__}, "
+                f"got {model[key]!r}")
     n = model.get("n")
     if family == "complete":
         return graphs.generate_complete(n)
@@ -113,13 +143,11 @@ def build_graph(model: dict, rng):
             n, model["d"], rng, policy=model.get("policy", "reject"))
     if family == "er":
         return graphs.generate_erdos_renyi(n, model["p"], rng)
-    if family == "dcm":
-        if "d" in model:
-            seq = [model["d"]] * n
-            return graphs.generate_directed_configuration(seq, seq, rng)
-        return graphs.generate_directed_configuration(
-            model["d_in"], model["d_out"], rng)
-    raise InvalidParameterError(f"unknown graph family {family!r}")
+    if "d" in model:
+        seq = [model["d"]] * n
+        return graphs.generate_directed_configuration(seq, seq, rng)
+    return graphs.generate_directed_configuration(
+        model["d_in"], model["d_out"], rng)
 
 
 @dataclass
@@ -231,23 +259,10 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
         "discordant_frac": np.vstack([row["disc"] for row in rows])
         if len(times) else np.zeros((R, 0)),
     }
-    mean, var, ci = {}, {}, {}
-    with warnings.catch_warnings():
-        # columns where every replica timed out aggregate to NaN, silently
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name, arr in samples.items():
-            mean[name] = np.nanmean(arr, axis=0) if arr.size else np.zeros(0)
-            if R > 1 and arr.size:
-                var[name] = np.nanvar(arr, axis=0, ddof=1)
-            else:
-                var[name] = np.zeros(arr.shape[1])
-            ci[name] = Z95 * np.sqrt(var[name] / R)
     result = EnsembleResult(
         times=times,
         samples=samples,
-        mean=mean,
-        var=var,
-        ci_half=ci,
+        **_aggregate(samples, R),
         replicas=R,
         taus=np.array([row["tau"] for row in rows], dtype=float),
         consensus_values=[row["consensus_value"] for row in rows],
@@ -374,12 +389,27 @@ def ensemble_from_samples(times, heart, disc=None,
         disc = np.zeros_like(heart)
     R = heart.shape[0]
     samples = {"heart_frac": heart, "discordant_frac": np.asarray(disc, float)}
-    mean, var, ci = {}, {}, {}
-    for name, arr in samples.items():
-        mean[name] = arr.mean(axis=0)
-        var[name] = arr.var(axis=0, ddof=1) if R > 1 else np.zeros(arr.shape[1])
-        ci[name] = Z95 * np.sqrt(var[name] / R)
-    return EnsembleResult(times=times, samples=samples, mean=mean, var=var,
-                          ci_half=ci, replicas=R,
+    return EnsembleResult(times=times, samples=samples,
+                          **_aggregate(samples, R), replicas=R,
                           taus=np.full(R, np.nan), consensus_values=[None] * R,
                           timed_out=[], config=config)
+
+
+def _aggregate(samples, R) -> dict:
+    """Per-column mean, variance (ddof=1) and 95% CI half-width of each
+    (R, T) sample array, skipping NaN entries (timed-out replicas).  A
+    column with no finite entry aggregates to NaN, silently."""
+    mean, var, ci = {}, {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name, arr in samples.items():
+            if arr.size:
+                mean[name] = np.nanmean(arr, axis=0)
+            else:
+                mean[name] = np.zeros(arr.shape[1])
+            if R > 1 and arr.size:
+                var[name] = np.nanvar(arr, axis=0, ddof=1)
+            else:
+                var[name] = np.zeros(arr.shape[1])
+            ci[name] = Z95 * np.sqrt(var[name] / R)
+    return {"mean": mean, "var": var, "ci_half": ci}

@@ -424,19 +424,25 @@ def rewire_swap(g: Graph, e1: int, e2: int, rng) -> None:
     # crossed matchings may produce loops/parallel edges; they are kept
     g.allows_self_loops = True
     g.allows_multi_edges = True
-    b = g.ev[e1]
-    # coin picks which endpoint of e2 trades places with b
-    if rng.random() < 0.5:
-        x = g.eu[e2]
-        g.eu[e2] = b
+    swap_endpoints(g.eu, g.ev, g.inc, e1, e2, rng.random() < 0.5)
+
+
+def swap_endpoints(eu, ev, inc, e1, e2, first) -> None:
+    """The swap behind :func:`rewire_swap`, on the raw lists: the second
+    endpoint of ``e1`` trades places with the first endpoint of ``e2`` if
+    ``first``, else with its second."""
+    b = ev[e1]
+    if first:
+        x = eu[e2]
+        eu[e2] = b
     else:
-        x = g.ev[e2]
-        g.ev[e2] = b
-    g.ev[e1] = x
-    g.inc[b].remove(e1)
-    g.inc[x].append(e1)
-    g.inc[x].remove(e2)
-    g.inc[b].append(e2)
+        x = ev[e2]
+        ev[e2] = b
+    ev[e1] = x
+    inc[b].remove(e1)
+    inc[x].append(e1)
+    inc[x].remove(e2)
+    inc[b].append(e2)
 
 
 def count_discordant(g, opinions) -> int:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coevolution import SwitchProbs
 from .errors import (InvalidParameterError, NumericError, TruncationError)
 
 __all__ = [
     "MeetingProfile",
+    "SwitchProbs",
     "DenseLimitParams",
     "theta_regular",
     "meeting_profile",
@@ -388,6 +388,31 @@ def discordance_prediction(u, d, t, n_vertices, tolerance=1e-6, profile=None):
 # ----------------------------------------------------------------------
 # dense co-evolution limit
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SwitchProbs:
+    """Switch weights for the four pair classes of the dense model.
+
+    s_c1: concordant connected pairs disconnect, s_c0: concordant
+    disconnected pairs connect, s_d1/s_d0: same for discordant pairs.
+    Values above 1 are read as relative rates (the pair stream is thinned
+    against the maximum weight), which realizes per-pair switch rate rho*s
+    exactly and reduces to plain acceptance probabilities when all <= 1.
+    """
+
+    s_c1: float
+    s_c0: float
+    s_d1: float
+    s_d0: float
+
+    def __post_init__(self):
+        if min(self.s_c1, self.s_c0, self.s_d1, self.s_d0) < 0:
+            raise InvalidParameterError("switch weights must be >= 0")
+
+    @property
+    def max_weight(self) -> float:
+        return max(self.s_c1, self.s_c0, self.s_d1, self.s_d0)
+
 
 @dataclass
 class DenseLimitParams:

@@ -244,3 +244,29 @@ def test_ensemble_bad_config_exits_2(tmp_path, capsys, patch):
 def test_config_missing_keys_or_not_an_object(text):
     with pytest.raises(InvalidParameterError):
         experiments.ExperimentConfig.from_json(text)
+
+
+@pytest.mark.parametrize("model", [
+    {"family": "complete"},                  # no n
+    {"family": "rrg", "n": 20},              # no d
+    {"family": "er", "n": 20, "p": "x"},     # string for a float
+    {"family": "dcm", "n": 20},              # neither d nor d_in/d_out
+])
+def test_ensemble_bad_model_spec_exits_2(tmp_path, capsys, model):
+    cfg = experiments.ExperimentConfig(
+        model=model, u=0.5, replicas=2, master_seed=1, horizon=1.0,
+        sample_times=[1.0])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    rc = dispatch(["ensemble", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "res"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_coevolve_dense_honours_max_events(tmp_path):
+    rc = dispatch(["coevolve", "--model", "dense", "--n", "20",
+                   "--horizon", "2", "--max-events", "5", "--seed", "1",
+                   "--out", str(tmp_path / "dense.csv"), "--quiet"])
+    assert rc == 4

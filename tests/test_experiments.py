@@ -173,3 +173,15 @@ def test_ensemble_from_samples_validation():
         experiments.ensemble_from_samples([0.0], np.zeros(4))
     with pytest.raises(InvalidParameterError):
         experiments.ensemble_from_samples([0.0, 1.0], np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("R, T", [(1, 5), (2, 17), (30, 41), (200, 101),
+                                  (7, 5)])
+def test_ensemble_from_samples_nan_free_moments_are_exact(R, T):
+    # the NaN-skipping aggregation gives the plain moments bit for bit
+    x = np.random.default_rng(1000 * R + T).random((R, T))
+    res = experiments.ensemble_from_samples(np.arange(T, dtype=float), x, x)
+    for name in ("heart_frac", "discordant_frac"):
+        assert np.array_equal(res.mean[name], x.mean(axis=0))
+        want = x.var(axis=0, ddof=1) if R > 1 else np.zeros(T)
+        assert np.array_equal(res.var[name], want)
