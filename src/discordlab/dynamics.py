@@ -348,6 +348,13 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
 
     adopt_from="out": each vertex at rate 1 copies a uniform out-neighbour
     (so the tail of a discordant arc flips); "in" uses in-neighbours instead.
+
+    With ``horizon=None`` the run goes on until consensus.  When the copy
+    graph has two or more closed classes (strongly connected components that
+    copy from no vertex outside them), consensus becomes unreachable once
+    each of them is unanimous and two of them disagree; the run then raises
+    :class:`SimulationTimeout` at once, with the trajectory so far as
+    ``partial``.
     """
     n, m = g.n, g.m
     if n == 0 or m == 0:
@@ -387,6 +394,20 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     absorbed = heart == 0 or heart == n
     if absorbed:
         cons_t, cons_v = 0.0, ops[0]
+    cls = _closed_classes(n, us, vs) if horizon is None else None
+    if cls is not None:
+        # hearts per closed class, and how many classes are all-diamond,
+        # mixed and all-heart (status 0, 1, 2)
+        cls_size = [0] * (max(cls) + 1)
+        cls_heart = [0] * len(cls_size)
+        for v, c in enumerate(cls):
+            if c >= 0:
+                cls_size[c] += 1
+                cls_heart[c] += ops[v]
+        status = [0, 0, 0]
+        for h, size in zip(cls_heart, cls_size):
+            status[_class_status(h, size)] += 1
+        _check_classes(status, samples, t, events)
 
     while True:
         nd = len(disc_items)
@@ -422,9 +443,89 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
         if heart == 0 or heart == n:
             absorbed = True
             cons_t, cons_v = t, ops[0]
+        elif cls is not None and cls[flip] >= 0:
+            c = cls[flip]
+            status[_class_status(cls_heart[c], cls_size[c])] -= 1
+            cls_heart[c] += 1 if newop == 1 else -1
+            status[_class_status(cls_heart[c], cls_size[c])] += 1
+            _check_classes(status, samples, t, events)
 
     samples.record(math.inf, heart / n, len(disc_items) / m)
     return samples.traj(cons_t, cons_v, events)
+
+
+def _class_status(hearts, size) -> int:
+    return 0 if hearts == 0 else 2 if hearts == size else 1
+
+
+def _check_classes(status, samples, t, events):
+    """Raise once every closed class is unanimous and two of them differ."""
+    if status[0] and status[2] and not status[1]:
+        raise SimulationTimeout(
+            f"closed classes froze in disagreement at t={t:.6g}",
+            partial=samples.traj(None, None, events))
+
+
+def _closed_classes(n, us, vs):
+    """Closed class of each vertex in the copy graph ``us[a] -> vs[a]``
+    (-1 outside every closed class), or None if there are fewer than two.
+
+    The classes are the strongly connected components with no arc leaving
+    them, found by Tarjan's algorithm with an explicit stack, in O(n + m).
+    """
+    succ = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        succ[u].append(v)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comp = [-1] * n
+    n_comp = 0
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = n_comp
+                    if w == v:
+                        break
+                n_comp += 1
+    leaves = [False] * n_comp
+    for u, v in zip(us, vs):
+        if comp[u] != comp[v]:
+            leaves[comp[u]] = True
+    closed = [c for c in range(n_comp) if not leaves[c]]
+    if len(closed) < 2:
+        return None
+    rank = {c: i for i, c in enumerate(closed)}
+    return [rank.get(c, -1) for c in comp]
 
 
 def consensus_time(g, state: OpinionState, rng, *,

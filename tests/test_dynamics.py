@@ -205,6 +205,57 @@ def test_directed_frozen_runs_time_out_instead_of_crashing():
     assert timeouts >= 1
 
 
+def test_directed_consensus_stops_when_closed_classes_disagree(rng):
+    # two 2-cycles of opposite opinion and a vertex copying from both:
+    # consensus is out of reach from the start
+    g = graphs.DirectedGraph(5, [0, 1, 2, 3, 4, 4], [1, 0, 3, 2, 0, 2])
+    st = dynamics.OpinionState([1, 1, 0, 0, 1], 3)
+    with pytest.raises(SimulationTimeout) as err:
+        dynamics.consensus_time(g, st, rng, max_events=100_000)
+    assert err.value.partial.n_events < 100
+    # mixed 2-cycles: each run either reaches consensus or stops as soon as
+    # the two cycles settle on different opinions
+    st = dynamics.OpinionState([1, 0, 0, 1, 1], 3)
+    outcomes = set()
+    for seed in range(40):
+        try:
+            dynamics.consensus_time(g, st, np.random.default_rng(seed),
+                                    max_events=100_000)
+            outcomes.add("consensus")
+        except SimulationTimeout as exc:
+            assert exc.partial.n_events < 100
+            outcomes.add("frozen")
+    assert outcomes == {"consensus", "frozen"}
+
+
+def _closed_by_reachability(n, us, vs):
+    reach = [{v} for v in range(n)]
+    for _ in range(n):
+        for u, v in zip(us, vs):
+            reach[u] |= reach[v]
+    classes = {frozenset(w for w in reach[v] if v in reach[w])
+               for v in range(n)}
+    return {c for c in classes if all(reach[v] <= c for v in c)}
+
+
+def test_closed_classes_match_reachability():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        us = np.repeat(np.arange(n), rng.integers(1, 3, n)).tolist()
+        vs = rng.integers(0, n, len(us)).tolist()
+        want = _closed_by_reachability(n, us, vs)
+        got = dynamics._closed_classes(n, us, vs)
+        if len(want) < 2:
+            assert got is None
+            continue
+        groups = {}
+        for v, c in enumerate(got):
+            groups.setdefault(c, set()).add(v)
+        assert {frozenset(s) for c, s in groups.items() if c >= 0} == want
+        assert set(groups.get(-1, ())) == set(range(n)) - set().union(*want)
+
+
 def test_swaps_continue_without_discordant_edges(rng):
     # a path and a triangle, each unanimous but of opposite opinions: no
     # discordant edge and no consensus.  With nu > 0 the swap clock keeps

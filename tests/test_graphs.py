@@ -77,6 +77,31 @@ def test_random_regular_large_connected():
     assert bad <= 1
 
 
+def _random_regular_by_unique(n, d, rng):
+    """The simple rrg with the rejection check written with np.unique, as
+    generate_random_regular had it: the reference for its sort check."""
+    owner = np.repeat(np.arange(n), d)
+    while True:
+        stubs = owner[rng.permutation(n * d)]
+        us, vs = stubs[0::2], stubs[1::2]
+        if np.any(us == vs):
+            continue
+        key = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
+        if len(np.unique(key)) != len(key):
+            continue
+        return graphs.Graph(n, us, vs, allows_self_loops=False,
+                            allows_multi_edges=False)
+
+
+@pytest.mark.parametrize("n,d", [(8, 3), (20, 4), (50, 3), (101, 4),
+                                 (1000, 3)])
+def test_random_regular_sort_check_keeps_the_graphs(n, d):
+    for seed in range(40):
+        g = graphs.generate_random_regular(n, d, np.random.default_rng(seed))
+        ref = _random_regular_by_unique(n, d, np.random.default_rng(seed))
+        assert (g.eu, g.ev, g.inc) == (ref.eu, ref.ev, ref.inc)
+
+
 def test_random_regular_allow_policy_keeps_multigraph():
     # with policy="allow" some pairing on few vertices has loops or doubles
     seen_nonsimple = False
