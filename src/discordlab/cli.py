@@ -79,6 +79,15 @@ def _argv_with_seed(argv, seed):
     return argv + ["--seed", str(seed)]
 
 
+def _read_input(path) -> str:
+    """Text of an input file; an unreadable one is a parameter error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"cannot read {path}: {exc}") from None
+
+
 def _say(args, msg):
     if not getattr(args, "quiet", False):
         print(msg)
@@ -126,7 +135,7 @@ def cmd_simulate(args, argv):
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.graph:
-        g = graphs.read_edgelist(args.graph)
+        g = graphs.parse_edgelist(_read_input(args.graph))
     else:
         _require(args.model is not None, "either --graph or --model is required")
         _require(args.n is not None, "--n is required")
@@ -275,8 +284,7 @@ def cmd_oracle(args, argv):
 
 
 def cmd_ensemble(args, argv):
-    with open(args.config) as fh:
-        cfg = experiments.ExperimentConfig.from_json(fh.read())
+    cfg = experiments.ExperimentConfig.from_json(_read_input(args.config))
     if args.seed is not None:
         cfg.master_seed = int(args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -321,9 +329,16 @@ def cmd_ensemble(args, argv):
 
 
 def cmd_rerun(args, argv):
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    return dispatch(manifest["argv_resolved"])
+    text = _read_input(args.manifest)
+    try:
+        argv = json.loads(text)["argv_resolved"]
+    except (KeyError, TypeError, ValueError):
+        argv = None
+    _require(isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+             and argv[:1] != ["rerun"],  # a manifest never records a rerun
+             f"{args.manifest} is not a manifest: it needs an 'argv_resolved' "
+             "list naming a command other than rerun")
+    return dispatch(argv)
 
 
 # ----------------------------------------------------------------------

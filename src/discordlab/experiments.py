@@ -15,7 +15,6 @@ import json
 import math
 import typing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -261,31 +260,24 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
     master seed's child with spawn key (R,), next after the replicas' keys.
     """
     R = cfg.replicas
-    ecut = [0]
+    sched = dynamics._prepared_schedule(cfg.sample_times, cfg.horizon)
+    ends, ecut, ops = np.empty(0, dtype=np.int32), [0], []
     for r in range(R):
         rng = spawn_rng(cfg.master_seed, r)
         g = build_graph(cfg.model, rng)
         state = dynamics.init_opinions_iid(g.n, cfg.u, rng)
         if g.m == 0:
             raise InvalidParameterError("graph must have at least one edge")
-        if r == 0:
-            n = g.n
-            sched = dynamics._prepared_schedule(cfg.sample_times, cfg.horizon)
-            ops = np.empty(R * n, dtype=np.int8)
-            ends = np.empty(2 * g.m * R, dtype=np.int32)  # exact for rrg
         lo, hi = 2 * ecut[-1], 2 * (ecut[-1] + g.m)
-        if hi > len(ends):
-            ends = np.concatenate([ends, np.empty(max(hi - len(ends),
-                                                      len(ends) // 4),
-                                                  dtype=np.int32)])
-        ends[lo:hi:2] = np.fromiter(g.eu, dtype=np.int32, count=g.m)
-        ends[lo + 1:hi:2] = np.fromiter(g.ev, dtype=np.int32, count=g.m)
-        ends[lo:hi] += r * n
+        if hi > len(ends):  # room for R graphs this size (exact for rrg)
+            ends = np.resize(ends, max(R * (hi - lo), hi + len(ends) // 4))
+        ends[lo:hi:2], ends[lo + 1:hi:2] = g.endpoint_arrays()
+        ends[lo:hi] += r * g.n
         ecut.append(ecut[-1] + g.m)
-        ops[r * n:(r + 1) * n] = state.opinions
-        del g
-    packed = _lockstep.Packed(n, ends[:2 * ecut[-1]],
-                              np.asarray(ecut, dtype=np.int64), ops)
+        ops.append(np.array(state.opinions, dtype=np.int8))
+    packed = _lockstep.Packed(g.n, ends[:2 * ecut[-1]],
+                              np.asarray(ecut, dtype=np.int64),
+                              np.concatenate(ops))
     stream = np.random.default_rng(np.random.SeedSequence(
         entropy=int(cfg.master_seed), spawn_key=(R,)))
     out = _lockstep.run(packed, sched, float(cfg.horizon), cfg.max_events,
@@ -300,6 +292,8 @@ def _replica_ensemble(cfg: ExperimentConfig, workers):
     engines, in ``workers`` processes."""
     R = cfg.replicas
     if workers > 1:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_replica_star,
                                  ((cfg, r) for r in range(R)),

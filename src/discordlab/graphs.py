@@ -12,8 +12,7 @@ Conventions used throughout the package:
 
 Generator costs, for n vertices and m edges out:
 
-* ``generate_complete``: O(n).  K_n stays implicit until something reads
-  its edge lists (see :class:`Graph`); building them then costs O(n^2).
+* ``generate_complete``: O(1).  Building its edge lists costs O(n^2).
 * ``generate_random_regular``: O(n*d) per pairing attempt; with
   ``policy="reject"`` the expected number of attempts is about
   exp((d^2 - 1)/4), a constant in n.
@@ -24,8 +23,9 @@ Generator costs, for n vertices and m edges out:
 * ``generate_gnm``: O(n + m) expected while m is at most a constant
   fraction of C(n,2) (rejection of repeated pairs).
 
-All of them fill the incidence lists in one bulk pass from the endpoint
-arrays, with the same content and order as one ``add_edge`` per edge.
+An undirected graph builds its edge and incidence lists from its endpoint
+arrays (K_n from n alone) in one bulk pass on first read, in the order one
+``add_edge`` per edge would give them; see :class:`Graph`.
 """
 
 from __future__ import annotations
@@ -59,53 +59,63 @@ class Graph:
     edge ids incident to ``v`` (a self-loop id appears twice).  Endpoint
     replacement costs O(deg) for the incidence fix-up and nothing else.
 
-    The K_n that :func:`generate_complete` returns holds no edge lists:
-    ``m``, ``edges()`` and ``copy()`` answer from n alone, and the first read
-    of ``eu``, ``ev`` or ``inc`` builds the lists in place.  From then on it
-    is an ordinary graph that callers may mutate, so ``implicit_complete``
-    turns False and stays False.
+    Edges are held as two read-only endpoint arrays until the first read of
+    ``eu``, ``ev`` or ``inc`` builds the lists in place and drops the arrays;
+    callers may mutate the lists from then on.  The K_n of
+    :func:`generate_complete` holds only n, and ``implicit_complete`` is True
+    until its lists are read.
     """
 
-    __slots__ = ("n", "_eu", "_ev", "_inc", "allows_self_loops",
+    __slots__ = ("n", "_ends", "_eu", "_ev", "_inc", "allows_self_loops",
                  "allows_multi_edges")
 
     def __init__(self, n, us=(), vs=(), *, allows_self_loops=True,
                  allows_multi_edges=True):
         """Graph on ``range(n)`` whose edge ``e`` joins ``us[e]`` and ``vs[e]``.
 
-        The incidence lists come out as one ``add_edge`` per edge in id
-        order would leave them, built in one pass.
+        The graph keeps copies of ``us`` and ``vs``.  The incidence lists come
+        out as one ``add_edge`` per edge in id order would leave them.
         """
         if n < 0:
             raise InvalidParameterError("vertex count must be >= 0")
         self.n = int(n)
         self.allows_self_loops = allows_self_loops
         self.allows_multi_edges = allows_multi_edges
-        self._set_edges(np.asarray(us, dtype=np.int64),
-                        np.asarray(vs, dtype=np.int64))
-
-    def _set_edges(self, us, vs):
+        us = np.array(us, dtype=np.int64)
+        vs = np.array(vs, dtype=np.int64)
         if len(us) != len(vs):
             raise InvalidParameterError("endpoint arrays differ in length")
-        ends = np.empty(2 * len(us), dtype=np.int64)
-        ends[0::2] = us
-        ends[1::2] = vs
-        if len(ends) and not (0 <= ends.min() and ends.max() < self.n):
+        if len(us) and not (0 <= min(us.min(), vs.min())
+                            and max(us.max(), vs.max()) < self.n):
             raise InvalidParameterError("endpoint out of range")
-        if not self.allows_self_loops and np.any(us == vs):
+        if not allows_self_loops and np.any(us == vs):
             raise InvalidParameterError("self-loops are disabled on this graph")
-        self._eu = us.tolist()
-        self._ev = vs.tolist()
-        self._inc = _grouped(self.n, ends, np.arange(len(ends)) >> 1)
+        us.flags.writeable = vs.flags.writeable = False
+        self._ends = (us, vs)
+        self._eu = self._ev = self._inc = None
 
     @property
     def implicit_complete(self) -> bool:
         """True while this is a K_n whose edge lists were never read."""
-        return self._eu is None
+        return self._eu is None and self._ends is None
+
+    def endpoint_arrays(self):
+        """``(us, vs)``, the endpoints of every edge in id order as int64
+        arrays; read-only while the edge lists are unbuilt."""
+        if self._eu is not None:
+            return np.array(self._eu, np.int64), np.array(self._ev, np.int64)
+        if self._ends is None:
+            return np.triu_indices(self.n, k=1)
+        return self._ends
 
     def _lists(self):
         if self._eu is None:
-            self._set_edges(*np.triu_indices(self.n, k=1))
+            us, vs = self.endpoint_arrays()
+            ends = np.column_stack((us, vs)).ravel()  # u0, v0, u1, v1, ...
+            self._eu = us.tolist()
+            self._ev = vs.tolist()
+            self._inc = _grouped(self.n, ends, np.arange(len(ends)) >> 1)
+            self._ends = None
         return self._eu, self._ev, self._inc
 
     @property
@@ -122,9 +132,11 @@ class Graph:
 
     @property
     def m(self) -> int:
-        if self._eu is None:
+        if self._eu is not None:
+            return len(self._eu)
+        if self._ends is None:
             return self.n * (self.n - 1) // 2
-        return len(self._eu)
+        return len(self._ends[0])
 
     def add_edge(self, u, v) -> int:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -149,16 +161,17 @@ class Graph:
         return [len(a) for a in self.inc]
 
     def edges(self):
-        if self._eu is None:
+        if self._eu is not None:
+            return zip(self._eu, self._ev)
+        if self._ends is None:
             return itertools.combinations(range(self.n), 2)
-        return zip(self._eu, self._ev)
+        return zip(self._ends[0].tolist(), self._ends[1].tolist())
 
     def copy(self) -> "Graph":
         g = Graph(self.n, allows_self_loops=self.allows_self_loops,
                   allows_multi_edges=self.allows_multi_edges)
-        if self._eu is None:
-            g._eu = g._ev = g._inc = None
-        else:
+        g._ends = self._ends  # read-only, so both graphs may hold them
+        if self._eu is not None:
             g._eu = list(self._eu)
             g._ev = list(self._ev)
             g._inc = [list(a) for a in self._inc]
@@ -294,7 +307,7 @@ def generate_complete(n) -> Graph:
     if n < 2:
         raise InvalidParameterError("complete graph needs n >= 2")
     g = Graph(n, allows_self_loops=False, allows_multi_edges=False)
-    g._eu = g._ev = g._inc = None
+    g._ends = None
     return g
 
 
@@ -481,11 +494,15 @@ def parse_edgelist(text: str):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise InvalidParameterError("missing '# n=<N> directed=<0|1>' header")
-    fields = dict(tok.split("=") for tok in lines[0][1:].split())
-    n = int(fields["n"])
-    directed = bool(int(fields.get("directed", "0")))
-    pairs = np.array([ln.split() for ln in lines[1:]],
-                     dtype=np.int64).reshape(-1, 2)
+    try:
+        fields = dict(tok.split("=") for tok in lines[0][1:].split())
+        n = int(fields["n"])
+        directed = bool(int(fields.get("directed", "0")))
+        rows = [ln.split() for ln in lines[1:]]
+        # two ids on every line, or the reshape fails
+        pairs = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+    except (KeyError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed edge list: {exc!r}") from None
     if directed:
         return DirectedGraph(n, pairs[:, 0], pairs[:, 1])
     return Graph(n, pairs[:, 0], pairs[:, 1])

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import discordlab
 from discordlab import experiments
 from discordlab.cli import dispatch
 from discordlab.errors import InvalidParameterError
@@ -270,3 +274,42 @@ def test_coevolve_dense_honours_max_events(tmp_path):
                    "--horizon", "2", "--max-events", "5", "--seed", "1",
                    "--out", str(tmp_path / "dense.csv"), "--quiet"])
     assert rc == 4
+
+
+_SIM_GRAPH = ["simulate", "--graph", "{f}", "--u", "0.5", "--horizon", "1",
+              "--samples", "3", "--out", "{out}", "--quiet"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (_SIM_GRAPH, "# n=abc directed=0\n0 1\n"),
+    (_SIM_GRAPH, "# nodes 5\n0 1\n"),
+    (_SIM_GRAPH, "# n=3 directed=0\n0 1 2\n"),
+    (_SIM_GRAPH, "# n=3 directed=0\n1\n"),
+    (_SIM_GRAPH, None),  # no such file
+    (["ensemble", "--config", "{f}", "--out-dir", "{out}", "--quiet"], None),
+    (["rerun", "--manifest", "{f}", "--quiet"], None),
+    (["rerun", "--manifest", "{f}", "--quiet"], '{"argv": ["oracle"]}'),
+    (["rerun", "--manifest", "{f}", "--quiet"], "not json"),
+    (["rerun", "--manifest", "{f}", "--quiet"],
+     '{"argv_resolved": ["rerun", "--manifest", "{f}"]}'),
+], ids=["header_n_abc", "header_no_equals", "three_ids", "lone_id",
+        "missing_graph", "missing_config", "missing_manifest",
+        "manifest_without_argv_resolved", "manifest_not_json",
+        "manifest_reruns_itself"])
+def test_bad_input_file_exits_2(tmp_path, capsys, argv, text):
+    f = tmp_path / "input"
+    if text is not None:
+        f.write_text(text.replace("{f}", str(f)))
+    rc = dispatch([a.format(f=f, out=tmp_path / "out") for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    code = ("import sys, discordlab.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    src = str(Path(discordlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from discordlab import dynamics, experiments, limits
+from discordlab import dynamics, experiments, graphs, limits
 from discordlab.errors import InsufficientDataError, InvalidParameterError
 
 
@@ -185,3 +185,14 @@ def test_ensemble_from_samples_nan_free_moments_are_exact(R, T):
         assert np.array_equal(res.mean[name], x.mean(axis=0))
         want = x.var(axis=0, ddof=1) if R > 1 else np.zeros(T)
         assert np.array_equal(res.var[name], want)
+
+
+def test_lockstep_ensemble_builds_no_edge_lists(monkeypatch):
+    def boom(*args):
+        raise AssertionError("edge lists were built")
+    monkeypatch.setattr(graphs, "_grouped", boom)
+    cfg = small_cfg(model={"family": "rrg", "n": 60, "d": 3},
+                    replicas=experiments.LOCKSTEP_MIN_REPLICAS)
+    assert experiments._takes_lockstep(cfg)
+    res = experiments.run_ensemble(cfg)
+    assert res.samples["heart_frac"].shape == (cfg.replicas, 4)

@@ -420,3 +420,127 @@ def test_edgelist_rejects_headerless(tmp_path):
     p.write_text("0 1\n")
     with pytest.raises(InvalidParameterError):
         graphs.read_edgelist(p)
+
+
+@pytest.mark.parametrize("text", [
+    "# n=abc directed=0\n0 1\n",     # vertex count not an integer
+    "# nodes 5\n0 1\n",              # header field without '='
+    "# directed=0\n0 1\n",           # no vertex count
+    "# n=3 directed=0\n0 1 2\n",     # three ids on an edge line
+    "# n=3 directed=0\n1\n",         # a lone id
+    "# n=6 directed=0\n0 1 2\n3 4 5\n",  # six ids that would pair up
+    "# n=3 directed=0\n0 x\n",       # not an integer id
+], ids=["n_abc", "no_equals", "no_n", "three_ids", "lone_id", "six_ids",
+        "not_an_int"])
+def test_parse_edgelist_rejects_malformed_text(text):
+    with pytest.raises(InvalidParameterError):
+        graphs.parse_edgelist(text)
+
+
+# ----------------------------------------------------------------------
+# lazy edge lists: arrays until first read
+# ----------------------------------------------------------------------
+
+def _parsed(seed):
+    rng = np.random.default_rng(seed)
+    g = graphs.generate_random_regular(12, 3, rng, policy="allow")
+    return graphs.parse_edgelist(graphs.edgelist_text(g))
+
+
+_LAZY_BUILDS = {
+    "rrg_reject": lambda s: graphs.generate_random_regular(
+        30, 3, np.random.default_rng(s)),
+    "rrg_allow": lambda s: graphs.generate_random_regular(
+        20, 4, np.random.default_rng(s), policy="allow"),
+    "er": lambda s: graphs.generate_erdos_renyi(
+        40, 0.1, np.random.default_rng(s)),
+    "er_p1": lambda s: graphs.generate_erdos_renyi(
+        6, 1.0, np.random.default_rng(s)),
+    "er_n1": lambda s: graphs.generate_erdos_renyi(
+        1, 0.5, np.random.default_rng(s)),
+    "gnm": lambda s: graphs.generate_gnm(20, 30, np.random.default_rng(s)),
+    "parsed": _parsed,
+    "complete": lambda s: graphs.generate_complete(7),
+}
+
+
+def _lists(g):
+    return g.eu, g.ev, g.inc
+
+
+def _no_list_build(monkeypatch):
+    def boom(*args):
+        raise AssertionError("edge lists were built")
+    monkeypatch.setattr(graphs, "_grouped", boom)
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_BUILDS))
+def test_unread_graph_answers_like_a_read_one(name, monkeypatch):
+    build = _LAZY_BUILDS[name]
+    read = build(3)
+    _lists(read)
+    ops = (np.arange(read.n) % 3 == 0).astype(int).tolist()
+
+    with monkeypatch.context() as mp:  # none of these build the lists
+        _no_list_build(mp)
+        assert build(3).m == read.m
+        assert list(build(3).edges()) == list(read.edges())
+        assert graphs.count_discordant(build(3), ops) == \
+            graphs.count_discordant(read, ops)
+        assert graphs.edgelist_text(build(3)) == graphs.edgelist_text(read)
+        us, vs = build(3).endpoint_arrays()
+        assert (us.tolist(), vs.tolist()) == (read.eu, read.ev)
+        unread_copy = build(3).copy()
+
+    assert _lists(build(3)) == _lists(read)
+    assert _lists(unread_copy) == _lists(read)
+    assert build(3).degrees() == read.degrees()
+    build(3).check_consistency()
+    if read.n >= 2:
+        g, ref = build(3), read.copy()
+        assert g.add_edge(0, 1) == ref.add_edge(0, 1)
+        assert _lists(g) == _lists(ref)
+    if read.m >= 2:
+        g, ref = build(3), read.copy()
+        graphs.rewire_swap(g, 0, read.m - 1, np.random.default_rng(5))
+        graphs.rewire_swap(ref, 0, read.m - 1, np.random.default_rng(5))
+        assert _lists(g) == _lists(ref)
+        g.check_consistency()
+        # no stale copy of the endpoints outlives the first read
+        assert [a.tolist() for a in g.endpoint_arrays()] == [g.eu, g.ev]
+
+
+def _eager_lists(n, us, vs):
+    """The lists as the eager constructor filled them: ``_grouped`` on the
+    interleaved endpoints at construction."""
+    size = 2 * len(us)
+    ends = np.empty(size, dtype=np.int64)
+    ends[0::2] = us
+    ends[1::2] = vs
+    pos = np.sort(ends * size + np.arange(size)) % size
+    flat = (np.arange(size) >> 1)[pos].tolist()
+    cuts = [0] + np.cumsum(np.bincount(ends, minlength=n)).tolist()
+    inc = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+    return list(map(int, us)), list(map(int, vs)), inc
+
+
+@pytest.mark.parametrize("name", ["rrg_reject", "rrg_allow", "er", "gnm",
+                                  "parsed"])
+def test_lazy_lists_equal_the_eager_fill(name):
+    build = _LAZY_BUILDS[name]
+    for seed in range(40):
+        us, vs = build(seed).endpoint_arrays()
+        g = build(seed)
+        assert _lists(g) == _eager_lists(g.n, us, vs)
+
+
+def test_graph_owns_its_endpoint_arrays():
+    us = np.array([0, 1, 2], dtype=np.int64)
+    vs = np.array([1, 2, 3], dtype=np.int64)
+    g = graphs.Graph(4, us, vs)
+    us[0] = 3
+    vs[:] = 0
+    assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+    with pytest.raises(ValueError):  # the stored arrays are read-only
+        g.endpoint_arrays()[0][0] = 2
+    assert (g.eu, g.ev) == ([0, 1, 2], [1, 2, 3])
