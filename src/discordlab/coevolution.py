@@ -161,7 +161,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     if variant not in (TO_RANDOM, TO_SAME):
         raise InvalidParameterError(f"unknown variant {variant!r}")
 
-    g = initial_graph.copy() if initial_graph is not None \
+    g = initial_graph if initial_graph is not None \
         else generate_erdos_renyi(n, 0.5, rng)
     if initial_opinions is not None:
         ops = list(initial_opinions)
@@ -172,8 +172,10 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     rnd = _derive_rnd(rng)
     rr = rnd.random
 
-    eu, ev = g.eu, g.ev
-    m = g.m
+    # the engine edits its own endpoint lists and keeps set incidence, so
+    # the graph's incidence lists are never built
+    eu, ev = (a.tolist() for a in g.endpoint_arrays())
+    m = len(eu)
     inc = [set() for _ in range(n)]
     for e in range(m):
         inc[eu[e]].add(e)

@@ -1,14 +1,22 @@
-"""Exact event-driven voter dynamics on a (possibly rewired) graph.
+"""Exact voter dynamics on a static or rewired graph.
 
-The simulation is Gillespie on the embedded jump chain of the *effective*
-process: only state-changing events are scheduled.  A vertex adoption along
-a concordant edge changes nothing, so the voter stream is driven by the
-discordant edge slots, each slot {u,v} firing a flip of u at rate 1/deg(u)
-and of v at rate 1/deg(v).  This has exactly the law of "every vertex at
-rate 1 copies a uniform incident edge slot" after discarding no-ops, and it
-keeps long consensus runs tractable.  Rewiring clocks are aggregated into a
-single Poisson stream with a uniform pair draw per event, which is exact by
-superposition.
+On a static graph (``nu == 0``) the simulation is Gillespie on the embedded
+jump chain of the *effective* process: only state-changing events are
+scheduled.  A vertex adoption along a concordant edge changes nothing, so
+the voter stream is driven by the discordant edge slots, each slot {u,v}
+firing a flip of u at rate 1/deg(u) and of v at rate 1/deg(v).  This has
+exactly the law of "every vertex at rate 1 copies a uniform incident edge
+slot" after discarding no-ops, and it keeps long consensus runs tractable.
+
+With rewiring (``nu > 0``) the run follows the literal clock instead
+(uniformization, Jensen 1953) on a perfect matching of the 2m edge stubs
+(Bollobas 1980), whose degrees swaps never change.  Proposals, drawn in
+numpy blocks, come at the constant rate n + nu' m^2/2, nu' being the swap
+rate of one pair of edges: a uniform vertex copies through a uniform own
+stub, or two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'}
+(a null when t is s or s').  A gap between sample times holds Poisson many
+proposals, an event in it is placed by a Beta draw, and with no horizon the
+K-th proposal comes at a Gamma(K) time.
 
 Observables are recorded by carrying the state to each scheduled time
 (piecewise constant between events).  Runs are deterministic given
@@ -23,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sset import drop, refile
+from ._sset import refile
 from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import DirectedGraph, Graph, count_discordant, swap_endpoints
+from .graphs import DirectedGraph, Graph, count_discordant
 
 __all__ = [
     "OpinionState",
@@ -137,29 +145,18 @@ class _Samples:
 
 
 # ----------------------------------------------------------------------
-# undirected engine (voter + optional rewiring superposition)
+# undirected engine on a static graph
 # ----------------------------------------------------------------------
 
-def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
-                  rate_convention, max_events, check, mutate_graph):
+def _voter_engine(g: Graph, state: OpinionState, horizon, schedule, rng,
+                  max_events, check):
     n, m = g.n, g.m
     if n == 0 or m == 0:
         raise InvalidParameterError("graph must have at least one edge")
     if len(state.opinions) != n:
         raise InvalidParameterError("opinion vector length != vertex count")
-    if nu < 0:
-        raise InvalidParameterError("rewiring rate must be >= 0")
-    if nu > 0 and m < 2:
-        raise InvalidParameterError("rewiring needs at least two edges")
-    if rate_convention not in ("pair", "edge"):
-        raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
     samples = _Samples(schedule, horizon)
 
-    if nu > 0:
-        if not mutate_graph:
-            g = g.copy()
-        g.allows_self_loops = True
-        g.allows_multi_edges = True
     eu, ev, inc = g.eu, g.ev, g.inc
     ops = list(state.opinions)
     heart = sum(ops)
@@ -167,29 +164,20 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
     pos_degs = [dd for dd in degs if dd > 0]
     dmin, dmax = min(pos_degs), max(pos_degs)
     regular = dmin == dmax
-    per_slot = 2.0 / dmin  # flip rate carried by one discordant slot (regular case)
-    wmax = 2.0 / dmin
     # slot {u,v} flips u at rate 1/deg(u) and v at rate 1/deg(v); on a
-    # regular graph every slot carries per_slot and W is not kept
+    # regular graph every slot carries wmax and W is not kept
+    wmax = 2.0 / dmin
     inv = None if regular else [1.0 / dd if dd else 0.0 for dd in degs]
     disc_items: list[int] = []
     disc_pos: dict[int, int] = {}
     W = refile(range(m), disc_items, disc_pos, eu, ev, ops, inv, inv)
 
-    rew_rate = 0.0
-    if nu > 0:
-        pair_rate = nu / (2.0 * m) if rate_convention == "pair" else nu / m
-        rew_rate = pair_rate * (m * (m - 1) / 2.0)
-
     rnd = _derive_rnd(rng)
     rnd_random = rnd.random
     log = math.log
-    m1 = m - 1
-    hz = math.inf if horizon is None else horizon
     t = 0.0
     events = 0
-    cons_t = None
-    cons_v = None
+    cons_t = cons_v = None
     absorbed = heart == 0 or heart == n
     if absorbed:
         cons_t, cons_v = 0.0, ops[0]
@@ -204,61 +192,216 @@ def _voter_engine(g: Graph, state: OpinionState, nu, horizon, schedule, rng,
         nd = len(disc_items)
         # the float W can keep a rounding residue after the last discordant
         # slot is gone, so emptiness is decided on the integer count
-        vr = per_slot * nd if regular else (W if nd else 0.0)
-        total = vr + rew_rate
-        if absorbed or total <= 0.0:
-            # consensus freezes opinions and (under swaps) stays concordant;
-            # a frozen non-consensus state has no discordant slots either way
+        vr = wmax * nd if regular else (W if nd else 0.0)
+        if absorbed or vr <= 0.0:
+            # consensus, or a frozen non-consensus state: nothing can flip
             break
         if events >= max_events:
             raise SimulationTimeout(
                 f"event cap {max_events} reached at t={t:.6g}",
                 partial=samples.traj(cons_t, cons_v, events))
-        t_next = t - log(1.0 - rnd_random()) / total
+        t_next = t - log(1.0 - rnd_random()) / vr
         if samples.next < t_next:
             flush(t_next)
-        if t_next > hz:
-            t = horizon
+        if horizon is not None and t_next > horizon:
             break
         t = t_next
         events += 1
-        if rnd_random() * total < vr:
-            # adoption across a discordant slot
-            if regular:
-                e = disc_items[int(rnd_random() * nd)]
-                u, v = eu[e], ev[e]
-                wu = wv = 1.0
-            else:
-                while True:
-                    e = disc_items[int(rnd_random() * len(disc_items))]
-                    u, v = eu[e], ev[e]
-                    wu = inv[u]
-                    wv = inv[v]
-                    if rnd_random() * wmax < wu + wv:
-                        break
-            flip = u if rnd_random() * (wu + wv) < wu else v
-            other = v if flip == u else u
-            newop = ops[other]
-            ops[flip] = newop
-            heart += 1 if newop == 1 else -1
-            W = refile(inc[flip], disc_items, disc_pos, eu, ev, ops, inv, inv, W)
-            if heart == 0 or heart == n:
-                absorbed = True
-                cons_t, cons_v = t, ops[0]
+        # a draw per event that nothing reads: the pinned streams of static
+        # runs include it, and run_voter_rewiring(nu=0) equals run_voter
+        rnd_random()
+        if regular:
+            e = disc_items[int(rnd_random() * nd)]
+            u, v = eu[e], ev[e]
+            wu = wv = 1.0
         else:
-            # one swap: uniform unordered pair of slots, uniform crossed matching
-            i = int(rnd_random() * m)
-            j = int(rnd_random() * m1)
-            if j >= i:
-                j += 1
-            pair = (i, j)
-            if i in disc_pos or j in disc_pos:  # else drop is a no-op call
-                W = drop(pair, disc_items, disc_pos, eu, ev, inv, inv, W)
-            swap_endpoints(eu, ev, inc, i, j, rnd_random() < 0.5)
-            W = refile(pair, disc_items, disc_pos, eu, ev, ops, inv, inv, W)
+            while True:
+                e = disc_items[int(rnd_random() * len(disc_items))]
+                u, v = eu[e], ev[e]
+                wu = inv[u]
+                wv = inv[v]
+                if rnd_random() * wmax < wu + wv:
+                    break
+        flip = u if rnd_random() * (wu + wv) < wu else v
+        other = v if flip == u else u
+        newop = ops[other]
+        ops[flip] = newop
+        heart += 1 if newop == 1 else -1
+        W = refile(inc[flip], disc_items, disc_pos, eu, ev, ops, inv, inv, W)
+        if heart == 0 or heart == n:
+            absorbed = True
+            cons_t, cons_v = t, ops[0]
 
     flush(math.inf)
     return samples.traj(cons_t, cons_v, events)
+
+
+# ----------------------------------------------------------------------
+# rewiring engine: literal clock on a perfect matching of stubs
+# ----------------------------------------------------------------------
+
+# proposals drawn per numpy block: the first block, doubled up to the last
+_FIRST_BLOCK, _MAX_BLOCK = 256, 1 << 14
+
+
+def _rewiring_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
+                     rng, rate_convention, max_events, check, mutate_graph):
+    n, m = g.n, g.m
+    if m < 2:
+        raise InvalidParameterError("rewiring needs at least two edges")
+    if len(state.opinions) != n:
+        raise InvalidParameterError("opinion vector length != vertex count")
+    samples = _Samples(schedule, horizon)
+    # stub 2e is the end of edge e at us[e], 2e+1 its end at vs[e]; sorted
+    # by vertex, so that owner, off and deg never change under swaps
+    ends = np.column_stack(g.endpoint_arrays()).ravel()
+    order = np.argsort(ends, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(2 * m)
+    owner_a = ends[order]
+    owner, partner = owner_a.tolist(), rank[order ^ 1].tolist()
+    deg = np.bincount(ends, minlength=n)
+    csr = None if deg.min() == deg.max() else (np.cumsum(deg) - deg, deg)
+    pair_rate = nu / (2.0 * m) if rate_convention == "pair" else nu / m
+    # a swap proposal is a null one time in m, so each pair of edges swaps
+    # at pair_rate
+    total = n + pair_rate * m * m / 2.0
+    ops = list(state.opinions)
+    heart = sum(ops)
+    iso = np.asarray(ops)[deg == 0]
+    # isolated vertices never flip, so the heart count reaches lo (hi)
+    # exactly when all the others agree on 0 (1)
+    lo = int(iso.sum())
+    hi = lo + n - len(iso)
+
+    stops = samples.sched[:-1] + [math.inf if horizon is None else horizon]
+    S = T = cum = cons_t = cons_v = why = None
+    # block size, next proposal in it, swap proposals in earlier blocks
+    B = pos = swept = flips = nulls = events = 0
+    t0 = 0.0
+    if heart == 0 or heart == n:
+        cons_t, cons_v, stops = 0.0, ops[0], []
+    elif horizon is None and (0 < lo < len(iso) or heart in (lo, hi)):
+        why, stops = "consensus unreachable at t=0", []
+    elif max_events <= 0:
+        why, stops = f"event cap {max_events} reached at t=0", []
+    for stop in stops:
+        if samples.next < stop:
+            samples.record(stop, heart / n,
+                           _recount(partner, ops, owner_a, check) / m)
+        gap = max(stop - t0, 0.0)
+        K = rng.poisson(total * gap) if gap < math.inf else math.inf
+        j = 0  # proposals of this gap played
+        while j < K and cons_t is None and why is None:
+            if pos == B:
+                swept += int(cum[-1]) if B else 0
+                B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
+                S, T, cum = _proposals(rng, B, n / total, n, 2 * m, csr)
+                pos = 0
+            c = int(min(K - j, B - pos, max_events - events))
+            si = iter(S[pos:pos + c])
+            # an adoption through stub s (t < 0), or the swap of stubs s, t
+            for s, t in zip(si, T[pos:pos + c]):
+                if t < 0:
+                    x = ops[owner[partner[s]]]
+                    v = owner[s]
+                    if ops[v] != x:
+                        ops[v] = x
+                        flips += 1
+                        heart += 1 if x else -1
+                        if heart == lo or heart == hi:
+                            break
+                else:
+                    s2 = partner[s]
+                    if t == s or t == s2:
+                        nulls += 1
+                        continue
+                    t2 = partner[t]
+                    partner[s] = t
+                    partner[t] = s
+                    partner[s2] = t2
+                    partner[t2] = s2
+            played = c - si.__length_hint__()  # proposals the loop took
+            pos += played
+            j += played
+            events = flips - nulls + swept + (int(cum[pos - 1]) if pos else 0)
+            end = None
+            if heart == lo or heart == hi:
+                if heart == 0 or heart == n:
+                    end = "consensus"
+                elif horizon is None:
+                    end = "consensus unreachable"
+                lo = hi = -1  # nothing can flip any more
+            if end is None and events == max_events:
+                end = f"event cap {max_events} reached"
+            if end is not None:
+                # the time of the j-th of the K proposals of this gap
+                t = t0 + (rng.gamma(j, 1.0 / total) if K == math.inf
+                          else gap * rng.beta(j, K - j + 1))
+                if end == "consensus":
+                    cons_t, cons_v = t, ops[0]
+                else:
+                    why = f"{end} at t={t:.6g}"
+        if cons_t is not None or why is not None:
+            break
+        t0 = stop
+    if why is None and samples.next < math.inf:
+        # consensus leaves no discordant edge
+        d = 0 if cons_t is not None and not check else _recount(
+            partner, ops, owner_a, check)
+        samples.record(math.inf, heart / n, d / m)
+    if mutate_graph:
+        g.set_edges(*_matched_edges(owner_a, np.array(partner)))
+    if why is not None:
+        if "unreachable" in why:
+            why += ": isolated vertices disagree with each other or the rest"
+        raise SimulationTimeout(why, partial=samples.traj(None, None, events))
+    return samples.traj(cons_t, cons_v, events)
+
+
+def _proposals(rng, size, pa, n, two_m, csr):
+    """``size`` proposals ``S, T`` as lists, and the running count of swaps.
+    With probability ``pa`` an adoption through a uniform stub ``S`` of a
+    uniform vertex (``T = -1``), a null ``S = T = 0`` at an isolated one;
+    else a swap of the uniform stubs ``S`` and ``T``."""
+    u, y = rng.random((2, size))
+    adopt = u < pa
+    t = (y * two_m).astype(np.int64)
+    # rounding in pa can carry these products to their upper bound
+    s = np.minimum(((u - pa) * (two_m / (1.0 - pa))).astype(np.int64),
+                   two_m - 1)
+    if csr is None:
+        s[adopt] = t[adopt]
+        t[adopt] = -1
+    else:
+        off, deg = csr
+        v = np.minimum((u[adopt] * (n / pa)).astype(np.int64), n - 1)
+        d = deg[v]
+        s[adopt] = np.where(d > 0, off[v] + (y[adopt] * d).astype(np.int64), 0)
+        t[adopt] = np.where(d > 0, -1, 0)
+    return s.tolist(), t.tolist(), np.cumsum(t >= 0)
+
+
+def _matched_edges(owner, partner):
+    """Endpoint arrays of the edges of a stub matching."""
+    first = np.flatnonzero(partner > np.arange(len(partner)))
+    return owner[first], owner[partner[first]]
+
+
+def _recount(partner, ops, owner, check) -> int:
+    """Discordant edges of the matching; with ``check``, also assert that
+    it is one and that :func:`count_discordant` agrees."""
+    p = np.array(partner)
+    o = np.array(ops, dtype=np.int8)[owner]
+    d = int(np.count_nonzero(o != o[p])) // 2
+    if check:
+        i = np.arange(len(p))
+        if np.any(p == i) or np.any(p[p] != i):
+            raise AssertionError("stubs are not a perfect matching")
+        if d != count_discordant(Graph(len(ops), *_matched_edges(owner, p)),
+                                 ops):
+            raise AssertionError("discordance recount diverged")
+    return d
 
 
 def _mk_traj(out_t, out_h, out_d, cons_t, cons_v, events):
@@ -324,8 +467,7 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
     if isinstance(g, Graph) and g.implicit_complete and not check:
         return _voter_complete_engine(g.n, sum(state.opinions), horizon,
                                       schedule, rng, max_events)
-    return _voter_engine(g, state, 0.0, horizon, schedule, rng,
-                         "pair", max_events, check, mutate_graph=False)
+    return _voter_engine(g, state, horizon, schedule, rng, max_events, check)
 
 
 def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
@@ -335,10 +477,20 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
     """Voter dynamics superposed with degree-preserving random edge swaps.
 
     With nu=0 this is byte-identical to :func:`run_voter` on the same seed.
-    Unless ``mutate_graph`` is set the caller's graph is left untouched.
+    Unless ``mutate_graph`` is set the caller's graph is left untouched;
+    with it, the graph is handed back with the final edges, renumbered.
+    With ``horizon=None`` the run raises :class:`SimulationTimeout` as soon
+    as the isolated vertices disagree with each other or with all the rest.
     """
-    return _voter_engine(g, state, nu, horizon, schedule, rng,
-                         rate_convention, max_events, check, mutate_graph)
+    if nu < 0:
+        raise InvalidParameterError("rewiring rate must be >= 0")
+    if rate_convention not in ("pair", "edge"):
+        raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
+    if nu == 0:
+        return _voter_engine(g, state, horizon, schedule, rng, max_events,
+                             check)
+    return _rewiring_engine(g, state, nu, horizon, schedule, rng,
+                            rate_convention, max_events, check, mutate_graph)
 
 
 def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,

@@ -7,8 +7,9 @@ Conventions used throughout the package:
 * Graphs are multigraphs by default: parallel edges are distinct edge ids,
   a self-loop occupies two incidence slots of its vertex (as in the
   half-edge pairing construction), so sum(deg) == 2*M always holds.
-* Edge ids are stable: rewiring replaces endpoints in place, so Poisson
-  clocks attached to edge ids stay attached through swaps.
+* Edge ids are stable: ``rewire_swap`` replaces endpoints in place, so
+  Poisson clocks attached to edge ids stay attached through swaps.  A graph
+  handed back by ``run_voter_rewiring(mutate_graph=True)`` is renumbered.
 
 Generator costs, for n vertices and m edges out:
 
@@ -137,6 +138,12 @@ class Graph:
         if self._ends is None:
             return self.n * (self.n - 1) // 2
         return len(self._ends[0])
+
+    def set_edges(self, us, vs) -> None:
+        """Make edge ``e`` join ``us[e]`` and ``vs[e]`` for every ``e``, as
+        the constructor does; built lists are dropped, and self-loops and
+        multi-edges are allowed from then on."""
+        self.__init__(self.n, us, vs)
 
     def add_edge(self, u, v) -> int:
         if not (0 <= u < self.n and 0 <= v < self.n):

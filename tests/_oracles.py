@@ -1,8 +1,17 @@
 """Independent test oracles: exact birth-death absorption times and small
-brute-force recounts.  These deliberately avoid the package's own event
-engines and bookkeeping."""
+brute-force recounts, which avoid the package's own event engines and
+bookkeeping; plus the event-driven rewiring engine that ran every ``nu > 0``
+run before the literal-clock engine replaced it, kept verbatim as the
+reference for the two-sample law tests."""
+
+import math
 
 import numpy as np
+
+from discordlab._sset import drop, refile
+from discordlab.dynamics import OpinionState, _derive_rnd, _Samples
+from discordlab.errors import InvalidParameterError, SimulationTimeout
+from discordlab.graphs import Graph, count_discordant, swap_endpoints
 
 
 def bd_mean_absorption(rates_up, rates_down):
@@ -35,3 +44,138 @@ def complete_voter_mean_tau(N):
 
 def brute_discordant(edge_pairs, opinions):
     return sum(1 for u, v in edge_pairs if opinions[u] != opinions[v])
+
+
+# ----------------------------------------------------------------------
+# the former event-driven engine of voter dynamics with rewiring
+# ----------------------------------------------------------------------
+
+def reference_voter_engine(g: Graph, state: OpinionState, nu, horizon,
+                           schedule, rng, rate_convention, max_events, check,
+                           mutate_graph):
+    n, m = g.n, g.m
+    if n == 0 or m == 0:
+        raise InvalidParameterError("graph must have at least one edge")
+    if len(state.opinions) != n:
+        raise InvalidParameterError("opinion vector length != vertex count")
+    if nu < 0:
+        raise InvalidParameterError("rewiring rate must be >= 0")
+    if nu > 0 and m < 2:
+        raise InvalidParameterError("rewiring needs at least two edges")
+    if rate_convention not in ("pair", "edge"):
+        raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
+    samples = _Samples(schedule, horizon)
+
+    if nu > 0:
+        if not mutate_graph:
+            g = g.copy()
+        g.allows_self_loops = True
+        g.allows_multi_edges = True
+    eu, ev, inc = g.eu, g.ev, g.inc
+    ops = list(state.opinions)
+    heart = sum(ops)
+    degs = [len(a) for a in inc]
+    pos_degs = [dd for dd in degs if dd > 0]
+    dmin, dmax = min(pos_degs), max(pos_degs)
+    regular = dmin == dmax
+    per_slot = 2.0 / dmin  # flip rate carried by one discordant slot (regular case)
+    wmax = 2.0 / dmin
+    # slot {u,v} flips u at rate 1/deg(u) and v at rate 1/deg(v); on a
+    # regular graph every slot carries per_slot and W is not kept
+    inv = None if regular else [1.0 / dd if dd else 0.0 for dd in degs]
+    disc_items: list[int] = []
+    disc_pos: dict[int, int] = {}
+    W = refile(range(m), disc_items, disc_pos, eu, ev, ops, inv, inv)
+
+    rew_rate = 0.0
+    if nu > 0:
+        pair_rate = nu / (2.0 * m) if rate_convention == "pair" else nu / m
+        rew_rate = pair_rate * (m * (m - 1) / 2.0)
+
+    rnd = _derive_rnd(rng)
+    rnd_random = rnd.random
+    log = math.log
+    m1 = m - 1
+    hz = math.inf if horizon is None else horizon
+    t = 0.0
+    events = 0
+    cons_t = None
+    cons_v = None
+    absorbed = heart == 0 or heart == n
+    if absorbed:
+        cons_t, cons_v = 0.0, ops[0]
+
+    def flush(limit):
+        nd = len(disc_items)
+        if check and nd != count_discordant(g, ops):
+            raise AssertionError("discordance bookkeeping diverged")
+        samples.record(limit, heart / n, nd / m)
+
+    while True:
+        nd = len(disc_items)
+        # the float W can keep a rounding residue after the last discordant
+        # slot is gone, so emptiness is decided on the integer count
+        vr = per_slot * nd if regular else (W if nd else 0.0)
+        total = vr + rew_rate
+        if absorbed or total <= 0.0:
+            # consensus freezes opinions and (under swaps) stays concordant;
+            # a frozen non-consensus state has no discordant slots either way
+            break
+        if events >= max_events:
+            raise SimulationTimeout(
+                f"event cap {max_events} reached at t={t:.6g}",
+                partial=samples.traj(cons_t, cons_v, events))
+        t_next = t - log(1.0 - rnd_random()) / total
+        if samples.next < t_next:
+            flush(t_next)
+        if t_next > hz:
+            t = horizon
+            break
+        t = t_next
+        events += 1
+        if rnd_random() * total < vr:
+            # adoption across a discordant slot
+            if regular:
+                e = disc_items[int(rnd_random() * nd)]
+                u, v = eu[e], ev[e]
+                wu = wv = 1.0
+            else:
+                while True:
+                    e = disc_items[int(rnd_random() * len(disc_items))]
+                    u, v = eu[e], ev[e]
+                    wu = inv[u]
+                    wv = inv[v]
+                    if rnd_random() * wmax < wu + wv:
+                        break
+            flip = u if rnd_random() * (wu + wv) < wu else v
+            other = v if flip == u else u
+            newop = ops[other]
+            ops[flip] = newop
+            heart += 1 if newop == 1 else -1
+            W = refile(inc[flip], disc_items, disc_pos, eu, ev, ops, inv, inv, W)
+            if heart == 0 or heart == n:
+                absorbed = True
+                cons_t, cons_v = t, ops[0]
+        else:
+            # one swap: uniform unordered pair of slots, uniform crossed matching
+            i = int(rnd_random() * m)
+            j = int(rnd_random() * m1)
+            if j >= i:
+                j += 1
+            pair = (i, j)
+            if i in disc_pos or j in disc_pos:  # else drop is a no-op call
+                W = drop(pair, disc_items, disc_pos, eu, ev, inv, inv, W)
+            swap_endpoints(eu, ev, inc, i, j, rnd_random() < 0.5)
+            W = refile(pair, disc_items, disc_pos, eu, ev, ops, inv, inv, W)
+
+    flush(math.inf)
+    return samples.traj(cons_t, cons_v, events)
+
+
+def reference_rewiring(g, state, nu, horizon, schedule, rng, *,
+                       rate_convention="pair", max_events=10**9,
+                       mutate_graph=False):
+    """``run_voter_rewiring`` as it ran on the event-driven engine."""
+    return reference_voter_engine(g, state, nu, horizon, schedule, rng,
+                                  rate_convention, max_events, False,
+                                  mutate_graph)

@@ -77,6 +77,25 @@ def test_rewire_model_conserves_edges_and_flags_timeouts(rng):
     assert out2.final_edge_count == g.m
 
 
+def test_rewire_model_builds_no_incidence_lists(monkeypatch):
+    # the engine keeps its own set incidence: neither its start graph nor
+    # a caller's graph gets lists built, and the caller's edges stay put
+    def boom(*args):
+        raise AssertionError("incidence lists built")
+
+    g = graphs.generate_erdos_renyi(30, 0.5, np.random.default_rng(1))
+    before = [a.copy() for a in g.endpoint_arrays()]
+    monkeypatch.setattr(graphs, "_grouped", boom)
+    for variant in ("TO_RANDOM", "TO_SAME"):
+        coevolution.run_rewire_model(30, 4.0, variant,
+                                     np.random.default_rng(2),
+                                     initial_graph=g)
+        coevolution.run_rewire_model(30, 4.0, variant,
+                                     np.random.default_rng(3))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(before, g.endpoint_arrays()))
+
+
 def test_rewire_model_small_beta_polarises_near_half():
     hits = 0
     for r in range(20):
