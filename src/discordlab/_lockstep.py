@@ -1,14 +1,23 @@
-"""Lockstep voter ensembles: the replicas of an ensemble on static undirected
-graphs, stepped together in numpy under the literal clock.
+"""Lockstep voter ensembles: the replicas of an ensemble on static graphs,
+undirected (rrg, ER) or directed (dcm), stepped together in numpy under the
+literal clock.
 
 Every vertex carries a rate-1 clock and, when it rings, copies the opinion
-across a uniform incident slot; steps that change nothing are kept.  The
-steps of a replica on N vertices then form a Poisson process of rate N whose
-sequence of moves does not depend on the step times (uniformization,
-Jensen 1953).  So the number of steps between two sample times is
-Poisson(N * gap), drawn up front, and the state at a sample time is the
-state after that many steps.  This is the law of the event-driven engines in
-:mod:`dynamics`, with a different random stream.
+across a uniform one of its copying slots: any incident edge slot of an
+undirected graph, or on a directed graph an arc that leaves it (it copies a
+uniform out-neighbour) or, with ``adopt_from="in"``, enters it.  Steps that
+change nothing are kept.  The steps of a replica on N vertices then form a
+Poisson process of rate N whose sequence of moves does not depend on the
+step times (uniformization, Jensen 1953).  So the number of steps between
+two sample times is Poisson(N * gap), drawn up front, and the state at a
+sample time is the state after that many steps.  This is the law of the
+event-driven engines in :mod:`dynamics` (``run_voter`` and
+``run_voter_directed``), with a different random stream.
+
+When every copying degree is equal, a move is a uniform copying slot: a
+uniform half-edge, or a uniform arc read in its copying direction.
+Otherwise it is a uniform vertex and a uniform slot of it, through a CSR of
+the copying slots.
 
 A pass does one step for every replica that has steps left in the current
 gap.  Within a gap the replicas are ordered by step count, so the replicas
@@ -34,25 +43,35 @@ class Packed:
     """R replica graphs on n vertices each, with their opinions, in flat
     arrays.  Vertex ``v`` of replica ``r`` is ``r * n + v``; edge ``e`` of
     replica ``r`` joins ``ends[2e]`` and ``ends[2e + 1]`` for
-    ``ecut[r] <= e < ecut[r + 1]``."""
+    ``ecut[r] <= e < ecut[r + 1]``.  Either end of an edge copies the
+    other; with ``directed`` the edges are arcs packed as (copying end,
+    copied end), and only ``ends[2e]`` copies ``ends[2e + 1]``."""
 
-    def __init__(self, n, ends, ecut, ops):
+    def __init__(self, n, ends, ecut, ops, directed=False):
         self.n = n
         self.R = len(ecut) - 1
         self.ends = ends      # int32, global vertex ids
         self.ecut = ecut      # int64, edge offsets per replica
         self.ops = ops        # int8, R * n opinions
+        # copying ends are every ``step``-th entry of ``ends``
+        self.step = 2 if directed else 1
         deg = np.empty(self.R * n, dtype=np.int32)
         for r, s in self._chunks():
             deg[r * n:s * n] = np.bincount(
-                ends[2 * ecut[r]:2 * ecut[s]] - r * n, minlength=(s - r) * n)
+                ends[2 * ecut[r]:2 * ecut[s]:self.step] - r * n,
+                minlength=(s - r) * n)
         self.regular = bool(deg.min() == deg.max())
         if not self.regular:
-            # CSR of the slots of each vertex; an isolated vertex gets one
-            # slot to itself, so that its steps are no-ops like a self-loop's
+            # CSR of the copying slots of each vertex; an isolated vertex
+            # gets one slot to itself, so that its steps are no-ops like a
+            # self-loop's
             iso = np.flatnonzero(deg == 0).astype(np.int32)
-            owner = np.concatenate([ends, iso])
-            other = np.concatenate([ends.reshape(-1, 2)[:, ::-1].ravel(), iso])
+            if directed:
+                owner, other = ends[0::2], ends[1::2]
+            else:
+                owner, other = ends, ends.reshape(-1, 2)[:, ::-1].ravel()
+            owner = np.concatenate([owner, iso])
+            other = np.concatenate([other, iso])
             self.nbr = other[np.argsort(owner, kind="stable")]
             self.deg = np.maximum(deg, 1)
             self.off = np.concatenate([[0], np.cumsum(self.deg)[:-1]])
@@ -85,8 +104,12 @@ class Packed:
         (one column per replica), for ``shape[0]`` passes."""
         n = self.n
         if self.regular:
-            # a uniform half-edge is a uniform vertex and a uniform slot
-            half = rng.integers(0, 2 * (self.ecut[1] - self.ecut[0]), shape)
+            # a uniform copying end (a half-edge, or the first end of an
+            # arc) is a uniform vertex and a uniform slot of it
+            half = rng.integers(
+                0, 2 * (self.ecut[1] - self.ecut[0]) // self.step, shape)
+            if self.step > 1:
+                half *= self.step
             half += 2 * self.ecut[rows]
             copying = self.ends[half].astype(np.intp)
             half ^= 1

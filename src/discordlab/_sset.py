@@ -9,9 +9,8 @@ insert and remove in the same sequence to reproduce a run.
 
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set
 exactly while ``ops[us[e]] != ops[vs[e]]``.  When slots carry unequal rates,
-slot ``e`` weighs ``wa[us[e]] + wb[vs[e]]`` and the batch functions keep the
-running total ``w`` of member weights; with ``wa=None`` only the count is
-kept.
+slot ``e`` weighs ``wa[us[e]] + wb[vs[e]]`` and ``refile`` keeps the running
+total ``w`` of member weights; with ``wa=None`` only the count is kept.
 """
 
 
@@ -44,7 +43,7 @@ class SampleableSet:
 
     def discard(self, x):
         """Remove x if present."""
-        drop((x,), self.items, self.pos, None, None)
+        drop((x,), self.items, self.pos)
 
     def pick(self, rnd):
         """Uniform element, using rnd.random() (bias ~ len/2^53, negligible)."""
@@ -76,9 +75,9 @@ def refile(slots, items, pos, us, vs, ops, wa=None, wb=None, w=0.0):
     return w
 
 
-def drop(slots, items, pos, us, vs, wa=None, wb=None, w=0.0):
+def drop(slots, items, pos):
     """Remove each member of ``slots``, in order, whatever its discordance
-    (before its endpoints are edited).  Returns ``w`` less their weights."""
+    (before its endpoints are edited)."""
     for e in slots:
         if e in pos:
             i = pos.pop(e)
@@ -86,6 +85,3 @@ def drop(slots, items, pos, us, vs, wa=None, wb=None, w=0.0):
             if i < len(items):
                 items[i] = last
                 pos[last] = i
-            if wa is not None:
-                w -= wa[us[e]] + wb[vs[e]]
-    return w

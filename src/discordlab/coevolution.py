@@ -230,7 +230,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
                 eu[e] = keep
                 ev[e] = w
             if ops[keep] == ops[w]:  # else e is still the discordant slot it was
-                drop((e,), disc_items, disc_pos, eu, ev)
+                drop((e,), disc_items, disc_pos)
         events += 1
         maybe(t, heart / n, len(disc_items) / m)
 
@@ -291,7 +291,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
                     eu[e] = v
                     ev[e] = w
                 if e in disc_pos:  # e now joins two vertices of one opinion
-                    drop((e,), disc_items, disc_pos, eu, ev)
+                    drop((e,), disc_items, disc_pos)
         elif ops[v] != ops[other]:
             old = ops[v]
             ops[v] = ops[other]

@@ -509,22 +509,10 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     ``partial``.
     """
     n, m = g.n, g.m
-    if n == 0 or m == 0:
-        raise InvalidParameterError("graph must have at least one arc")
+    us, vs, degs = _copy_arcs(g, adopt_from)
     if len(state.opinions) != n:
         raise InvalidParameterError("opinion vector length != vertex count")
-    if adopt_from not in ("out", "in"):
-        raise InvalidParameterError("adopt_from must be 'out' or 'in'")
     samples = _Samples(schedule, horizon)
-
-    # us[a] is the end of arc a that copies the other end vs[a]
-    if adopt_from == "out":
-        us, vs, degs = g.tails, g.heads, g.out_degrees()
-    else:
-        us, vs, degs = g.heads, g.tails, g.in_degrees()
-    if any(d == 0 for d in degs):
-        raise InvalidParameterError(
-            f"every vertex needs {adopt_from}-degree >= 1")
     ops = list(state.opinions)
     heart = sum(ops)
     dmin, dmax = min(degs), max(degs)
@@ -604,6 +592,25 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
 
     samples.record(math.inf, heart / n, len(disc_items) / m)
     return samples.traj(cons_t, cons_v, events)
+
+
+def _copy_arcs(g: DirectedGraph, adopt_from):
+    """``(us, vs, degs)``: arc ``a`` has ``us[a]`` copy ``vs[a]``, and
+    ``degs[v]`` is the number of arcs through which ``v`` copies.  Raises
+    InvalidParameterError on a graph with no arcs, an unknown
+    ``adopt_from`` or a vertex that copies through no arc."""
+    if g.n == 0 or g.m == 0:
+        raise InvalidParameterError("graph must have at least one arc")
+    if adopt_from == "out":
+        us, vs, degs = g.tails, g.heads, g.out_degrees()
+    elif adopt_from == "in":
+        us, vs, degs = g.heads, g.tails, g.in_degrees()
+    else:
+        raise InvalidParameterError("adopt_from must be 'out' or 'in'")
+    if min(degs) == 0:
+        raise InvalidParameterError(
+            f"every vertex needs {adopt_from}-degree >= 1")
+    return us, vs, degs
 
 
 def _class_status(hearts, size) -> int:

@@ -4,9 +4,10 @@ against the limit oracles.
 
 Replica r draws its generator from (master_seed, spawn_key=r), so results
 are identical whatever the execution order or degree of parallelism, and
-aggregation is a deterministic reduction in replica order.  Large static
-rrg and ER ensembles step all replicas together (:mod:`_lockstep`); their
-dynamics draw from one stream per ensemble, see :func:`run_ensemble`.
+aggregation is a deterministic reduction in replica order.  Static rrg, ER
+and dcm ensembles of at least ``LOCKSTEP_MIN_REPLICAS`` (16) replicas step
+all replicas together (:mod:`_lockstep`); their dynamics draw from one
+stream per ensemble, see :func:`run_ensemble`.
 """
 
 from __future__ import annotations
@@ -41,13 +42,25 @@ __all__ = [
 
 Z95 = 1.96
 
-# Ensembles of at least this many replicas on a static undirected rrg or ER
-# graph, with a finite horizon, step in lockstep (see ``run_ensemble``).
-# Smaller ones stay on the event engines, where replica r is ``run_voter`` on
-# ``spawn_rng(master_seed, r)`` seed for seed.  Lockstep was no slower than
-# the event engines at 16, 64 and 200 replicas, at N=1000 to t=5 and at
-# N=500 to t=650 (rrg, d=3).
-LOCKSTEP_MIN_REPLICAS = 64
+# Ensembles of at least this many replicas on a static rrg, ER or dcm graph,
+# with a finite horizon, step in lockstep (see ``run_ensemble``).  Smaller
+# ones stay on the event engines, where replica r is ``run_voter`` (or
+# ``run_voter_directed``) on ``spawn_rng(master_seed, r)`` seed for seed.
+# Event-engine time over lockstep time, in-process on a 2-core VM (Python
+# 3.11, numpy 2.4), median of 3 master seeds:
+#
+#   shape                            R=1   R=2   R=4   R=8   R=16
+#   rrg N=500, d=3, to t=650         0.29  0.59  0.63  1.88  3.07
+#   dcm N=500, d=3, to t=650         0.49  1.34  2.02  3.78  6.30
+#   ER N=4000, mean degree 3, t=5    1.17  1.73  3.04  4.56  5.46
+#   rrg N=1000, d=3, to t=5          0.54  0.95  1.55  2.30  3.29
+#
+# Lockstep is faster on every shape from 8 replicas on, 3x or more at 16,
+# and slower on the long rrg shape below 8.  The threshold is 16, not 8, so
+# that the benchmark has an eligible ensemble on each side of it: the
+# ``diffusive`` dcm ensemble (8 replicas) below, its rrg ensemble and the
+# ``short_time`` ensembles (16 and 200) at or above.
+LOCKSTEP_MIN_REPLICAS = 16
 
 
 def spawn_rng(master_seed, index) -> np.random.Generator:
@@ -247,7 +260,7 @@ def _replica_star(args):
 def _takes_lockstep(cfg: ExperimentConfig) -> bool:
     return (cfg.nu == 0.0 and cfg.horizon is not None
             and math.isfinite(cfg.horizon)
-            and cfg.model.get("family") in ("rrg", "er")
+            and cfg.model.get("family") in ("rrg", "er", "dcm")
             and cfg.replicas >= LOCKSTEP_MIN_REPLICAS)
 
 
@@ -260,24 +273,29 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
     master seed's child with spawn key (R,), next after the replicas' keys.
     """
     R = cfg.replicas
+    directed = cfg.model.get("family") == "dcm"
     sched = dynamics._prepared_schedule(cfg.sample_times, cfg.horizon)
     ends, ecut, ops = np.empty(0, dtype=np.int32), [0], []
     for r in range(R):
         rng = spawn_rng(cfg.master_seed, r)
         g = build_graph(cfg.model, rng)
         state = dynamics.init_opinions_iid(g.n, cfg.u, rng)
-        if g.m == 0:
+        if directed:  # each arc as (copying end, copied end)
+            us, vs, _ = dynamics._copy_arcs(g, cfg.adopt_from)
+        elif g.m == 0:
             raise InvalidParameterError("graph must have at least one edge")
+        else:
+            us, vs = g.endpoint_arrays()
         lo, hi = 2 * ecut[-1], 2 * (ecut[-1] + g.m)
         if hi > len(ends):  # room for R graphs this size (exact for rrg)
             ends = np.resize(ends, max(R * (hi - lo), hi + len(ends) // 4))
-        ends[lo:hi:2], ends[lo + 1:hi:2] = g.endpoint_arrays()
+        ends[lo:hi:2], ends[lo + 1:hi:2] = us, vs
         ends[lo:hi] += r * g.n
         ecut.append(ecut[-1] + g.m)
         ops.append(np.array(state.opinions, dtype=np.int8))
     packed = _lockstep.Packed(g.n, ends[:2 * ecut[-1]],
                               np.asarray(ecut, dtype=np.int64),
-                              np.concatenate(ops))
+                              np.concatenate(ops), directed)
     stream = np.random.default_rng(np.random.SeedSequence(
         entropy=int(cfg.master_seed), spawn_key=(R,)))
     out = _lockstep.run(packed, sched, float(cfg.horizon), cfg.max_events,
@@ -313,13 +331,16 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     master_seed regardless of ``workers``.  Replica timeouts are flagged and
     aggregated as NaN rather than aborting the ensemble.
 
-    An ensemble of at least ``LOCKSTEP_MIN_REPLICAS`` replicas with
-    ``nu == 0``, a finite horizon and an ``rrg`` or ``er`` model steps all
-    its replicas together in numpy under the literal rate-1 clock, in the
-    calling process whatever ``workers`` is.  It has the law of the
-    event-driven engines and their graphs and starting opinions, but not
-    their random stream for the dynamics.  Any other ensemble runs its
-    replicas through the event-driven engines, in ``workers`` processes.
+    An ensemble of at least ``LOCKSTEP_MIN_REPLICAS`` (16) replicas with
+    ``nu == 0``, a finite horizon and an ``rrg``, ``er`` or ``dcm`` model
+    steps all its replicas together in numpy under the literal rate-1
+    clock, in the calling process whatever ``workers`` is.  On a ``dcm``
+    graph a vertex copies a uniform out-neighbour, or in-neighbour with
+    ``adopt_from="in"``, as in ``run_voter_directed``, and the same
+    parameter errors are raised.  It has the law of the event-driven
+    engines and their graphs and starting opinions, but not their random
+    stream for the dynamics.  Any other ensemble runs its replicas through
+    the event-driven engines, in ``workers`` processes.
     """
     if cfg.replicas < 1:
         raise InvalidParameterError("need at least one replica")

@@ -2,13 +2,14 @@
 brute-force recounts, which avoid the package's own event engines and
 bookkeeping; plus the event-driven rewiring engine that ran every ``nu > 0``
 run before the literal-clock engine replaced it, kept verbatim as the
-reference for the two-sample law tests."""
+reference for the two-sample law tests (its weighted slot removal, which the
+package's ``_sset.drop`` no longer keeps, is ``weighted_drop`` here)."""
 
 import math
 
 import numpy as np
 
-from discordlab._sset import drop, refile
+from discordlab._sset import refile
 from discordlab.dynamics import OpinionState, _derive_rnd, _Samples
 from discordlab.errors import InvalidParameterError, SimulationTimeout
 from discordlab.graphs import Graph, count_discordant, swap_endpoints
@@ -164,12 +165,30 @@ def reference_voter_engine(g: Graph, state: OpinionState, nu, horizon,
                 j += 1
             pair = (i, j)
             if i in disc_pos or j in disc_pos:  # else drop is a no-op call
-                W = drop(pair, disc_items, disc_pos, eu, ev, inv, inv, W)
+                W = weighted_drop(pair, disc_items, disc_pos, eu, ev, inv,
+                                  inv, W)
             swap_endpoints(eu, ev, inc, i, j, rnd_random() < 0.5)
             W = refile(pair, disc_items, disc_pos, eu, ev, ops, inv, inv, W)
 
     flush(math.inf)
     return samples.traj(cons_t, cons_v, events)
+
+
+def weighted_drop(slots, items, pos, us, vs, wa, wb, w):
+    """``_sset.drop`` that also keeps the running weight: removes each
+    member of ``slots``, in order, and returns ``w`` less their weights
+    ``wa[us[e]] + wb[vs[e]]`` (unchanged with ``wa=None``), subtracted in
+    the order the reference engine has always used."""
+    for e in slots:
+        if e in pos:
+            i = pos.pop(e)
+            last = items.pop()
+            if i < len(items):
+                items[i] = last
+                pos[last] = i
+            if wa is not None:
+                w -= wa[us[e]] + wb[vs[e]]
+    return w
 
 
 def reference_rewiring(g, state, nu, horizon, schedule, rng, *,

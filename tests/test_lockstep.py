@@ -1,5 +1,5 @@
 """The lockstep ensemble path of ``run_ensemble`` against the event-driven
-engines it stands in for.
+engines it stands in for, on undirected (rrg, ER) and directed (dcm) graphs.
 
 The two paths share graphs and starting opinions but not the random stream
 of the dynamics, so they are compared in law: at every sample time a
@@ -74,6 +74,17 @@ CASES = {
     # long enough for most replicas to reach consensus
     "rrg_absorbing": cfg_of({"family": "rrg", "n": 20, "d": 3},
                             horizon=120.0, step=10.0),
+    # every copying degree is 3: a move is a uniform arc
+    "dcm_out": cfg_of({"family": "dcm", "n": 60, "d": 3}),
+    "dcm_in": cfg_of({"family": "dcm", "n": 60, "d": 3}, adopt_from="in"),
+    # out-degrees 1 to 4, so a move is a uniform vertex and one of its
+    # arcs; six in-hubs take most arcs, so copying the other way round
+    # (from in-neighbours) has another law
+    "dcm_mixed": cfg_of({"family": "dcm", "n": 60,
+                         "d_in": [20] * 6 + [1] * 30 + [0] * 24,
+                         "d_out": [1, 2, 3, 4] * 15}),
+    "dcm_absorbing": cfg_of({"family": "dcm", "n": 20, "d": 3},
+                            horizon=120.0, step=10.0),
 }
 
 
@@ -88,7 +99,7 @@ def test_lockstep_has_the_law_of_the_event_engines(case):
     # a replica at consensus has its consensus time
     last = lock.samples["heart_frac"][:, -1]
     assert np.all(np.isfinite(lock.taus[(last == 0.0) | (last == 1.0)]))
-    if case == "rrg_absorbing":
+    if case.endswith("_absorbing"):
         assert np.isfinite(lock.taus).mean() > 0.5
         hit = np.isfinite(lock.taus)
         assert np.all(lock.taus[hit] <= CASES[case].horizon)
@@ -106,8 +117,8 @@ def test_same_master_seed_is_byte_identical():
     assert a.taus.tobytes() == b.taus.tobytes()
 
 
-def test_workers_do_not_change_the_result():
-    cfg = CASES["rrg_absorbing"]
+def assert_workers_do_not_change(cfg):
+    assert experiments._takes_lockstep(cfg)
     serial = experiments.run_ensemble(cfg, workers=1)
     parallel = experiments.run_ensemble(cfg, workers=2)
     for key in ("heart_frac", "discordant_frac"):
@@ -116,16 +127,26 @@ def test_workers_do_not_change_the_result():
     assert serial.consensus_values == parallel.consensus_values
 
 
+def test_workers_do_not_change_the_result():
+    assert_workers_do_not_change(CASES["rrg_absorbing"])
+
+
+def test_workers_do_not_change_a_dcm_ensemble():
+    assert_workers_do_not_change(replace(CASES["dcm_mixed"], replicas=16))
+
+
 def test_the_rule():
     cfg = CASES["rrg"]
     assert experiments._takes_lockstep(cfg)
     n_min = experiments.LOCKSTEP_MIN_REPLICAS
     for over in ({"replicas": n_min - 1}, {"nu": 1.0}, {"horizon": None},
                  {"horizon": float("inf")},
-                 {"model": {"family": "complete", "n": 60}},
-                 {"model": {"family": "dcm", "n": 60, "d": 3}}):
+                 {"model": {"family": "complete", "n": 60}}):
         assert not experiments._takes_lockstep(replace(cfg, **over)), over
     assert experiments._takes_lockstep(replace(cfg, replicas=n_min))
+    for case in ("dcm_out", "dcm_in", "dcm_mixed"):
+        assert experiments._takes_lockstep(replace(CASES[case],
+                                                   replicas=n_min))
 
 
 def test_timeouts_follow_the_event_engines():
@@ -195,6 +216,46 @@ def test_single_edge_consensus_time_is_exponential():
     assert p >= ALPHA, p
 
 
+def test_directed_two_cycle_absorbs_at_an_exp2_time(monkeypatch):
+    # each end of a directed 2-cycle copies the other, so from opposite
+    # opinions the first ring of either end absorbs, at the opinion of the
+    # end that did not ring
+    monkeypatch.setattr(experiments, "build_graph",
+                        lambda model, rng: graphs.DirectedGraph(2, [0, 1],
+                                                                [1, 0]))
+    monkeypatch.setattr(dynamics, "init_opinions_iid",
+                        lambda n, u, rng: dynamics.OpinionState([1, 0], 1))
+    cfg = cfg_of({"family": "dcm", "n": 2, "d": 1}, horizon=6.0, step=1.5,
+                 replicas=1000)
+    lock = experiments.run_ensemble(cfg)
+    assert np.all(np.isfinite(lock.taus))
+    ones = sum(v == 1 for v in lock.consensus_values)
+    assert ones + sum(v == 0 for v in lock.consensus_values) == cfg.replicas
+    ps = [stats.binomtest(ones, cfg.replicas, 1 / 2).pvalue,
+          stats.kstest(lock.taus, exp_cdf(2.0, cfg.horizon)).pvalue]
+    assert min(ps) >= ALPHA / len(ps), ps
+
+
+@pytest.mark.parametrize("adopt_from, tails, heads",
+                         [("out", [0, 1], [1, 1]), ("in", [1, 1], [0, 1])])
+def test_a_vertex_copies_only_along_its_own_arcs(monkeypatch, adopt_from,
+                                                 tails, heads):
+    # vertex 0 copies only vertex 1, and vertex 1 only itself through a
+    # self-loop, so from opinions 0, 1 every run absorbs at 1 at the first
+    # ring of vertex 0; copying the other way round could reach 0
+    monkeypatch.setattr(experiments, "build_graph",
+                        lambda model, rng: graphs.DirectedGraph(2, tails,
+                                                                heads))
+    monkeypatch.setattr(dynamics, "init_opinions_iid",
+                        lambda n, u, rng: dynamics.OpinionState([0, 1], 1))
+    cfg = cfg_of({"family": "dcm", "n": 2, "d": 1}, horizon=20.0, step=5.0,
+                 replicas=1000, adopt_from=adopt_from)
+    lock = experiments.run_ensemble(cfg)
+    assert lock.consensus_values == [1] * cfg.replicas
+    p = stats.kstest(lock.taus, exp_cdf(1.0, cfg.horizon)).pvalue
+    assert p >= ALPHA, p
+
+
 def test_cap_flip_on_a_path(monkeypatch):
     # on the path 0-1-2 starting 1,0,1 each vertex flips at rate 1; the
     # first flip is the middle one, which absorbs, with probability 1/3 and
@@ -220,9 +281,18 @@ def test_errors_match_the_event_engines():
             experiments.run_ensemble(cfg)
         return str(err.value)
 
+    dcm = {"family": "dcm", "n": 30, "d": 3}
+    # a third of the vertices have in-degree 0, none out-degree 0
+    lopsided = {"family": "dcm", "n": 30, "d_in": [3, 3, 0] * 10,
+                "d_out": [2] * 30}
     for over in ({"model": {"family": "er", "n": 30, "p": 0.0}},
                  {"sample_times": [0.0, 2.0, 1.0]},
-                 {"sample_times": [-1.0, 1.0]}):
+                 {"sample_times": [-1.0, 1.0]},
+                 {"model": {**dcm, "d": 0}},
+                 {"model": dcm, "adopt_from": "sideways"},
+                 {"model": lopsided, "adopt_from": "in"},
+                 {"model": {**lopsided, "d_in": [2] * 30,
+                            "d_out": [3, 3, 0] * 10}}):
         cfg = replace(cfg_of({"family": "rrg", "n": 30, "d": 3}), **over)
         assert experiments._takes_lockstep(cfg)
         assert message(cfg) == message(replace(cfg, replicas=1)), over

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from discordlab._sset import SampleableSet, drop, refile
 from discordlab.graphs import swap_endpoints
 
-from _oracles import brute_discordant
+from _oracles import brute_discordant, weighted_drop
 
 # |w - fsum of member weights| <= REL_TOL * (weight of every slot): the
 # running total is a chain of float additions and subtractions of terms no
@@ -72,7 +72,7 @@ def test_refile_drop_and_endpoint_edits_match_brute_force(case):
             w = refile(inc[v], items, pos, us, vs, ops, wa, wb, w)
         elif step[0] == "move":
             _, e, first, x = step
-            w = drop((e,), items, pos, us, vs, wa, wb, w)
+            w = weighted_drop((e,), items, pos, us, vs, wa, wb, w)
             ends = us if first else vs
             inc[ends[e]].remove(e)
             inc[x].append(e)
@@ -82,13 +82,16 @@ def test_refile_drop_and_endpoint_edits_match_brute_force(case):
             _, i, j, first = step
             if i == j:
                 continue
-            w = drop((i, j), items, pos, us, vs, wa, wb, w)
+            w = weighted_drop((i, j), items, pos, us, vs, wa, wb, w)
             swap_endpoints(us, vs, inc, i, j, first)
             w = refile((i, j), items, pos, us, vs, ops, wa, wb, w)
         else:
             slots = step[1]
             kept = set(items) - set(slots)
-            w = drop(slots, items, pos, us, vs, wa, wb, w)
+            plain_items, plain_pos = list(items), dict(pos)
+            drop(slots, plain_items, plain_pos)
+            w = weighted_drop(slots, items, pos, us, vs, wa, wb, w)
+            assert (plain_items, plain_pos) == (items, pos)
             _check(items, pos, us, vs, wa, wb, w, kept)
             w = refile(slots, items, pos, us, vs, ops, wa, wb, w)
         _check(items, pos, us, vs, wa, wb, w, _discordant(us, vs, ops))
@@ -99,7 +102,7 @@ def test_count_only_mode_keeps_no_weight():
     items, pos = [], {}
     assert refile(range(3), items, pos, us, vs, ops) == 0.0
     assert items == [0, 2]
-    assert drop((0,), items, pos, us, vs) == 0.0
+    drop((0,), items, pos)
     assert items == [2] and pos == {2: 0}
 
 
