@@ -1,22 +1,28 @@
 """The discordant-slot set every event engine keeps, and its O(1) sampling.
 
-Format: a list ``items`` plus a dict ``pos`` mapping each member to its
-index in ``items``.  Insertion appends; removal moves the last element into
-the hole, so membership changes and uniform draws are O(1) (the swap-with-
-tail trick of the epidemic-simulation literature).  Member order is part of
-the random stream: a uniform draw indexes ``items``, so every engine must
+Format: a list ``items`` of the member slots plus a list ``pos`` indexed by
+slot id, ``pos[e]`` being the index of ``e`` in ``items`` or -1 when ``e``
+is absent.  Insertion appends; removal moves the last element into the
+hole, so membership changes and uniform draws are O(1) (the swap-with-tail
+trick of the epidemic-simulation literature).  Member order is part of the
+random stream: a uniform draw indexes ``items``, so every engine must
 insert and remove in the same sequence to reproduce a run.
 
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set
 exactly while ``ops[us[e]] != ops[vs[e]]``.  When slots carry unequal rates,
-slot ``e`` weighs ``wa[us[e]] + wb[vs[e]]`` and ``refile`` keeps the running
-total ``w`` of member weights; with ``wa=None`` only the count is kept.
+slot ``e`` weighs ``wa[us[e]] + wb[vs[e]]`` and the functions keep the
+running total ``w`` of member weights; with ``wa=None`` only the count is
+kept.  ``build`` files every slot once at the start of a run.  After that
+the set changes only at a flip, through ``toggle``, and at an endpoint edit,
+through ``drop``: when a vertex flips, every slot at it that is not a
+self-loop changes discordance, so ``toggle`` reads no opinions.
 """
 
 
 class SampleableSet:
-    """The same format as an object, for sets of anything hashable (vertices
-    of one opinion, the edges of the dense model)."""
+    """The same swap-with-tail format as an object, for sets of anything
+    hashable (vertices of one opinion, the edges of the dense model), with
+    the positions in a dict."""
 
     __slots__ = ("items", "pos")
 
@@ -43,7 +49,12 @@ class SampleableSet:
 
     def discard(self, x):
         """Remove x if present."""
-        drop((x,), self.items, self.pos)
+        i = self.pos.pop(x, -1)
+        if i >= 0:
+            last = self.items.pop()
+            if i < len(self.items):
+                self.items[i] = last
+                self.pos[last] = i
 
     def pick(self, rnd):
         """Uniform element, using rnd.random() (bias ~ len/2^53, negligible)."""
@@ -53,25 +64,41 @@ class SampleableSet:
 # The batch functions below take the lists as arguments and inline the
 # insertion and removal: a call per slot costs the engines several percent.
 
-def refile(slots, items, pos, us, vs, ops, wa=None, wb=None, w=0.0):
-    """File each slot in ``slots``, in order, by its current discordance:
-    a discordant non-member is appended, a concordant member removed.
-    Returns ``w`` updated by the weights of the slots that moved."""
+def build(us, vs, ops, wa=None, wb=None):
+    """``(items, pos, w)`` for the slots ``range(len(us))``: the discordant
+    slots in id order, and the total of their weights summed in that
+    order."""
+    items = [e for e, (u, v) in enumerate(zip(us, vs)) if ops[u] != ops[v]]
+    pos = [-1] * len(us)
+    for i, e in enumerate(items):
+        pos[e] = i
+    w = 0.0
+    if wa is not None:
+        for e in items:
+            w += wa[us[e]] + wb[vs[e]]
+    return items, pos, w
+
+
+def toggle(slots, items, pos, us, vs, wa=None, wb=None, w=0.0):
+    """Refile ``slots``, the slots at a vertex that has just flipped, in
+    order: a member is removed, a non-member appended unless it is a
+    self-loop.  Returns ``w`` updated by the weights of the slots that
+    moved."""
     for e in slots:
-        if ops[us[e]] != ops[vs[e]]:
-            if e not in pos:
-                pos[e] = len(items)
-                items.append(e)
-                if wa is not None:
-                    w += wa[us[e]] + wb[vs[e]]
-        elif e in pos:
-            i = pos.pop(e)
+        i = pos[e]
+        if i >= 0:
+            pos[e] = -1
             last = items.pop()
-            if i < len(items):
+            if last != e:
                 items[i] = last
                 pos[last] = i
             if wa is not None:
                 w -= wa[us[e]] + wb[vs[e]]
+        elif us[e] != vs[e]:
+            pos[e] = len(items)
+            items.append(e)
+            if wa is not None:
+                w += wa[us[e]] + wb[vs[e]]
     return w
 
 
@@ -79,9 +106,10 @@ def drop(slots, items, pos):
     """Remove each member of ``slots``, in order, whatever its discordance
     (before its endpoints are edited)."""
     for e in slots:
-        if e in pos:
-            i = pos.pop(e)
+        i = pos[e]
+        if i >= 0:
+            pos[e] = -1
             last = items.pop()
-            if i < len(items):
+            if last != e:
                 items[i] = last
                 pos[last] = i

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sset import SampleableSet, drop, refile
+from ._sset import SampleableSet, build, drop, toggle
 from .dynamics import _derive_rnd, _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
 from .graphs import generate_erdos_renyi, generate_gnm
@@ -183,8 +183,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
              SampleableSet(v for v in range(n) if ops[v] == 1))
-    disc_items, disc_pos = [], {}
-    refile(range(m), disc_items, disc_pos, eu, ev, ops)
+    disc_items, disc_pos, _ = build(eu, ev, ops)
 
     adopt_p = beta / n
     t = 0.0
@@ -209,7 +208,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
             heart += 1 if ops[other] == 1 else -1
             by_op[old].discard(flip)
             by_op[1 - old].add(flip)
-            refile(inc[flip], disc_items, disc_pos, eu, ev, ops)
+            toggle(inc[flip], disc_items, disc_pos, eu, ev)
         else:
             keep, lose = (u, v) if rr() < 0.5 else (v, u)
             if variant == TO_RANDOM:
@@ -259,8 +258,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
              SampleableSet(v for v in range(n) if ops[v] == 1))
-    disc_items, disc_pos = [], {}
-    refile(range(m), disc_items, disc_pos, eu, ev, ops)
+    disc_items, disc_pos, _ = build(eu, ev, ops)
 
     steps = 0
     rec = _Recorder()
@@ -290,7 +288,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
                     inc[w].append(e)
                     eu[e] = v
                     ev[e] = w
-                if e in disc_pos:  # e now joins two vertices of one opinion
+                if disc_pos[e] >= 0:  # e now joins two vertices of one opinion
                     drop((e,), disc_items, disc_pos)
         elif ops[v] != ops[other]:
             old = ops[v]
@@ -298,7 +296,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
             heart += 1 if ops[other] == 1 else -1
             by_op[old].discard(v)
             by_op[1 - old].add(v)
-            refile(inc[v], disc_items, disc_pos, eu, ev, ops)
+            toggle(inc[v], disc_items, disc_pos, eu, ev)
         maybe(float(steps), heart / n, len(disc_items) / m)
 
     return rec.finish(float(steps), ops, heart, len(disc_items), m, steps,
@@ -328,11 +326,12 @@ class DenseState:
             raise InvalidParameterError("adjacency must be symmetric")
         if np.any(np.diag(adj)):
             raise InvalidParameterError("no self-pairs in the dense model")
+        if np.any((opinions != 0) & (opinions != 1)):
+            raise InvalidParameterError("opinions must be 0 or 1")
         self.opinions = opinions.copy()
         self.adj = adj.copy()
         self.n = n
         self.heart_count = int(np.count_nonzero(self.opinions == 1))
-        self.degrees = self.adj.sum(axis=1).astype(np.int64)
         iu, iv = np.nonzero(np.triu(self.adj, k=1))
         self.edges = SampleableSet(zip(iu.tolist(), iv.tolist()))
         self.edge_count = len(self.edges)
@@ -438,6 +437,12 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     stream at rate rho*C(n,2)*max_weight with acceptance s/max_weight.
     Consensus freezes the opinions but the pair flow continues to the
     horizon.  The input state is not mutated.
+
+    The run keeps the opinions and the adjacency matrix in bytearrays, with
+    numpy views over the same bytes: a pair step reads and writes single
+    bytes, and a flip counts the flipped vertex's row, its degree and its
+    heart neighbours, through the views.  ``check=True`` recounts the pair
+    classes from the views at every sample time; the draws are the same.
     """
     if eta < 0 or rho < 0:
         raise InvalidParameterError("rates must be >= 0")
@@ -450,10 +455,14 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     st = state.copy()
     n = st.n
     npairs = st.n_pairs
-    ops = st.opinions
-    adj = st.adj
-    degrees = st.degrees
+    opb = bytearray(st.opinions.tobytes())
+    adjb = bytearray(st.adj.tobytes())
+    st.opinions = np.frombuffer(opb, dtype=np.int8)
+    st.adj = adj = np.frombuffer(adjb, dtype=bool).reshape(n, n)
+    hearts = st.opinions.view(bool)
+    count = np.count_nonzero
     edges = st.edges
+    edge_items = edges.items
     heart = st.heart_count
     ecount = st.edge_count
     econc = st.edge_conc_count
@@ -507,16 +516,19 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         events += 1
         if rr() * total < vertex_total:
             # opinion rethink: uniform ordered edge, tail adopts head
-            i, j = edges.pick(rnd)
+            i, j = edge_items[int(rr() * len(edge_items))]  # edges.pick(rnd)
             if rr() < 0.5:
                 i, j = j, i
-            oi = int(ops[i])
-            oj = int(ops[j])
+            oi = opb[i]
+            oj = opb[j]
             if oi != oj:
-                nb = adj[i]
-                c_same_old = int(np.count_nonzero(ops[nb] == oi))
-                econc += int(degrees[i]) - 2 * c_same_old
-                ops[i] = oj
+                # the old opinion's share of the row: econc loses the
+                # concordant edges at i and gains the discordant ones
+                row = adj[i]
+                deg = count(row)
+                hn = count(row & hearts)
+                econc += deg - 2 * (hn if oi else deg - hn)
+                opb[i] = oj
                 heart += 1 if oj == 1 else -1
                 if heart in (0, n) and cons_t is None:
                     cons_t = t
@@ -525,8 +537,9 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
             j = int(rr() * (n - 1))
             if j >= i:
                 j += 1
-            connected = adj[i, j]
-            conc = ops[i] == ops[j]
+            ij = i * n + j
+            connected = adjb[ij]
+            conc = opb[i] == opb[j]
             if connected:
                 w = s.s_c1 if conc else s.s_d1
             else:
@@ -534,16 +547,12 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
             if w > 0.0 and rr() * envelope < w:
                 key = (i, j) if i < j else (j, i)
                 if connected:
-                    adj[i, j] = adj[j, i] = False
-                    degrees[i] -= 1
-                    degrees[j] -= 1
+                    adjb[ij] = adjb[j * n + i] = 0
                     ecount -= 1
                     econc -= 1 if conc else 0
                     edges.discard(key)
                 else:
-                    adj[i, j] = adj[j, i] = True
-                    degrees[i] += 1
-                    degrees[j] += 1
+                    adjb[ij] = adjb[j * n + i] = 1
                     ecount += 1
                     econc += 1 if conc else 0
                     edges.add(key)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sset import refile
+from ._sset import build, toggle
 from .errors import InvalidParameterError, SimulationTimeout
 from .graphs import DirectedGraph, Graph, count_discordant
 
@@ -168,9 +168,7 @@ def _voter_engine(g: Graph, state: OpinionState, horizon, schedule, rng,
     # regular graph every slot carries wmax and W is not kept
     wmax = 2.0 / dmin
     inv = None if regular else [1.0 / dd if dd else 0.0 for dd in degs]
-    disc_items: list[int] = []
-    disc_pos: dict[int, int] = {}
-    W = refile(range(m), disc_items, disc_pos, eu, ev, ops, inv, inv)
+    disc_items, disc_pos, W = build(eu, ev, ops, inv, inv)
 
     rnd = _derive_rnd(rng)
     rnd_random = rnd.random
@@ -227,7 +225,7 @@ def _voter_engine(g: Graph, state: OpinionState, horizon, schedule, rng,
         newop = ops[other]
         ops[flip] = newop
         heart += 1 if newop == 1 else -1
-        W = refile(inc[flip], disc_items, disc_pos, eu, ev, ops, inv, inv, W)
+        W = toggle(inc[flip], disc_items, disc_pos, eu, ev, inv, inv, W)
         if heart == 0 or heart == n:
             absorbed = True
             cons_t, cons_v = t, ops[0]
@@ -509,7 +507,7 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     ``partial``.
     """
     n, m = g.n, g.m
-    us, vs, degs = _copy_arcs(g, adopt_from)
+    us, vs, degs = (a.tolist() for a in _copy_arcs(g, adopt_from))
     if len(state.opinions) != n:
         raise InvalidParameterError("opinion vector length != vertex count")
     samples = _Samples(schedule, horizon)
@@ -522,9 +520,7 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     inv = None if regular else [1.0 / d for d in degs]
     zero = None if regular else [0.0] * n
     inc = [o + i for o, i in zip(g.out_adj, g.in_adj)]
-    disc_items: list[int] = []
-    disc_pos: dict[int, int] = {}
-    W = refile(range(m), disc_items, disc_pos, us, vs, ops, inv, zero)
+    disc_items, disc_pos, W = build(us, vs, ops, inv, zero)
 
     rnd = _derive_rnd(rng)
     rnd_random = rnd.random
@@ -579,7 +575,7 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
         newop = ops[vs[a]]
         ops[flip] = newop
         heart += 1 if newop == 1 else -1
-        W = refile(inc[flip], disc_items, disc_pos, us, vs, ops, inv, zero, W)
+        W = toggle(inc[flip], disc_items, disc_pos, us, vs, inv, zero, W)
         if heart == 0 or heart == n:
             absorbed = True
             cons_t, cons_v = t, ops[0]
@@ -595,19 +591,22 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
 
 
 def _copy_arcs(g: DirectedGraph, adopt_from):
-    """``(us, vs, degs)``: arc ``a`` has ``us[a]`` copy ``vs[a]``, and
-    ``degs[v]`` is the number of arcs through which ``v`` copies.  Raises
+    """``(us, vs, degs)``, int64 arrays read from the graph's endpoint
+    arrays: arc ``a`` has ``us[a]`` copy ``vs[a]``, and ``degs[v]`` is the
+    number of arcs through which ``v`` copies.  Raises
     InvalidParameterError on a graph with no arcs, an unknown
     ``adopt_from`` or a vertex that copies through no arc."""
     if g.n == 0 or g.m == 0:
         raise InvalidParameterError("graph must have at least one arc")
+    tails, heads = g.endpoint_arrays()
     if adopt_from == "out":
-        us, vs, degs = g.tails, g.heads, g.out_degrees()
+        us, vs = tails, heads
     elif adopt_from == "in":
-        us, vs, degs = g.heads, g.tails, g.in_degrees()
+        us, vs = heads, tails
     else:
         raise InvalidParameterError("adopt_from must be 'out' or 'in'")
-    if min(degs) == 0:
+    degs = np.bincount(us, minlength=g.n)
+    if degs.min() == 0:
         raise InvalidParameterError(
             f"every vertex needs {adopt_from}-degree >= 1")
     return us, vs, degs

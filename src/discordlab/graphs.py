@@ -236,59 +236,105 @@ class Graph:
 
 
 class DirectedGraph:
-    """Directed multigraph; arc ids are stable, arcs point tail -> head."""
+    """Directed multigraph; arc ids are stable, arcs point tail -> head.
 
-    __slots__ = ("n", "tails", "heads", "out_adj", "in_adj")
+    As in :class:`Graph`, arcs are held as two read-only endpoint arrays
+    until the first read of ``tails``, ``heads``, ``out_adj`` or ``in_adj``
+    builds the lists in place and drops the arrays.
+    """
+
+    __slots__ = ("n", "_ends", "_tails", "_heads", "_out_adj", "_in_adj")
 
     def __init__(self, n, tails=(), heads=()):
         """Digraph on ``range(n)`` whose arc ``a`` points from ``tails[a]``
-        to ``heads[a]``; the adjacency lists come out as one ``add_arc`` per
-        arc in id order would leave them."""
+        to ``heads[a]``.  The graph keeps copies of ``tails`` and ``heads``;
+        the adjacency lists come out as one ``add_arc`` per arc in id order
+        would leave them."""
         if n < 0:
             raise InvalidParameterError("vertex count must be >= 0")
         if len(tails) != len(heads):
             raise InvalidParameterError("endpoint arrays differ in length")
         self.n = int(n)
-        tails = np.asarray(tails, dtype=np.int64)
-        heads = np.asarray(heads, dtype=np.int64)
+        tails = np.array(tails, dtype=np.int64)
+        heads = np.array(heads, dtype=np.int64)
         if len(tails) and not (0 <= min(tails.min(), heads.min())
                                and max(tails.max(), heads.max()) < self.n):
             raise InvalidParameterError("endpoint out of range")
-        ids = np.arange(len(tails))
-        self.tails: list[int] = tails.tolist()
-        self.heads: list[int] = heads.tolist()
-        self.out_adj: list[list[int]] = _grouped(self.n, tails, ids)
-        self.in_adj: list[list[int]] = _grouped(self.n, heads, ids)
+        tails.flags.writeable = heads.flags.writeable = False
+        self._ends = (tails, heads)
+        self._tails = self._heads = self._out_adj = self._in_adj = None
+
+    def endpoint_arrays(self):
+        """``(tails, heads)``, the endpoints of every arc in id order as
+        int64 arrays; read-only while the lists are unbuilt."""
+        if self._tails is not None:
+            return (np.array(self._tails, np.int64),
+                    np.array(self._heads, np.int64))
+        return self._ends
+
+    def _lists(self):
+        if self._tails is None:
+            tails, heads = self._ends
+            ids = np.arange(len(tails))
+            self._tails = tails.tolist()
+            self._heads = heads.tolist()
+            self._out_adj = _grouped(self.n, tails, ids)
+            self._in_adj = _grouped(self.n, heads, ids)
+            self._ends = None
+        return self._tails, self._heads, self._out_adj, self._in_adj
+
+    @property
+    def tails(self) -> list[int]:
+        return self._lists()[0]
+
+    @property
+    def heads(self) -> list[int]:
+        return self._lists()[1]
+
+    @property
+    def out_adj(self) -> list[list[int]]:
+        return self._lists()[2]
+
+    @property
+    def in_adj(self) -> list[list[int]]:
+        return self._lists()[3]
 
     @property
     def m(self) -> int:
-        return len(self.tails)
+        if self._tails is not None:
+            return len(self._tails)
+        return len(self._ends[0])
 
     def add_arc(self, tail, head) -> int:
         if not (0 <= tail < self.n and 0 <= head < self.n):
             raise InvalidParameterError(f"endpoint out of range: ({tail}, {head})")
-        a = len(self.tails)
-        self.tails.append(tail)
-        self.heads.append(head)
-        self.out_adj[tail].append(a)
-        self.in_adj[head].append(a)
+        tails, heads, out_adj, in_adj = self._lists()
+        a = len(tails)
+        tails.append(tail)
+        heads.append(head)
+        out_adj[tail].append(a)
+        in_adj[head].append(a)
         return a
 
     def arcs(self):
-        return zip(self.tails, self.heads)
+        if self._tails is not None:
+            return zip(self._tails, self._heads)
+        return zip(self._ends[0].tolist(), self._ends[1].tolist())
 
     def out_degrees(self) -> list[int]:
-        return [len(a) for a in self.out_adj]
+        return np.bincount(self.endpoint_arrays()[0], minlength=self.n).tolist()
 
     def in_degrees(self) -> list[int]:
-        return [len(a) for a in self.in_adj]
+        return np.bincount(self.endpoint_arrays()[1], minlength=self.n).tolist()
 
     def copy(self) -> "DirectedGraph":
         g = DirectedGraph(self.n)
-        g.tails = list(self.tails)
-        g.heads = list(self.heads)
-        g.out_adj = [list(a) for a in self.out_adj]
-        g.in_adj = [list(a) for a in self.in_adj]
+        g._ends = self._ends  # read-only, so both graphs may hold them
+        if self._tails is not None:
+            g._tails = list(self._tails)
+            g._heads = list(self._heads)
+            g._out_adj = [list(a) for a in self._out_adj]
+            g._in_adj = [list(a) for a in self._in_adj]
         return g
 
 

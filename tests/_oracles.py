@@ -2,14 +2,17 @@
 brute-force recounts, which avoid the package's own event engines and
 bookkeeping; plus the event-driven rewiring engine that ran every ``nu > 0``
 run before the literal-clock engine replaced it, kept verbatim as the
-reference for the two-sample law tests (its weighted slot removal, which the
-package's ``_sset.drop`` no longer keeps, is ``weighted_drop`` here)."""
+reference for the two-sample law tests.  Its slot bookkeeping is the former
+``_sset`` format, with the positions in a dict: ``refile`` files slots by
+their discordance and ``weighted_drop`` removes them, both keeping the
+running weight in the order the engine has always used.  The package's
+``_sset.toggle`` must leave the same members, positions and weight as
+``refile`` after a flip."""
 
 import math
 
 import numpy as np
 
-from discordlab._sset import refile
 from discordlab.dynamics import OpinionState, _derive_rnd, _Samples
 from discordlab.errors import InvalidParameterError, SimulationTimeout
 from discordlab.graphs import Graph, count_discordant, swap_endpoints
@@ -174,11 +177,33 @@ def reference_voter_engine(g: Graph, state: OpinionState, nu, horizon,
     return samples.traj(cons_t, cons_v, events)
 
 
+def refile(slots, items, pos, us, vs, ops, wa=None, wb=None, w=0.0):
+    """File each slot in ``slots``, in order, by its current discordance:
+    a discordant non-member is appended, a concordant member removed.
+    Returns ``w`` updated by the weights of the slots that moved."""
+    for e in slots:
+        if ops[us[e]] != ops[vs[e]]:
+            if e not in pos:
+                pos[e] = len(items)
+                items.append(e)
+                if wa is not None:
+                    w += wa[us[e]] + wb[vs[e]]
+        elif e in pos:
+            i = pos.pop(e)
+            last = items.pop()
+            if i < len(items):
+                items[i] = last
+                pos[last] = i
+            if wa is not None:
+                w -= wa[us[e]] + wb[vs[e]]
+    return w
+
+
 def weighted_drop(slots, items, pos, us, vs, wa, wb, w):
-    """``_sset.drop`` that also keeps the running weight: removes each
-    member of ``slots``, in order, and returns ``w`` less their weights
-    ``wa[us[e]] + wb[vs[e]]`` (unchanged with ``wa=None``), subtracted in
-    the order the reference engine has always used."""
+    """Remove each member of ``slots``, in order, whatever its discordance,
+    and return ``w`` less their weights ``wa[us[e]] + wb[vs[e]]`` (unchanged
+    with ``wa=None``), subtracted in the order the reference engine has
+    always used."""
     for e in slots:
         if e in pos:
             i = pos.pop(e)

@@ -183,6 +183,9 @@ def test_dense_state_validation():
     adj2[1, 1] = True
     with pytest.raises(InvalidParameterError):
         DenseState([0, 1, 0], adj2)
+    # run_dense reads the opinion bytes as booleans
+    with pytest.raises(InvalidParameterError, match="0 or 1"):
+        DenseState([0, 2, 0], np.zeros((3, 3), dtype=bool))
 
 
 def test_init_positional_extremes(rng):

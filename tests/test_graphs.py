@@ -284,6 +284,38 @@ def test_graph_bulk_constructor_matches_add_edge(rng):
         graphs.Graph(3, [0, 2], [1, 2], allows_self_loops=False)
 
 
+def test_directed_lists_are_built_on_first_read(rng, monkeypatch):
+    def boom(*args):
+        raise AssertionError("adjacency lists built")
+
+    for _ in range(20):
+        n = int(rng.integers(1, 16))
+        m = int(rng.integers(0, 60))
+        tails, heads = rng.integers(0, n, m), rng.integers(0, n, m)
+        eager = graphs.DirectedGraph(n)
+        for t, h in zip(tails.tolist(), heads.tolist()):
+            eager.add_arc(t, h)
+        lazy = graphs.DirectedGraph(n, tails, heads)
+        with monkeypatch.context() as patch:
+            # none of these reads may build the adjacency lists
+            patch.setattr(graphs, "_grouped", boom)
+            twin = lazy.copy()
+            assert lazy.m == twin.m == m
+            assert list(lazy.arcs()) == list(eager.arcs())
+            assert lazy.out_degrees() == eager.out_degrees()
+            assert lazy.in_degrees() == eager.in_degrees()
+            for a, b in zip(lazy.endpoint_arrays(), eager.endpoint_arrays()):
+                assert np.array_equal(a, b) and not a.flags.writeable
+        assert (lazy.tails, lazy.heads, lazy.out_adj, lazy.in_adj) == \
+            (eager.tails, eager.heads, eager.out_adj, eager.in_adj)
+        assert lazy.add_arc(n - 1, 0) == eager.add_arc(n - 1, 0) == m
+        assert (lazy.out_adj, lazy.in_adj) == (eager.out_adj, eager.in_adj)
+        assert list(lazy.arcs()) == list(eager.arcs())
+        assert lazy.out_degrees() == eager.out_degrees()
+        assert twin.m == m and list(twin.arcs()) == list(zip(
+            tails.tolist(), heads.tolist()))
+
+
 def test_gnm_exact_count(rng):
     g = graphs.generate_gnm(30, 60, rng)
     assert g.m == 60

@@ -109,6 +109,18 @@ def test_lockstep_has_the_law_of_the_event_engines(case):
         assert np.all(lock.samples["discordant_frac"][hit, -1] == 0.0)
 
 
+def test_dcm_lockstep_builds_no_adjacency_lists(monkeypatch):
+    # the lockstep path reads each replica's endpoint arrays only
+    def boom(*args):
+        raise AssertionError("adjacency lists built")
+
+    monkeypatch.setattr(graphs, "_grouped", boom)
+    for case in ("dcm_out", "dcm_in", "dcm_mixed"):
+        cfg = replace(CASES[case], replicas=experiments.LOCKSTEP_MIN_REPLICAS)
+        assert experiments._takes_lockstep(cfg)
+        experiments.run_ensemble(cfg)
+
+
 def test_same_master_seed_is_byte_identical():
     cfg = CASES["er_isolated"]
     a, b = experiments.run_ensemble(cfg), experiments.run_ensemble(cfg)

@@ -7,10 +7,10 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from discordlab._sset import SampleableSet, drop, refile
+from discordlab._sset import SampleableSet, build, drop, toggle
 from discordlab.graphs import swap_endpoints
 
-from _oracles import brute_discordant, weighted_drop
+from _oracles import brute_discordant, refile
 
 # |w - fsum of member weights| <= REL_TOL * (weight of every slot): the
 # running total is a chain of float additions and subtractions of terms no
@@ -38,9 +38,18 @@ def scenarios(draw):
     return us, vs, wa, wb, ops, steps
 
 
+def _incidence(n, us, vs):
+    """Slot ids at each vertex, a self-loop twice, as ``Graph.inc``."""
+    inc = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(zip(us, vs)):
+        inc[u].append(e)
+        inc[v].append(e)
+    return inc
+
+
 def _check(items, pos, us, vs, wa, wb, w, members):
     assert sorted(items) == sorted(members)
-    assert len(pos) == len(items)
+    assert sum(i >= 0 for i in pos) == len(items)
     assert all(items[pos[e]] == e for e in items)
     scale = math.fsum(wa[u] + wb[v] for u, v in zip(us, vs))
     exact = math.fsum(wa[us[e]] + wb[vs[e]] for e in items)
@@ -53,57 +62,111 @@ def _discordant(us, vs, ops):
     return members
 
 
+def _remove(slots, items, pos, us, vs, wa, wb, w):
+    """Weighted removal of the members of ``slots``, in order: a toggle of
+    one member removes it."""
+    for e in slots:
+        if pos[e] >= 0:
+            w = toggle((e,), items, pos, us, vs, wa, wb, w)
+    return w
+
+
+def _file(slots, items, pos, us, vs, ops, wa, wb, w):
+    """Append the discordant non-members of ``slots``, in order: a toggle
+    of one absent slot that is not a self-loop appends it."""
+    for e in slots:
+        if pos[e] < 0 and ops[us[e]] != ops[vs[e]]:
+            w = toggle((e,), items, pos, us, vs, wa, wb, w)
+    return w
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(scenarios())
-def test_refile_drop_and_endpoint_edits_match_brute_force(case):
+def test_build_toggle_drop_and_endpoint_edits_match_brute_force(case):
     us, vs, wa, wb, ops, steps = case
     us, vs, ops = list(us), list(vs), list(ops)
-    inc = [[] for _ in ops]
-    for e, (u, v) in enumerate(zip(us, vs)):
-        inc[u].append(e)
-        inc[v].append(e)
-    items, pos = [], {}
-    w = refile(range(len(us)), items, pos, us, vs, ops, wa, wb)
+    inc = _incidence(len(ops), us, vs)
+    items, pos, w = build(us, vs, ops, wa, wb)
     _check(items, pos, us, vs, wa, wb, w, _discordant(us, vs, ops))
     for step in steps:
         if step[0] == "flip":
             v = step[1]
             ops[v] ^= 1
-            w = refile(inc[v], items, pos, us, vs, ops, wa, wb, w)
+            w = toggle(inc[v], items, pos, us, vs, wa, wb, w)
         elif step[0] == "move":
             _, e, first, x = step
-            w = weighted_drop((e,), items, pos, us, vs, wa, wb, w)
+            w = _remove((e,), items, pos, us, vs, wa, wb, w)
             ends = us if first else vs
             inc[ends[e]].remove(e)
             inc[x].append(e)
             ends[e] = x
-            w = refile((e,), items, pos, us, vs, ops, wa, wb, w)
+            w = _file((e,), items, pos, us, vs, ops, wa, wb, w)
         elif step[0] == "swap":
             _, i, j, first = step
             if i == j:
                 continue
-            w = weighted_drop((i, j), items, pos, us, vs, wa, wb, w)
+            w = _remove((i, j), items, pos, us, vs, wa, wb, w)
             swap_endpoints(us, vs, inc, i, j, first)
-            w = refile((i, j), items, pos, us, vs, ops, wa, wb, w)
+            w = _file((i, j), items, pos, us, vs, ops, wa, wb, w)
         else:
             slots = step[1]
             kept = set(items) - set(slots)
-            plain_items, plain_pos = list(items), dict(pos)
+            plain_items, plain_pos = list(items), list(pos)
             drop(slots, plain_items, plain_pos)
-            w = weighted_drop(slots, items, pos, us, vs, wa, wb, w)
+            w = _remove(slots, items, pos, us, vs, wa, wb, w)
             assert (plain_items, plain_pos) == (items, pos)
             _check(items, pos, us, vs, wa, wb, w, kept)
-            w = refile(slots, items, pos, us, vs, ops, wa, wb, w)
+            w = _file(slots, items, pos, us, vs, ops, wa, wb, w)
         _check(items, pos, us, vs, wa, wb, w, _discordant(us, vs, ops))
+
+
+@st.composite
+def flip_runs(draw):
+    """A random multigraph (self-loops and parallel slots are common on so
+    few vertices), opinions, weights of one of the engines' three kinds,
+    and a sequence of flips."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 12))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    us, vs = draw(ends), draw(ends)
+    ops = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["count", "directed", "undirected"]))
+    wa = wb = None
+    if kind != "count":
+        wa = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        wb = [0.0] * n if kind == "directed" else wa
+    flips = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    return us, vs, ops, wa, wb, flips
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(flip_runs())
+def test_toggle_after_a_flip_is_refile_bit_for_bit(case):
+    us, vs, ops, wa, wb, flips = case
+    ops = list(ops)
+    m = len(us)
+    inc = _incidence(len(ops), us, vs)
+    ref_items, ref_pos = [], {}
+    ref_w = refile(range(m), ref_items, ref_pos, us, vs, ops, wa, wb)
+    items, pos, w = build(us, vs, ops, wa, wb)
+    for v in [None, *flips]:
+        if v is not None:
+            ops[v] ^= 1
+            ref_w = refile(inc[v], ref_items, ref_pos, us, vs, ops, wa, wb,
+                           ref_w)
+            w = toggle(inc[v], items, pos, us, vs, wa, wb, w)
+        assert items == ref_items
+        assert pos == [ref_pos.get(e, -1) for e in range(m)]
+        assert w.hex() == ref_w.hex()
 
 
 def test_count_only_mode_keeps_no_weight():
     us, vs, ops = [0, 1, 2], [1, 2, 0], [0, 1, 1]
-    items, pos = [], {}
-    assert refile(range(3), items, pos, us, vs, ops) == 0.0
+    items, pos, w = build(us, vs, ops)
+    assert w == 0.0
     assert items == [0, 2]
     drop((0,), items, pos)
-    assert items == [2] and pos == {2: 0}
+    assert items == [2] and pos == [-1, -1, 0]
 
 
 def test_sampleable_set_add_discard_pick():

@@ -5,6 +5,9 @@ changes of the law.  The digests were recorded before the engines were
 moved onto the shared discordant-slot primitive in ``_sset``; the three
 ``nu > 0`` rows were recorded again when every rewiring run moved to the
 literal-clock engine, after its law tests (``test_rewiring.py``) passed.
+The four rows on multigraphs with self-loops and on unchecked dense runs
+were recorded before flips moved from ``refile`` to ``_sset.toggle`` and
+``run_dense`` moved onto byte-backed state; both changes keep every digest.
 """
 
 import hashlib
@@ -42,6 +45,9 @@ def _static(family, seed):
     rng = np.random.default_rng(seed)
     if family == "rrg":
         g = graphs.generate_random_regular(200, 3, rng)
+    elif family == "rrg-multigraph":
+        g = graphs.generate_random_regular(120, 4, rng, policy="allow")
+        assert g.has_self_loop() and g.has_multi_edge()
     else:
         g = graphs.generate_erdos_renyi(300, 3.0 / 299, rng)
     st = dynamics.init_opinions_iid(g.n, 0.5, rng)
@@ -80,26 +86,32 @@ def _consensus(nu, seed):
     return _digest(dynamics.consensus_time(g, st, rng, nu=nu))
 
 
-def _rewire_model(variant, beta, seed):
+def _rewire_model(variant, beta, seed, n=40):
     rng = np.random.default_rng(seed)
-    outcome, traj = coevolution.run_rewire_model(40, beta, variant, rng)
+    outcome, traj = coevolution.run_rewire_model(n, beta, variant, rng)
     return _traj_digest(traj, outcome.absorption_time, outcome.verdict,
                         outcome.final_heart_fraction)
 
 
-def _holme_newman(seed):
+def _holme_newman(seed, beta=0.5, multigraph=False):
     rng = np.random.default_rng(seed)
-    outcome, traj = coevolution.run_holme_newman(120, 240, 0.5, rng)
+    g = None
+    if multigraph:
+        us, vs = graphs.generate_gnm(120, 240, rng).endpoint_arrays()
+        # a self-loop at vertex 5 and a second copy of edge 0
+        g = graphs.Graph(120, [*us, 5, us[0]], [*vs, 5, vs[0]])
+    outcome, traj = coevolution.run_holme_newman(120, 240, beta, rng,
+                                                 initial_graph=g)
     return _traj_digest(traj, outcome.absorption_time, outcome.verdict,
                         outcome.final_heart_fraction)
 
 
-def _dense(seed):
+def _dense(seed, n=30, check=True):
     rng = np.random.default_rng(seed)
-    state = coevolution.init_positional(30, rng=rng)
+    state = coevolution.init_positional(n, rng=rng)
     s = coevolution.SwitchProbs(s_c1=0.5, s_c0=1.5, s_d1=2.0, s_d0=0.7)
     tr = coevolution.run_dense(state, 1.0, 1.0, s, 2.0, np.linspace(0, 2, 11),
-                               rng, check=True)
+                               rng, check=check)
     return _digest(tr.times, tr.q, tr.p, tr.conc_edge, tr.disc_edge,
                    tr.conc_nonedge, tr.disc_nonedge, tr.consensus_time,
                    tr.n_events, tr.final_edge_count)
@@ -120,6 +132,11 @@ CASES = {
     "rewire-to-same": (_rewire_model, coevolution.TO_SAME, 0.5, 112),
     "holme-newman": (_holme_newman, 113),
     "dense-checked": (_dense, 114),
+    "voter-rrg-multigraph": (_static, "rrg-multigraph", 116),
+    "dense-unchecked": (_dense, 117, 60, False),
+    "holme-newman-multigraph": (_holme_newman, 118, 0.2, True),
+    "rewire-to-random-loops": (_rewire_model, coevolution.TO_RANDOM, 5.0, 119,
+                               10),
 }
 
 DIGESTS = {
@@ -129,6 +146,8 @@ DIGESTS = {
         "c7fdbf7b94a0069ba36fb42d01b0b50affbc3f13e3c74e9cdf873445343aa4db",
     "dense-checked":
         "147592f6b8205a125be8a8f607b945c640c5e3a16395abf212f311494f6897c8",
+    "dense-unchecked":
+        "dd2829206930686816e1bc20b6a3b75cbc4400fcc883dbdc93b28f6962bb33e9",
     "directed-mixed-in":
         "4b78d3d932ec7a2c86bb82616bca13a23ef71bc5127ac0a4d2cc3a3d42daf167",
     "directed-mixed-out":
@@ -139,8 +158,12 @@ DIGESTS = {
         "78af106f8c775a84d2e68917adf2a6bd425d037a75a3c619b5b2f302bc1654df",
     "holme-newman":
         "bee2acb87c4cc79714cfcb8106b5b7b3f16479f931ac609935b7822dd0fba4a5",
+    "holme-newman-multigraph":
+        "4ba192291d57511f442df2bb74ebccff1258e0f75df2ba8b2e52715ce6c4373d",
     "rewire-to-random":
         "60171ff1c033e3ec1ac406979f0a1dd49b9f70fda3487f92ac575b28f7045469",
+    "rewire-to-random-loops":
+        "e2514bcdab3c0e6c8b7ea992865359a4da781398f0d4cbdcca9a89b554ef3288",
     "rewire-to-same":
         "7ef447b4ccce35d614a54a3bf17c17bb943a41b901e68a8fd72c02355ed38cf8",
     "rewiring-er":
@@ -151,6 +174,8 @@ DIGESTS = {
         "23498b10686343a143bf2ce2cb830320561762ffefa90a9c4f1524c0f8f6e46f",
     "voter-rrg":
         "7c2547dd019eb724294aa2453c11f326d93c7fa9c726ebbf0024915c91f03995",
+    "voter-rrg-multigraph":
+        "1bd6e0472e3a153f68509ddf265c14c1de16f265410a9bcbe5225da3aa685e9e",
 }
 
 
