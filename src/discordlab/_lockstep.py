@@ -11,8 +11,9 @@ Poisson process of rate N whose sequence of moves does not depend on the
 step times (uniformization, Jensen 1953).  So the number of steps between
 two sample times is Poisson(N * gap), drawn up front, and the state at a
 sample time is the state after that many steps.  This is the law of the
-event-driven engines in :mod:`dynamics` (``run_voter`` and
-``run_voter_directed``), with a different random stream.
+single-run engines in :mod:`dynamics`: ``run_voter``, which runs the same
+literal clock one proposal at a time, and ``run_voter_directed``, which
+schedules flips only; the random stream differs.
 
 When every copying degree is equal, a move is a uniform copying slot: a
 uniform half-edge, or a uniform arc read in its copying direction.
@@ -128,7 +129,7 @@ def run(packed: Packed, sched, horizon, max_events, rng) -> dict:
     Returns per-replica arrays: ``heart`` and ``disc`` (R, T), NaN after a
     timeout; ``tau`` (NaN where no consensus); ``value`` (the consensus
     opinion, -1 where none) and ``timed_out``.  A replica times out, as in
-    the event-driven engines, when its ``max_events``-th effective flip comes
+    the single-run engines, when its ``max_events``-th effective flip comes
     at or before the horizon, does not absorb and does not freeze it.
     """
     n, R, ops = packed.n, packed.R, packed.ops

@@ -1,4 +1,4 @@
-"""The discordant-slot set every event engine keeps, and its O(1) sampling.
+"""The discordant-slot set the event engines keep, and its O(1) sampling.
 
 Format: a list ``items`` of the member slots plus a list ``pos`` indexed by
 slot id, ``pos[e]`` being the index of ``e`` in ``items`` or -1 when ``e``
@@ -10,12 +10,13 @@ insert and remove in the same sequence to reproduce a run.
 
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set
 exactly while ``ops[us[e]] != ops[vs[e]]``.  When slots carry unequal rates,
-slot ``e`` weighs ``wa[us[e]] + wb[vs[e]]`` and the functions keep the
-running total ``w`` of member weights; with ``wa=None`` only the count is
-kept.  ``build`` files every slot once at the start of a run.  After that
-the set changes only at a flip, through ``toggle``, and at an endpoint edit,
-through ``drop``: when a vertex flips, every slot at it that is not a
-self-loop changes discordance, so ``toggle`` reads no opinions.
+slot ``e`` weighs ``wa[us[e]]`` (a directed arc flips only its copying end
+``us[e]``) and the functions keep the running total ``w`` of member
+weights; with ``wa=None`` only the count is kept.  ``build`` files every
+slot once at the start of a run.  After that the set changes only at a
+flip, through ``toggle``, and at an endpoint edit, through ``drop``: when a
+vertex flips, every slot at it that is not a self-loop changes
+discordance, so ``toggle`` reads no opinions.
 """
 
 
@@ -64,7 +65,7 @@ class SampleableSet:
 # The batch functions below take the lists as arguments and inline the
 # insertion and removal: a call per slot costs the engines several percent.
 
-def build(us, vs, ops, wa=None, wb=None):
+def build(us, vs, ops, wa=None):
     """``(items, pos, w)`` for the slots ``range(len(us))``: the discordant
     slots in id order, and the total of their weights summed in that
     order."""
@@ -75,11 +76,11 @@ def build(us, vs, ops, wa=None, wb=None):
     w = 0.0
     if wa is not None:
         for e in items:
-            w += wa[us[e]] + wb[vs[e]]
+            w += wa[us[e]]
     return items, pos, w
 
 
-def toggle(slots, items, pos, us, vs, wa=None, wb=None, w=0.0):
+def toggle(slots, items, pos, us, vs, wa=None, w=0.0):
     """Refile ``slots``, the slots at a vertex that has just flipped, in
     order: a member is removed, a non-member appended unless it is a
     self-loop.  Returns ``w`` updated by the weights of the slots that
@@ -93,12 +94,12 @@ def toggle(slots, items, pos, us, vs, wa=None, wb=None, w=0.0):
                 items[i] = last
                 pos[last] = i
             if wa is not None:
-                w -= wa[us[e]] + wb[vs[e]]
+                w -= wa[us[e]]
         elif us[e] != vs[e]:
             pos[e] = len(items)
             items.append(e)
             if wa is not None:
-                w += wa[us[e]] + wb[vs[e]]
+                w += wa[us[e]]
     return w
 
 

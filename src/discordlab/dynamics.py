@@ -1,22 +1,20 @@
 """Exact voter dynamics on a static or rewired graph.
 
-On a static graph (``nu == 0``) the simulation is Gillespie on the embedded
-jump chain of the *effective* process: only state-changing events are
-scheduled.  A vertex adoption along a concordant edge changes nothing, so
-the voter stream is driven by the discordant edge slots, each slot {u,v}
-firing a flip of u at rate 1/deg(u) and of v at rate 1/deg(v).  This has
-exactly the law of "every vertex at rate 1 copies a uniform incident edge
-slot" after discarding no-ops, and it keeps long consensus runs tractable.
-
-With rewiring (``nu > 0``) the run follows the literal clock instead
-(uniformization, Jensen 1953) on a perfect matching of the 2m edge stubs
-(Bollobas 1980), whose degrees swaps never change.  Proposals, drawn in
-numpy blocks, come at the constant rate n + nu' m^2/2, nu' being the swap
-rate of one pair of edges: a uniform vertex copies through a uniform own
-stub, or two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'}
-(a null when t is s or s').  A gap between sample times holds Poisson many
+Every undirected run follows the literal clock (uniformization, Jensen
+1953) on a perfect matching of the 2m edge stubs (Bollobas 1980), whose
+degrees swaps never change.  Proposals, drawn in numpy blocks, come at the
+constant rate n + nu' m^2/2, nu' being the swap rate of one pair of edges
+(0 on a static graph): a uniform vertex copies through a uniform own stub,
+or two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'} (a
+null when t is s or s').  A gap between sample times holds Poisson many
 proposals, an event in it is placed by a Beta draw, and with no horizon the
-K-th proposal comes at a Gamma(K) time.
+K-th proposal comes at a Gamma(K) time.  An adoption that changes no
+opinion is not an event.
+
+On a K_n whose edge lists were never read the heart count runs as a
+birth-death chain instead.  Directed runs are Gillespie on the embedded
+jump chain of the effective process: only flips are scheduled, a
+discordant arc flipping its copying end at rate 1/deg.
 
 Observables are recorded by carrying the state to each scheduled time
 (piecewise constant between events).  Runs are deterministic given
@@ -145,107 +143,19 @@ class _Samples:
 
 
 # ----------------------------------------------------------------------
-# undirected engine on a static graph
-# ----------------------------------------------------------------------
-
-def _voter_engine(g: Graph, state: OpinionState, horizon, schedule, rng,
-                  max_events, check):
-    n, m = g.n, g.m
-    if n == 0 or m == 0:
-        raise InvalidParameterError("graph must have at least one edge")
-    if len(state.opinions) != n:
-        raise InvalidParameterError("opinion vector length != vertex count")
-    samples = _Samples(schedule, horizon)
-
-    eu, ev, inc = g.eu, g.ev, g.inc
-    ops = list(state.opinions)
-    heart = sum(ops)
-    degs = [len(a) for a in inc]
-    pos_degs = [dd for dd in degs if dd > 0]
-    dmin, dmax = min(pos_degs), max(pos_degs)
-    regular = dmin == dmax
-    # slot {u,v} flips u at rate 1/deg(u) and v at rate 1/deg(v); on a
-    # regular graph every slot carries wmax and W is not kept
-    wmax = 2.0 / dmin
-    inv = None if regular else [1.0 / dd if dd else 0.0 for dd in degs]
-    disc_items, disc_pos, W = build(eu, ev, ops, inv, inv)
-
-    rnd = _derive_rnd(rng)
-    rnd_random = rnd.random
-    log = math.log
-    t = 0.0
-    events = 0
-    cons_t = cons_v = None
-    absorbed = heart == 0 or heart == n
-    if absorbed:
-        cons_t, cons_v = 0.0, ops[0]
-
-    def flush(limit):
-        nd = len(disc_items)
-        if check and nd != count_discordant(g, ops):
-            raise AssertionError("discordance bookkeeping diverged")
-        samples.record(limit, heart / n, nd / m)
-
-    while True:
-        nd = len(disc_items)
-        # the float W can keep a rounding residue after the last discordant
-        # slot is gone, so emptiness is decided on the integer count
-        vr = wmax * nd if regular else (W if nd else 0.0)
-        if absorbed or vr <= 0.0:
-            # consensus, or a frozen non-consensus state: nothing can flip
-            break
-        if events >= max_events:
-            raise SimulationTimeout(
-                f"event cap {max_events} reached at t={t:.6g}",
-                partial=samples.traj(cons_t, cons_v, events))
-        t_next = t - log(1.0 - rnd_random()) / vr
-        if samples.next < t_next:
-            flush(t_next)
-        if horizon is not None and t_next > horizon:
-            break
-        t = t_next
-        events += 1
-        # a draw per event that nothing reads: the pinned streams of static
-        # runs include it, and run_voter_rewiring(nu=0) equals run_voter
-        rnd_random()
-        if regular:
-            e = disc_items[int(rnd_random() * nd)]
-            u, v = eu[e], ev[e]
-            wu = wv = 1.0
-        else:
-            while True:
-                e = disc_items[int(rnd_random() * len(disc_items))]
-                u, v = eu[e], ev[e]
-                wu = inv[u]
-                wv = inv[v]
-                if rnd_random() * wmax < wu + wv:
-                    break
-        flip = u if rnd_random() * (wu + wv) < wu else v
-        other = v if flip == u else u
-        newop = ops[other]
-        ops[flip] = newop
-        heart += 1 if newop == 1 else -1
-        W = toggle(inc[flip], disc_items, disc_pos, eu, ev, inv, inv, W)
-        if heart == 0 or heart == n:
-            absorbed = True
-            cons_t, cons_v = t, ops[0]
-
-    flush(math.inf)
-    return samples.traj(cons_t, cons_v, events)
-
-
-# ----------------------------------------------------------------------
-# rewiring engine: literal clock on a perfect matching of stubs
+# undirected engine: literal clock on a perfect matching of stubs
 # ----------------------------------------------------------------------
 
 # proposals drawn per numpy block: the first block, doubled up to the last
 _FIRST_BLOCK, _MAX_BLOCK = 256, 1 << 14
 
 
-def _rewiring_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
-                     rng, rate_convention, max_events, check, mutate_graph):
+def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
+                    rng, rate_convention, max_events, check, mutate_graph):
     n, m = g.n, g.m
-    if m < 2:
+    if n == 0 or m == 0:
+        raise InvalidParameterError("graph must have at least one edge")
+    if nu > 0 and m < 2:
         raise InvalidParameterError("rewiring needs at least two edges")
     if len(state.opinions) != n:
         raise InvalidParameterError("opinion vector length != vertex count")
@@ -266,23 +176,24 @@ def _rewiring_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
     total = n + pair_rate * m * m / 2.0
     ops = list(state.opinions)
     heart = sum(ops)
-    iso = np.asarray(ops)[deg == 0]
-    # isolated vertices never flip, so the heart count reaches lo (hi)
-    # exactly when all the others agree on 0 (1)
-    lo = int(iso.sum())
-    hi = lo + n - len(iso)
+    classes = None
+    if horizon is None:
+        # classes that copy from no vertex outside them: without swaps the
+        # components, with them each isolated vertex and all the rest
+        if nu == 0:
+            arcs = ends.reshape(-1, 2)
+            cls = _closed_classes(n, arcs.ravel().tolist(),
+                                  arcs[:, ::-1].ravel().tolist())
+        else:
+            iso = deg == 0
+            cls = (np.cumsum(iso) * iso).tolist() if iso.any() else None
+        classes = None if cls is None else _Classes(cls, ops)
 
-    stops = samples.sched[:-1] + [math.inf if horizon is None else horizon]
-    S = T = cum = cons_t = cons_v = why = None
+    S = T = cum = end = None
     # block size, next proposal in it, swap proposals in earlier blocks
     B = pos = swept = flips = nulls = events = 0
-    t0 = 0.0
-    if heart == 0 or heart == n:
-        cons_t, cons_v, stops = 0.0, ops[0], []
-    elif horizon is None and (0 < lo < len(iso) or heart in (lo, hi)):
-        why, stops = "consensus unreachable at t=0", []
-    elif max_events <= 0:
-        why, stops = f"event cap {max_events} reached at t=0", []
+    t0 = t_end = 0.0
+    stops = samples.sched[:-1] + [math.inf if horizon is None else horizon]
     for stop in stops:
         if samples.next < stop:
             samples.record(stop, heart / n,
@@ -290,7 +201,17 @@ def _rewiring_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
         gap = max(stop - t0, 0.0)
         K = rng.poisson(total * gap) if gap < math.inf else math.inf
         j = 0  # proposals of this gap played
-        while j < K and cons_t is None and why is None:
+        while True:
+            if heart == 0 or heart == n:
+                end = "consensus"
+            elif classes is not None and classes.split():
+                end = "unreachable"
+            elif events >= max_events:
+                # without swaps, a state with no discordant edge is final
+                end = "frozen" if nu == 0 and not _recount(
+                    partner, ops, owner_a, False) else "cap"
+            if end is not None or j >= K:
+                break
             if pos == B:
                 swept += int(cum[-1]) if B else 0
                 B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
@@ -307,7 +228,8 @@ def _rewiring_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
                         ops[v] = x
                         flips += 1
                         heart += 1 if x else -1
-                        if heart == lo or heart == hi:
+                        if (heart == 0 or heart == n
+                                or classes is not None and classes.flip(v, x)):
                             break
                 else:
                     s2 = partner[s]
@@ -323,38 +245,29 @@ def _rewiring_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
             pos += played
             j += played
             events = flips - nulls + swept + (int(cum[pos - 1]) if pos else 0)
-            end = None
-            if heart == lo or heart == hi:
-                if heart == 0 or heart == n:
-                    end = "consensus"
-                elif horizon is None:
-                    end = "consensus unreachable"
-                lo = hi = -1  # nothing can flip any more
-            if end is None and events == max_events:
-                end = f"event cap {max_events} reached"
-            if end is not None:
-                # the time of the j-th of the K proposals of this gap
-                t = t0 + (rng.gamma(j, 1.0 / total) if K == math.inf
-                          else gap * rng.beta(j, K - j + 1))
-                if end == "consensus":
-                    cons_t, cons_v = t, ops[0]
-                else:
-                    why = f"{end} at t={t:.6g}"
-        if cons_t is not None or why is not None:
+        if end is not None:
+            # the time of the j-th of the K proposals of this gap
+            if j:
+                t_end = t0 + (rng.gamma(j, 1.0 / total) if K == math.inf
+                              else gap * rng.beta(j, K - j + 1))
             break
         t0 = stop
-    if why is None and samples.next < math.inf:
+    cons = end == "consensus"
+    if end in (None, "consensus", "frozen") and samples.next < math.inf:
         # consensus leaves no discordant edge
-        d = 0 if cons_t is not None and not check else _recount(
-            partner, ops, owner_a, check)
+        d = 0 if cons and not check else _recount(partner, ops, owner_a,
+                                                   check)
         samples.record(math.inf, heart / n, d / m)
     if mutate_graph:
         g.set_edges(*_matched_edges(owner_a, np.array(partner)))
-    if why is not None:
-        if "unreachable" in why:
-            why += ": isolated vertices disagree with each other or the rest"
-        raise SimulationTimeout(why, partial=samples.traj(None, None, events))
-    return samples.traj(cons_t, cons_v, events)
+    if classes is not None:
+        _check_classes(classes, samples, t_end, events)
+    if end == "cap":
+        raise SimulationTimeout(
+            f"event cap {max_events} reached at t={t_end:.6g}",
+            partial=samples.traj(None, None, events))
+    return samples.traj(t_end if cons else None, ops[0] if cons else None,
+                        events)
 
 
 def _proposals(rng, size, pa, n, two_m, csr):
@@ -365,9 +278,10 @@ def _proposals(rng, size, pa, n, two_m, csr):
     u, y = rng.random((2, size))
     adopt = u < pa
     t = (y * two_m).astype(np.int64)
-    # rounding in pa can carry these products to their upper bound
+    # rounding in pa can carry these products to their upper bound; with
+    # pa == 1 (no swaps) every proposal is an adoption
     s = np.minimum(((u - pa) * (two_m / (1.0 - pa))).astype(np.int64),
-                   two_m - 1)
+                   two_m - 1) if pa < 1.0 else np.empty_like(t)
     if csr is None:
         s[adopt] = t[adopt]
         t[adopt] = -1
@@ -456,16 +370,25 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
               max_events=DEFAULT_MAX_EVENTS, check=False) -> Trajectory:
     """Voter model on a fixed graph: each vertex at rate 1 copies the opinion
     across a uniform incident edge slot (multi-edges weight adoption,
-    self-loop slots are no-ops).
+    self-loop slots are no-ops), on the literal clock.
+
+    With ``horizon=None`` the run goes on until consensus, and raises
+    :class:`SimulationTimeout` as soon as two connected components are
+    unanimous and disagree.  A finite-horizon run whose state can no longer
+    change returns it up to the horizon.
 
     On a K_n whose edge lists were never read (``g.implicit_complete``) the
     heart-count chain runs instead, in O(1) per event; ``check=True`` takes
     the per-edge engine, which builds the lists.
     """
     if isinstance(g, Graph) and g.implicit_complete and not check:
+        if len(state.opinions) != g.n:
+            raise InvalidParameterError(
+                "opinion vector length != vertex count")
         return _voter_complete_engine(g.n, sum(state.opinions), horizon,
                                       schedule, rng, max_events)
-    return _voter_engine(g, state, horizon, schedule, rng, max_events, check)
+    return _literal_engine(g, state, 0.0, horizon, schedule, rng, "pair",
+                           max_events, check, False)
 
 
 def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
@@ -474,21 +397,22 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
                        mutate_graph=False) -> Trajectory:
     """Voter dynamics superposed with degree-preserving random edge swaps.
 
-    With nu=0 this is byte-identical to :func:`run_voter` on the same seed.
-    Unless ``mutate_graph`` is set the caller's graph is left untouched;
-    with it, the graph is handed back with the final edges, renumbered.
-    With ``horizon=None`` the run raises :class:`SimulationTimeout` as soon
-    as the isolated vertices disagree with each other or with all the rest.
+    With nu=0 this is :func:`run_voter`, byte-identical on the same seed,
+    and the graph is left as it is.  Otherwise, unless ``mutate_graph`` is
+    set, the caller's graph is left untouched; with it, the graph is handed
+    back with the final edges, renumbered.  With ``horizon=None`` the run
+    raises :class:`SimulationTimeout` as soon as the isolated vertices
+    disagree with each other or with all the rest.
     """
     if nu < 0:
         raise InvalidParameterError("rewiring rate must be >= 0")
     if rate_convention not in ("pair", "edge"):
         raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
     if nu == 0:
-        return _voter_engine(g, state, horizon, schedule, rng, max_events,
-                             check)
-    return _rewiring_engine(g, state, nu, horizon, schedule, rng,
-                            rate_convention, max_events, check, mutate_graph)
+        return run_voter(g, state, horizon, schedule, rng,
+                         max_events=max_events, check=check)
+    return _literal_engine(g, state, nu, horizon, schedule, rng,
+                           rate_convention, max_events, check, mutate_graph)
 
 
 def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
@@ -502,7 +426,7 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     With ``horizon=None`` the run goes on until consensus.  When the copy
     graph has two or more closed classes (strongly connected components that
     copy from no vertex outside them), consensus becomes unreachable once
-    each of them is unanimous and two of them disagree; the run then raises
+    two of them are unanimous and disagree; the run then raises
     :class:`SimulationTimeout` at once, with the trajectory so far as
     ``partial``.
     """
@@ -518,9 +442,8 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     wmax = 1.0 / dmin
     # a discordant arc flips us[a] at rate 1/deg(us[a]) and never vs[a]
     inv = None if regular else [1.0 / d for d in degs]
-    zero = None if regular else [0.0] * n
     inc = [o + i for o, i in zip(g.out_adj, g.in_adj)]
-    disc_items, disc_pos, W = build(us, vs, ops, inv, zero)
+    disc_items, disc_pos, W = build(us, vs, ops, inv)
 
     rnd = _derive_rnd(rng)
     rnd_random = rnd.random
@@ -531,19 +454,9 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     if absorbed:
         cons_t, cons_v = 0.0, ops[0]
     cls = _closed_classes(n, us, vs) if horizon is None else None
-    if cls is not None:
-        # hearts per closed class, and how many classes are all-diamond,
-        # mixed and all-heart (status 0, 1, 2)
-        cls_size = [0] * (max(cls) + 1)
-        cls_heart = [0] * len(cls_size)
-        for v, c in enumerate(cls):
-            if c >= 0:
-                cls_size[c] += 1
-                cls_heart[c] += ops[v]
-        status = [0, 0, 0]
-        for h, size in zip(cls_heart, cls_size):
-            status[_class_status(h, size)] += 1
-        _check_classes(status, samples, t, events)
+    classes = None if cls is None else _Classes(cls, ops)
+    if classes is not None:
+        _check_classes(classes, samples, t, events)
 
     while True:
         nd = len(disc_items)
@@ -575,16 +488,12 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
         newop = ops[vs[a]]
         ops[flip] = newop
         heart += 1 if newop == 1 else -1
-        W = toggle(inc[flip], disc_items, disc_pos, us, vs, inv, zero, W)
+        W = toggle(inc[flip], disc_items, disc_pos, us, vs, inv, W)
         if heart == 0 or heart == n:
             absorbed = True
             cons_t, cons_v = t, ops[0]
-        elif cls is not None and cls[flip] >= 0:
-            c = cls[flip]
-            status[_class_status(cls_heart[c], cls_size[c])] -= 1
-            cls_heart[c] += 1 if newop == 1 else -1
-            status[_class_status(cls_heart[c], cls_size[c])] += 1
-            _check_classes(status, samples, t, events)
+        elif classes is not None and classes.flip(flip, newop):
+            _check_classes(classes, samples, t, events)
 
     samples.record(math.inf, heart / n, len(disc_items) / m)
     return samples.traj(cons_t, cons_v, events)
@@ -616,11 +525,48 @@ def _class_status(hearts, size) -> int:
     return 0 if hearts == 0 else 2 if hearts == size else 1
 
 
-def _check_classes(status, samples, t, events):
-    """Raise once every closed class is unanimous and two of them differ."""
-    if status[0] and status[2] and not status[1]:
+class _Classes:
+    """Hearts per class of vertices (class -1: none), and how many classes
+    are all-diamond, mixed and all-heart (``status`` 0, 1, 2).  A class
+    copies from no vertex outside it, so a unanimous class stays so."""
+
+    __slots__ = ("cls", "size", "hearts", "status")
+
+    def __init__(self, cls, ops):
+        self.cls = cls
+        self.size = [0] * (max(cls) + 1)
+        self.hearts = [0] * len(self.size)
+        for v, c in enumerate(cls):
+            if c >= 0:
+                self.size[c] += 1
+                self.hearts[c] += ops[v]
+        self.status = [0, 0, 0]
+        for h, size in zip(self.hearts, self.size):
+            self.status[_class_status(h, size)] += 1
+
+    def split(self) -> bool:
+        """Whether two unanimous classes disagree."""
+        return bool(self.status[0] and self.status[2])
+
+    def flip(self, v, x) -> bool:
+        """Count vertex ``v`` flipping to ``x``; then :meth:`split`."""
+        c = self.cls[v]
+        if c < 0:
+            return False
+        status, hearts, size = self.status, self.hearts, self.size[c]
+        status[_class_status(hearts[c], size)] -= 1
+        hearts[c] += 1 if x else -1
+        status[_class_status(hearts[c], size)] += 1
+        return bool(status[0] and status[2])
+
+
+def _check_classes(classes, samples, t, events):
+    """Raise once two unanimous classes disagree: consensus is then out of
+    reach."""
+    if classes.split():
         raise SimulationTimeout(
-            f"closed classes froze in disagreement at t={t:.6g}",
+            f"consensus unreachable at t={t:.6g}: two classes that copy from "
+            "no one outside them are unanimous and disagree",
             partial=samples.traj(None, None, events))
 
 
@@ -691,18 +637,13 @@ def consensus_time(g, state: OpinionState, rng, *,
                    rate_convention=REWIRE_RATE_CONVENTION) -> float:
     """Run until absorption and return the consensus time.
 
-    A frozen non-consensus state (possible on disconnected graphs) cannot
-    reach consensus; that is reported as a timeout rather than spinning.
+    A state from which consensus is out of reach (possible on disconnected
+    graphs) raises :class:`SimulationTimeout` rather than spinning.
     """
     if isinstance(g, DirectedGraph):
         traj = run_voter_directed(g, state, None, [], rng, max_events=max_events)
-    elif nu > 0:
+    else:
         traj = run_voter_rewiring(g, state, nu, None, [], rng,
                                   rate_convention=rate_convention,
                                   max_events=max_events)
-    else:
-        traj = run_voter(g, state, None, [], rng, max_events=max_events)
-    if traj.consensus_time is None:
-        raise SimulationTimeout("dynamics froze without consensus "
-                                "(graph disconnected?)", partial=traj)
     return traj.consensus_time

@@ -44,22 +44,24 @@ Z95 = 1.96
 
 # Ensembles of at least this many replicas on a static rrg, ER or dcm graph,
 # with a finite horizon, step in lockstep (see ``run_ensemble``).  Smaller
-# ones stay on the event engines, where replica r is ``run_voter`` (or
-# ``run_voter_directed``) on ``spawn_rng(master_seed, r)`` seed for seed.
-# Event-engine time over lockstep time, in-process on a 2-core VM (Python
-# 3.11, numpy 2.4), median of 3 master seeds:
+# ones stay on the single-run engines, where replica r is
+# ``run_voter_rewiring`` (``run_voter`` at nu = 0) or ``run_voter_directed``
+# on ``spawn_rng(master_seed, r)``, seed for seed.
+# Single-run engine time over lockstep time, in-process CPU on a 2-core VM
+# (Python 3.11, numpy 2.4), median of 3 master seeds; the undirected rows
+# are against the literal-clock engine, with 11 sample times:
 #
 #   shape                            R=1   R=2   R=4   R=8   R=16
-#   rrg N=500, d=3, to t=650         0.29  0.59  0.63  1.88  3.07
+#   rrg N=500, d=3, to t=650         0.17  0.36  0.63  0.97  1.73
 #   dcm N=500, d=3, to t=650         0.49  1.34  2.02  3.78  6.30
-#   ER N=4000, mean degree 3, t=5    1.17  1.73  3.04  4.56  5.46
-#   rrg N=1000, d=3, to t=5          0.54  0.95  1.55  2.30  3.29
+#   ER N=4000, mean degree 3, t=5    0.74  1.17  1.98  3.00  3.78
+#   rrg N=1000, d=3, to t=5          0.56  0.98  1.55  2.24  3.05
 #
-# Lockstep is faster on every shape from 8 replicas on, 3x or more at 16,
-# and slower on the long rrg shape below 8.  The threshold is 16, not 8, so
-# that the benchmark has an eligible ensemble on each side of it: the
-# ``diffusive`` dcm ensemble (8 replicas) below, its rrg ensemble and the
-# ``short_time`` ensembles (16 and 200) at or above.
+# Lockstep is faster on every shape at 16 replicas, 1.7x or more, and at 8
+# on every shape but the long rrg one, where the two are even.  The
+# threshold is 16, not 8, so that the benchmark has an eligible ensemble on
+# each side of it: the ``diffusive`` dcm ensemble (8 replicas) below, its
+# rrg ensemble and the ``short_time`` ensembles (16 and 200) at or above.
 LOCKSTEP_MIN_REPLICAS = 16
 
 
@@ -227,10 +229,6 @@ def _replica(cfg: ExperimentConfig, r: int) -> dict:
             traj = dynamics.run_voter_directed(
                 g, state, cfg.horizon, cfg.sample_times, rng,
                 adopt_from=cfg.adopt_from, max_events=cfg.max_events)
-        elif cfg.nu == 0.0:
-            traj = dynamics.run_voter(g, state, cfg.horizon,
-                                      cfg.sample_times, rng,
-                                      max_events=cfg.max_events)
         else:
             traj = dynamics.run_voter_rewiring(
                 g, state, cfg.nu, cfg.horizon, cfg.sample_times, rng,
@@ -306,8 +304,8 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
 
 
 def _replica_ensemble(cfg: ExperimentConfig, workers):
-    """The replicas of ``cfg`` one by one, through the event-driven
-    engines, in ``workers`` processes."""
+    """The replicas of ``cfg`` one by one, through the single-run engines,
+    in ``workers`` processes."""
     R = cfg.replicas
     if workers > 1:
         # imported here: it loads multiprocessing, which serial runs never use
@@ -329,7 +327,9 @@ def _replica_ensemble(cfg: ExperimentConfig, workers):
 def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     """R independent replicas with derived seeds; deterministic given
     master_seed regardless of ``workers``.  Replica timeouts are flagged and
-    aggregated as NaN rather than aborting the ensemble.
+    aggregated as NaN rather than aborting the ensemble; with
+    ``horizon=None`` that includes a replica whose consensus is out of
+    reach.
 
     An ensemble of at least ``LOCKSTEP_MIN_REPLICAS`` (16) replicas with
     ``nu == 0``, a finite horizon and an ``rrg``, ``er`` or ``dcm`` model
@@ -337,13 +337,17 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     clock, in the calling process whatever ``workers`` is.  On a ``dcm``
     graph a vertex copies a uniform out-neighbour, or in-neighbour with
     ``adopt_from="in"``, as in ``run_voter_directed``, and the same
-    parameter errors are raised.  It has the law of the event-driven
+    parameter errors are raised.  It has the law of the single-run
     engines and their graphs and starting opinions, but not their random
     stream for the dynamics.  Any other ensemble runs its replicas through
-    the event-driven engines, in ``workers`` processes.
+    the single-run engines (``run_voter_rewiring``, or
+    ``run_voter_directed`` on a ``dcm`` graph), in ``workers`` processes.
     """
     if cfg.replicas < 1:
         raise InvalidParameterError("need at least one replica")
+    if cfg.rate_convention not in ("pair", "edge"):
+        raise InvalidParameterError(
+            f"unknown rate convention {cfg.rate_convention!r}")
     if cfg.horizon is not None and any(
             t > cfg.horizon for t in cfg.sample_times):
         raise InvalidParameterError("sample grid must lie within the horizon")

@@ -1,8 +1,10 @@
 """Independent test oracles: exact birth-death absorption times and small
 brute-force recounts, which avoid the package's own event engines and
-bookkeeping; plus the event-driven rewiring engine that ran every ``nu > 0``
-run before the literal-clock engine replaced it, kept verbatim as the
-reference for the two-sample law tests.  Its slot bookkeeping is the former
+bookkeeping; plus the event-driven engine that ran every undirected run off
+an implicit K_n before the literal-clock engine replaced it (every
+``nu > 0`` run first, then every ``nu = 0`` run), kept verbatim as the
+reference for the two-sample law tests.  At ``nu = 0`` it reproduces the
+former ``run_voter`` seed for seed.  Its slot bookkeeping is the former
 ``_sset`` format, with the positions in a dict: ``refile`` files slots by
 their discordance and ``weighted_drop`` removes them, both keeping the
 running weight in the order the engine has always used.  The package's
@@ -219,7 +221,8 @@ def weighted_drop(slots, items, pos, us, vs, wa, wb, w):
 def reference_rewiring(g, state, nu, horizon, schedule, rng, *,
                        rate_convention="pair", max_events=10**9,
                        mutate_graph=False):
-    """``run_voter_rewiring`` as it ran on the event-driven engine."""
+    """``run_voter_rewiring`` as it ran on the event-driven engine (at
+    ``nu = 0``, the former ``run_voter``)."""
     return reference_voter_engine(g, state, nu, horizon, schedule, rng,
                                   rate_convention, max_events, False,
                                   mutate_graph)

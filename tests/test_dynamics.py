@@ -228,6 +228,16 @@ def test_directed_consensus_stops_when_closed_classes_disagree(rng):
     assert outcomes == {"consensus", "frozen"}
 
 
+def test_directed_run_stops_once_two_unanimous_classes_disagree(rng):
+    # vertices 0 and 1 copy only themselves and disagree, so consensus is
+    # out of reach at t = 0, while the closed class {2, 3} is still mixed
+    g = graphs.DirectedGraph(4, [0, 1, 2, 3], [0, 1, 3, 2])
+    st = dynamics.OpinionState([1, 0, 1, 0], 2)
+    with pytest.raises(SimulationTimeout, match="unreachable") as err:
+        dynamics.run_voter_directed(g, st, None, [], rng, max_events=10_000)
+    assert err.value.partial.n_events == 0
+
+
 def _closed_by_reachability(n, us, vs):
     reach = [{v} for v in range(n)]
     for _ in range(n):
@@ -366,6 +376,39 @@ def test_rewiring_bookkeeping_fuzz_and_degree_preservation():
     gm.check_consistency()
 
 
+def test_rewiring_nu0_on_implicit_complete_is_the_count_chain():
+    # K_60 with unread edge lists: nu = 0 is run_voter, the heart-count
+    # chain, and builds no lists
+    st = dynamics.init_opinions_iid(60, 0.5, np.random.default_rng(7))
+    sched = [1.0, 5.0, 20.0]
+    g = graphs.generate_complete(60)
+    a = dynamics.run_voter(g, st, 20.0, sched, np.random.default_rng(8))
+    b = dynamics.run_voter_rewiring(g, st, 0.0, 20.0, sched,
+                                    np.random.default_rng(8))
+    assert g.implicit_complete
+    assert np.array_equal(a.heart_frac, b.heart_frac)
+    assert np.array_equal(a.discordant_frac, b.discordant_frac)
+    assert (a.consensus_time, a.n_events) == (b.consensus_time, b.n_events)
+    tau = dynamics.consensus_time(g, st, np.random.default_rng(9))
+    assert tau == dynamics.run_voter(g, st, None, [],
+                                     np.random.default_rng(9)).consensus_time
+    assert g.implicit_complete
+
+
+def test_opinion_length_is_checked_on_every_engine(rng):
+    k = graphs.generate_complete(5)
+    g = graphs.generate_random_regular(6, 3, rng)
+    st = dynamics.OpinionState([1] * 7, 7)
+    runs = [lambda: dynamics.run_voter(k, st, 1.0, [1.0], rng),
+            lambda: dynamics.run_voter(g, st, 1.0, [1.0], rng),
+            lambda: dynamics.run_voter_rewiring(g, st, 0.0, 1.0, [1.0], rng),
+            lambda: dynamics.run_voter_rewiring(g, st, 1.0, 1.0, [1.0], rng),
+            lambda: dynamics.consensus_time(k, st, rng)]
+    for run in runs:
+        with pytest.raises(InvalidParameterError, match="opinion vector"):
+            run()
+
+
 def test_rewiring_validation(rng):
     g = graphs.Graph(2)
     g.add_edge(0, 1)
@@ -378,6 +421,21 @@ def test_rewiring_validation(rng):
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter_rewiring(g, st, 1.0, 1.0, [], rng,
                                     rate_convention="both")
+    empty = graphs.Graph(2)
+    for nu in (0.0, 1.0):
+        with pytest.raises(InvalidParameterError, match="at least one edge"):
+            dynamics.run_voter_rewiring(empty, st, nu, 1.0, [], rng)
+    one = graphs.Graph(2, [0], [1])
+    with pytest.raises(InvalidParameterError, match="at least two edges"):
+        dynamics.run_voter_rewiring(one, st, 1.0, 1.0, [], rng)
+    # without swaps, mutate_graph leaves the caller's graph as it is
+    g = graphs.generate_random_regular(20, 3, rng)
+    before = [a.copy() for a in g.endpoint_arrays()]
+    st = dynamics.init_opinions_iid(20, 0.5, rng)
+    dynamics.run_voter_rewiring(g, st, 0.0, 5.0, [5.0], rng,
+                                mutate_graph=True)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(before, g.endpoint_arrays()))
 
 
 @pytest.mark.slow

@@ -1,17 +1,23 @@
-"""The literal-clock rewiring engine behind every ``nu > 0`` run, against the
+"""The literal-clock engine behind every undirected run off an implicit
+K_n, with rewiring (``nu > 0``) and without (``nu = 0``), against the
 event-driven engine it replaced (kept verbatim in ``_oracles`` as the
 reference) and against exact laws.
 
 Two-sample tests run at family level 0.01 per case, Bonferroni over the
-case's tests.  Sizes and seeds were fixed before the runs.
+case's tests.  Sizes and seeds were fixed before the runs.  Runs to
+consensus at ``nu = 0`` are drawn on connected graphs only, where the
+reference engine reaches consensus too.
 """
 
+import contextlib
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
+from scipy.sparse import csgraph
 
 from discordlab import dynamics, graphs
 from discordlab.errors import SimulationTimeout
@@ -29,22 +35,60 @@ def _mixed(n, rng):
     return graphs.Graph(n, stubs[0::2], stubs[1::2])
 
 
-def _graph(family, n, rng):
-    if family == "rrg":
-        return graphs.generate_random_regular(n, 3, rng)
-    if family == "er":
-        return graphs.generate_erdos_renyi(n, 2.0 / (n - 1), rng)
-    return _mixed(n, rng)
+def _connected(g):
+    """Whether ``g`` has one connected component."""
+    us, vs = g.endpoint_arrays()
+    adj = sparse.coo_matrix((np.ones(g.m), (us, vs)), shape=(g.n, g.n))
+    return csgraph.connected_components(adj, directed=False)[0] == 1
+
+
+def _graph(family, n, rng, connected=False):
+    """A graph of ``family``; with ``connected``, the first connected one
+    drawn from ``rng``."""
+    while True:
+        if family == "rrg":
+            g = graphs.generate_random_regular(n, 3, rng)
+        elif family == "er":
+            g = graphs.generate_erdos_renyi(n, 2.0 / (n - 1), rng)
+        else:
+            g = _mixed(n, rng)
+        if not connected or _connected(g):
+            return g
+
+
+class _Spun(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds=20.0):
+    """Fail, instead of hanging, when a run spins: a state that can no
+    longer change proposes adoptions that flip nothing, so no event cap
+    ends it, unless the engine sees that consensus is out of reach."""
+    def spun(signum, frame):
+        raise _Spun
+    old = signal.signal(signal.SIGALRM, spun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Spun:
+        # a fresh error without the interrupted frames, whose traceback
+        # entries can lack a line number
+        raise AssertionError(f"no verdict within {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def _runs(engine, family, n, nu, conv, horizon, sched, R, seed):
     out = []
     for r in range(R):
         rng = np.random.default_rng([seed, r])
-        g = _graph(family, n, rng)
+        g = _graph(family, n, rng, connected=nu == 0 and horizon is None)
         st = dynamics.init_opinions_iid(n, 0.5, rng)
-        out.append(engine(g, st, nu, horizon, sched, rng,
-                          rate_convention=conv))
+        with _deadline():
+            out.append(engine(g, st, nu, horizon, sched, rng,
+                              rate_convention=conv))
     return out
 
 
@@ -58,7 +102,8 @@ def _cap_time(exc):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("family", ["rrg", "mixed"])
-@pytest.mark.parametrize("conv, nu", [("pair", 10.0), ("edge", 5.0)])
+@pytest.mark.parametrize("conv, nu", [("pair", 10.0), ("edge", 5.0),
+                                      ("pair", 0.0)])
 def test_consensus_law_matches_reference(family, conv, nu):
     # tau and the event count (swaps plus flips) at absorption
     R, n = 800, 40
@@ -73,12 +118,15 @@ def test_consensus_law_matches_reference(family, conv, nu):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("family", ["rrg", "mixed", "er"])
-def test_sampled_fractions_match_reference(family):
+@pytest.mark.parametrize("family, nu", [
+    ("rrg", 4.0), ("mixed", 4.0), ("er", 4.0),
+    ("rrg", 0.0), ("mixed", 0.0), ("er", 0.0)],
+    ids=["rrg", "mixed", "er", "rrg-static", "mixed-static", "er-static"])
+def test_sampled_fractions_match_reference(family, nu):
     # heart and discordant fractions at each sample time of a finite
     # horizon, and the event count at the horizon; ER(60, 2/59) has
     # isolated vertices, whose adoption proposals are nulls
-    R, n, nu, horizon = 500, 60, 4.0, 30.0
+    R, n, horizon = 500, 60, 30.0
     sched = [1.0, 5.0, 15.0, 30.0]
     new = _runs(dynamics.run_voter_rewiring, family, n, nu, "pair", horizon,
                 sched, R, 3)
@@ -99,34 +147,40 @@ def test_sampled_fractions_match_reference(family):
 def test_finite_horizon_consensus_times_match_reference():
     # an absorption inside a sample gap is placed there by a Beta draw
     R, n, horizon, sched = 600, 16, 60.0, [10.0, 30.0, 60.0]
-    taus = []
-    for engine, seed in ((dynamics.run_voter_rewiring, 13),
-                         (reference_rewiring, 14)):
-        runs = _runs(engine, "rrg", n, 4.0, "pair", horizon, sched, R, seed)
-        taus.append([math.inf if tr.consensus_time is None
-                     else tr.consensus_time for tr in runs])
-    assert np.isinf(taus[0]).mean() < 0.2
-    p = stats.ks_2samp(*taus).pvalue
-    assert p > ALPHA, p
+    for nu in (4.0, 0.0):
+        taus = []
+        for engine, seed in ((dynamics.run_voter_rewiring, 13),
+                             (reference_rewiring, 14)):
+            runs = _runs(engine, "rrg", n, nu, "pair", horizon, sched, R,
+                         seed)
+            taus.append([math.inf if tr.consensus_time is None
+                         else tr.consensus_time for tr in runs])
+        assert np.isinf(taus[0]).mean() < 0.2, nu
+        p = stats.ks_2samp(*taus).pvalue
+        assert p > ALPHA, (nu, p)
 
 
 def test_cap_time_matches_reference():
-    # a cap hit on the unbounded last gap: its time is a Gamma draw
-    R, n, cap = 400, 40, 300
-    times = {}
-    for engine, seed in ((dynamics.run_voter_rewiring, 5),
-                         (reference_rewiring, 6)):
-        times[engine] = []
-        for r in range(R):
-            rng = np.random.default_rng([seed, r])
-            g = graphs.generate_random_regular(n, 3, rng)
-            st = dynamics.init_opinions_iid(n, 0.5, rng)
-            with pytest.raises(SimulationTimeout) as err:
-                engine(g, st, 10.0, None, [], rng, max_events=cap)
-            assert err.value.partial.n_events == cap
-            times[engine].append(_cap_time(err.value))
-    p = stats.ks_2samp(*times.values()).pvalue
-    assert p > ALPHA, p
+    # a cap hit on the unbounded last gap: its time is a Gamma draw.  At
+    # nu = 0 every event is a flip that moves the heart count by one, so a
+    # cap of 5 comes before consensus unless fewer than 6 vertices start
+    # in a minority
+    R, n = 400, 40
+    for nu, cap in ((10.0, 300), (0.0, 5)):
+        times = {}
+        for engine, seed in ((dynamics.run_voter_rewiring, 5),
+                             (reference_rewiring, 6)):
+            times[engine] = []
+            for r in range(R):
+                rng = np.random.default_rng([seed, r])
+                g = graphs.generate_random_regular(n, 3, rng)
+                st = dynamics.init_opinions_iid(n, 0.5, rng)
+                with _deadline(), pytest.raises(SimulationTimeout) as err:
+                    engine(g, st, nu, None, [], rng, max_events=cap)
+                assert err.value.partial.n_events == cap
+                times[engine].append(_cap_time(err.value))
+        p = stats.ks_2samp(*times.values()).pvalue
+        assert p > ALPHA, (nu, p)
 
 
 # ----------------------------------------------------------------------
@@ -135,21 +189,29 @@ def test_cap_time_matches_reference():
 
 def test_degree_weighted_hearts_give_the_consensus_odds():
     # sum_v deg(v) xi_v is a martingale under voter moves and
-    # degree-preserving swaps, so P(consensus = 1) = sum deg xi / 2m
+    # degree-preserving swaps, so P(consensus = 1) = sum deg xi / 2m; at
+    # nu = 0 on connected graphs only, where consensus is sure
     degs = [6, 6, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1]
     ops = [1, 1] + [0] * 10
     want = 12 / 28
     R = 4000
-    ones = 0
-    for r in range(R):
-        rng = np.random.default_rng([7, r])
-        stubs = np.repeat(np.arange(12), degs)[rng.permutation(28)]
-        g = graphs.Graph(12, stubs[0::2], stubs[1::2])
-        st = dynamics.OpinionState(list(ops), 2)
-        traj = dynamics.run_voter_rewiring(g, st, 3.0, None, [], rng,
-                                           rate_convention="edge")
-        ones += traj.consensus_value
-    assert abs(ones / R - want) <= 4 * math.sqrt(want * (1 - want) / R)
+    for nu in (3.0, 0.0):
+        ones = 0
+        for r in range(R):
+            rng = np.random.default_rng([7, r])
+            while True:
+                stubs = np.repeat(np.arange(12), degs)[rng.permutation(28)]
+                g = graphs.Graph(12, stubs[0::2], stubs[1::2])
+                if nu > 0 or _connected(g):
+                    break
+            st = dynamics.OpinionState(list(ops), 2)
+            with _deadline():
+                traj = dynamics.run_voter_rewiring(
+                    g, st, nu, None, [], rng, rate_convention="edge",
+                    max_events=100_000)
+            ones += traj.consensus_value
+        sd = math.sqrt(want * (1 - want) / R)
+        assert abs(ones / R - want) <= 4 * sd, (nu, ones / R)
 
 
 def _frozen():
@@ -193,8 +255,86 @@ def test_cap_is_hit_at_the_time_of_the_capped_event():
 
 
 # ----------------------------------------------------------------------
-# consensus out of reach: isolated vertices
+# consensus out of reach: components at nu = 0, isolated vertices at nu > 0
 # ----------------------------------------------------------------------
+
+def _two_triangles():
+    return graphs.Graph(6, [0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3])
+
+
+def test_disagreeing_unanimous_components_stop_at_once(rng):
+    # without swaps a component never hears from another: two unanimous
+    # components that disagree leave consensus out of reach from t = 0
+    st = dynamics.OpinionState([1, 1, 1, 0, 0, 0], 3)
+    for run in (dynamics.run_voter, dynamics.run_voter_rewiring):
+        args = (0.0,) if run is dynamics.run_voter_rewiring else ()
+        with _deadline(), pytest.raises(SimulationTimeout,
+                                        match="unreachable") as err:
+            run(_two_triangles(), st, *args, None, [1.0], rng,
+                max_events=10_000)
+        assert err.value.partial.n_events == 0
+        assert len(err.value.partial.times) == 0
+    with _deadline(), pytest.raises(SimulationTimeout, match="unreachable"):
+        dynamics.consensus_time(_two_triangles(), st, rng, max_events=10_000)
+
+
+def test_mixed_components_reach_consensus_or_stop_when_they_disagree():
+    # each triangle settles on its own: the runs that settle both on one
+    # opinion reach consensus, the others stop at the flip that settles
+    # the second triangle on the other opinion
+    st = dynamics.OpinionState([1, 0, 0, 1, 1, 0], 3)
+    outcomes = set()
+    for seed in range(40):
+        try:
+            with _deadline():
+                traj = dynamics.run_voter(_two_triangles(), st, None, [],
+                                          np.random.default_rng(seed),
+                                          max_events=10_000)
+            assert traj.consensus_time > 0 and traj.n_events < 10_000
+            outcomes.add("consensus")
+        except SimulationTimeout as exc:
+            assert "unreachable" in str(exc)
+            assert exc.partial.n_events < 10_000
+            outcomes.add("unreachable")
+    assert outcomes == {"consensus", "unreachable"}
+
+
+def test_self_loop_only_vertex_is_its_own_component(rng):
+    # vertex 2 has a self-loop and no other edge, so it never changes
+    g = graphs.Graph(3, [0, 2], [1, 2])
+    st = dynamics.OpinionState([1, 1, 0], 2)
+    with _deadline(), pytest.raises(SimulationTimeout,
+                                    match="unreachable") as err:
+        dynamics.run_voter(g, st, None, [], rng, max_events=10_000)
+    assert err.value.partial.n_events == 0
+    # the edge settles on 0 (consensus) or on 1 (out of reach) at one flip
+    st = dynamics.OpinionState([1, 0, 0], 1)
+    outcomes = set()
+    for seed in range(40):
+        try:
+            with _deadline():
+                traj = dynamics.run_voter(g, st, None, [],
+                                          np.random.default_rng(seed),
+                                          max_events=10_000)
+        except SimulationTimeout as exc:
+            assert "unreachable" in str(exc)
+            traj = exc.partial
+            outcomes.add("unreachable")
+        else:
+            assert traj.consensus_value == 0
+            outcomes.add("consensus")
+        assert traj.n_events == 1
+    assert outcomes == {"consensus", "unreachable"}
+
+
+def test_frozen_finite_horizon_runs_return_the_constant_state(rng):
+    st = dynamics.OpinionState([1, 1, 1, 0, 0, 0], 3)
+    traj = dynamics.run_voter(_two_triangles(), st, 20.0, [5.0, 20.0], rng,
+                              max_events=10_000)
+    assert traj.consensus_time is None and traj.n_events == 0
+    assert list(traj.heart_frac) == [0.5, 0.5]
+    assert list(traj.discordant_frac) == [0.0, 0.0]
+
 
 def test_isolated_vertex_against_unanimous_rest_stops_at_once(rng):
     g, st = _frozen()

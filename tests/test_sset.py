@@ -24,9 +24,8 @@ def scenarios(draw):
     m = draw(st.integers(1, 10))
     ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
     us, vs = draw(ends), draw(ends)
+    # a slot weighs its copying end us[e], as a directed arc does
     wa = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
-    # directed arcs weigh only their copying end; undirected slots both
-    wb = [0.0] * n if draw(st.booleans()) else wa
     ops = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     slot, vertex = st.integers(0, m - 1), st.integers(0, n - 1)
     steps = draw(st.lists(st.one_of(
@@ -35,7 +34,7 @@ def scenarios(draw):
         st.tuples(st.just("swap"), slot, slot, st.booleans()),
         st.tuples(st.just("drop"), st.lists(slot, max_size=4)),
     ), max_size=40))
-    return us, vs, wa, wb, ops, steps
+    return us, vs, wa, ops, steps
 
 
 def _incidence(n, us, vs):
@@ -47,12 +46,12 @@ def _incidence(n, us, vs):
     return inc
 
 
-def _check(items, pos, us, vs, wa, wb, w, members):
+def _check(items, pos, us, wa, w, members):
     assert sorted(items) == sorted(members)
     assert sum(i >= 0 for i in pos) == len(items)
     assert all(items[pos[e]] == e for e in items)
-    scale = math.fsum(wa[u] + wb[v] for u, v in zip(us, vs))
-    exact = math.fsum(wa[us[e]] + wb[vs[e]] for e in items)
+    scale = math.fsum(wa[u] for u in us)
+    exact = math.fsum(wa[us[e]] for e in items)
     assert abs(w - exact) <= REL_TOL * scale
 
 
@@ -62,99 +61,99 @@ def _discordant(us, vs, ops):
     return members
 
 
-def _remove(slots, items, pos, us, vs, wa, wb, w):
+def _remove(slots, items, pos, us, vs, wa, w):
     """Weighted removal of the members of ``slots``, in order: a toggle of
     one member removes it."""
     for e in slots:
         if pos[e] >= 0:
-            w = toggle((e,), items, pos, us, vs, wa, wb, w)
+            w = toggle((e,), items, pos, us, vs, wa, w)
     return w
 
 
-def _file(slots, items, pos, us, vs, ops, wa, wb, w):
+def _file(slots, items, pos, us, vs, ops, wa, w):
     """Append the discordant non-members of ``slots``, in order: a toggle
     of one absent slot that is not a self-loop appends it."""
     for e in slots:
         if pos[e] < 0 and ops[us[e]] != ops[vs[e]]:
-            w = toggle((e,), items, pos, us, vs, wa, wb, w)
+            w = toggle((e,), items, pos, us, vs, wa, w)
     return w
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(scenarios())
 def test_build_toggle_drop_and_endpoint_edits_match_brute_force(case):
-    us, vs, wa, wb, ops, steps = case
+    us, vs, wa, ops, steps = case
     us, vs, ops = list(us), list(vs), list(ops)
     inc = _incidence(len(ops), us, vs)
-    items, pos, w = build(us, vs, ops, wa, wb)
-    _check(items, pos, us, vs, wa, wb, w, _discordant(us, vs, ops))
+    items, pos, w = build(us, vs, ops, wa)
+    _check(items, pos, us, wa, w, _discordant(us, vs, ops))
     for step in steps:
         if step[0] == "flip":
             v = step[1]
             ops[v] ^= 1
-            w = toggle(inc[v], items, pos, us, vs, wa, wb, w)
+            w = toggle(inc[v], items, pos, us, vs, wa, w)
         elif step[0] == "move":
             _, e, first, x = step
-            w = _remove((e,), items, pos, us, vs, wa, wb, w)
+            w = _remove((e,), items, pos, us, vs, wa, w)
             ends = us if first else vs
             inc[ends[e]].remove(e)
             inc[x].append(e)
             ends[e] = x
-            w = _file((e,), items, pos, us, vs, ops, wa, wb, w)
+            w = _file((e,), items, pos, us, vs, ops, wa, w)
         elif step[0] == "swap":
             _, i, j, first = step
             if i == j:
                 continue
-            w = _remove((i, j), items, pos, us, vs, wa, wb, w)
+            w = _remove((i, j), items, pos, us, vs, wa, w)
             swap_endpoints(us, vs, inc, i, j, first)
-            w = _file((i, j), items, pos, us, vs, ops, wa, wb, w)
+            w = _file((i, j), items, pos, us, vs, ops, wa, w)
         else:
             slots = step[1]
             kept = set(items) - set(slots)
             plain_items, plain_pos = list(items), list(pos)
             drop(slots, plain_items, plain_pos)
-            w = _remove(slots, items, pos, us, vs, wa, wb, w)
+            w = _remove(slots, items, pos, us, vs, wa, w)
             assert (plain_items, plain_pos) == (items, pos)
-            _check(items, pos, us, vs, wa, wb, w, kept)
-            w = _file(slots, items, pos, us, vs, ops, wa, wb, w)
-        _check(items, pos, us, vs, wa, wb, w, _discordant(us, vs, ops))
+            _check(items, pos, us, wa, w, kept)
+            w = _file(slots, items, pos, us, vs, ops, wa, w)
+        _check(items, pos, us, wa, w, _discordant(us, vs, ops))
 
 
 @st.composite
 def flip_runs(draw):
     """A random multigraph (self-loops and parallel slots are common on so
-    few vertices), opinions, weights of one of the engines' three kinds,
+    few vertices), opinions, no weights or the weights of the copying ends,
     and a sequence of flips."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(0, 12))
     ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
     us, vs = draw(ends), draw(ends)
     ops = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    kind = draw(st.sampled_from(["count", "directed", "undirected"]))
-    wa = wb = None
-    if kind != "count":
+    wa = None
+    if draw(st.booleans()):
         wa = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
-        wb = [0.0] * n if kind == "directed" else wa
     flips = draw(st.lists(st.integers(0, n - 1), max_size=40))
-    return us, vs, ops, wa, wb, flips
+    return us, vs, ops, wa, flips
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(flip_runs())
 def test_toggle_after_a_flip_is_refile_bit_for_bit(case):
-    us, vs, ops, wa, wb, flips = case
+    us, vs, ops, wa, flips = case
     ops = list(ops)
     m = len(us)
     inc = _incidence(len(ops), us, vs)
+    # refile weighs wa[us[e]] + wb[vs[e]]; adding 0.0 leaves a float as it is
+    wb = None if wa is None else [0.0] * len(ops)
     ref_items, ref_pos = [], {}
     ref_w = refile(range(m), ref_items, ref_pos, us, vs, ops, wa, wb)
-    items, pos, w = build(us, vs, ops, wa, wb)
+    items, pos, w = build(us, vs, ops, wa)
     for v in [None, *flips]:
         if v is not None:
             ops[v] ^= 1
             ref_w = refile(inc[v], ref_items, ref_pos, us, vs, ops, wa, wb,
                            ref_w)
-            w = toggle(inc[v], items, pos, us, vs, wa, wb, w)
+            w = toggle(inc[v], items, pos, us, vs, wa, w)
         assert items == ref_items
         assert pos == [ref_pos.get(e, -1) for e in range(m)]
         assert w.hex() == ref_w.hex()

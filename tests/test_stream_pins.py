@@ -8,6 +8,11 @@ literal-clock engine, after its law tests (``test_rewiring.py``) passed.
 The four rows on multigraphs with self-loops and on unchecked dense runs
 were recorded before flips moved from ``refile`` to ``_sset.toggle`` and
 ``run_dense`` moved onto byte-backed state; both changes keep every digest.
+The four static rows (``voter-rrg``, ``voter-er``, ``voter-rrg-multigraph``,
+``consensus-static``) were recorded again when every undirected run off an
+implicit K_n moved to the literal-clock engine, after its ``nu = 0`` law
+tests (``test_rewiring.py``) passed; their former digests, from the
+event-driven engine, are held by the reference engine of ``_oracles``.
 """
 
 import hashlib
@@ -16,6 +21,8 @@ import numpy as np
 import pytest
 
 from discordlab import coevolution, dynamics, graphs
+
+from _oracles import reference_rewiring
 
 
 def _digest(*parts):
@@ -41,7 +48,11 @@ def _mixed_dcm(n, rng):
                                                   d_out, rng)
 
 
-def _static(family, seed):
+def _reference_voter(g, st, horizon, sched, rng):
+    return reference_rewiring(g, st, 0.0, horizon, sched, rng)
+
+
+def _static(family, seed, run=dynamics.run_voter):
     rng = np.random.default_rng(seed)
     if family == "rrg":
         g = graphs.generate_random_regular(200, 3, rng)
@@ -51,7 +62,7 @@ def _static(family, seed):
     else:
         g = graphs.generate_erdos_renyi(300, 3.0 / 299, rng)
     st = dynamics.init_opinions_iid(g.n, 0.5, rng)
-    traj = dynamics.run_voter(g, st, 40.0, np.linspace(0, 40, 41), rng)
+    traj = run(g, st, 40.0, np.linspace(0, 40, 41), rng)
     return _traj_digest(traj)
 
 
@@ -79,10 +90,12 @@ def _directed(kind, adopt_from, seed):
     return _traj_digest(traj)
 
 
-def _consensus(nu, seed):
+def _consensus(nu, seed, reference=False):
     rng = np.random.default_rng(seed)
     g = graphs.generate_random_regular(40, 3, rng)
     st = dynamics.init_opinions_iid(g.n, 0.5, rng)
+    if reference:
+        return _digest(_reference_voter(g, st, None, [], rng).consensus_time)
     return _digest(dynamics.consensus_time(g, st, rng, nu=nu))
 
 
@@ -143,7 +156,7 @@ DIGESTS = {
     "consensus-rewiring":
         "635bc8c619dba3bd5f3a5739743014ee12dbd5a824d38edc28d295030a225726",
     "consensus-static":
-        "c7fdbf7b94a0069ba36fb42d01b0b50affbc3f13e3c74e9cdf873445343aa4db",
+        "344ce05f8dbeaec08ffe56f56d1bb82398e243e4b621754d8ef058daeb078c48",
     "dense-checked":
         "147592f6b8205a125be8a8f607b945c640c5e3a16395abf212f311494f6897c8",
     "dense-unchecked":
@@ -171,6 +184,35 @@ DIGESTS = {
     "rewiring-rrg":
         "b3b99da6c45f40047d8afa20d0711b119327406937dd3725971df286b85905a1",
     "voter-er":
+        "105267ccaf7fbeb90547612c2d5d38731ce8ddc8d67146bf4dbad97346355cb6",
+    "voter-rrg":
+        "16639129b5a9b265b261e00a0d9e35269afd2446d764d95417fbee18d81a5c12",
+    "voter-rrg-multigraph":
+        "3cc41c0d33f039cf38599536fc82f20d1da31890d33e7774335af35876265bb3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stream_pin(name):
+    run, *args = CASES[name]
+    assert run(*args) == DIGESTS[name]
+
+
+# The static rows as ``run_voter`` produced them on the former event-driven
+# engine, whose stream the reference engine of ``_oracles`` reproduces at
+# ``nu = 0``.
+REFERENCE_CASES = {
+    "voter-rrg": (_static, "rrg", 101, _reference_voter),
+    "voter-er": (_static, "er", 102, _reference_voter),
+    "voter-rrg-multigraph": (_static, "rrg-multigraph", 116,
+                             _reference_voter),
+    "consensus-static": (_consensus, 0.0, 109, True),
+}
+
+REFERENCE_DIGESTS = {
+    "consensus-static":
+        "c7fdbf7b94a0069ba36fb42d01b0b50affbc3f13e3c74e9cdf873445343aa4db",
+    "voter-er":
         "23498b10686343a143bf2ce2cb830320561762ffefa90a9c4f1524c0f8f6e46f",
     "voter-rrg":
         "7c2547dd019eb724294aa2453c11f326d93c7fa9c726ebbf0024915c91f03995",
@@ -179,7 +221,7 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_stream_pin(name):
-    run, *args = CASES[name]
-    assert run(*args) == DIGESTS[name]
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_reference_engine_keeps_the_former_static_stream(name):
+    run, *args = REFERENCE_CASES[name]
+    assert run(*args) == REFERENCE_DIGESTS[name]
