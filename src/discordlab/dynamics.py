@@ -12,8 +12,9 @@ K-th proposal comes at a Gamma(K) time.  An adoption that changes no
 opinion is not an event.
 
 On a K_n whose edge lists were never read the heart count runs as a
-birth-death chain instead.  Directed runs are Gillespie on the embedded
-jump chain of the effective process: only flips are scheduled, a
+birth-death chain instead, its jumps also drawn from ``rng`` in numpy
+blocks, with no ``random.Random``.  Directed runs are Gillespie on the
+embedded jump chain of the effective process: only flips are scheduled, a
 discordant arc flipping its copying end at rate 1/deg.
 
 Observables are recorded by carrying the state to each scheduled time
@@ -167,7 +168,10 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
     rank = np.empty_like(order)
     rank[order] = np.arange(2 * m)
     owner_a = ends[order]
-    owner, partner = owner_a.tolist(), rank[order ^ 1].tolist()
+    match = rank[order ^ 1]
+    owner, partner = owner_a.tolist(), match.tolist()
+    if nu > 0:
+        match = partner  # _recount reads the list that swaps rewrite
     deg = np.bincount(ends, minlength=n)
     csr = None if deg.min() == deg.max() else (np.cumsum(deg) - deg, deg)
     pair_rate = nu / (2.0 * m) if rate_convention == "pair" else nu / m
@@ -197,7 +201,7 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
     for stop in stops:
         if samples.next < stop:
             samples.record(stop, heart / n,
-                           _recount(partner, ops, owner_a, check) / m)
+                           _recount(match, ops, owner_a, check) / m)
         gap = max(stop - t0, 0.0)
         K = rng.poisson(total * gap) if gap < math.inf else math.inf
         j = 0  # proposals of this gap played
@@ -209,7 +213,7 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
             elif events >= max_events:
                 # without swaps, a state with no discordant edge is final
                 end = "frozen" if nu == 0 and not _recount(
-                    partner, ops, owner_a, False) else "cap"
+                    match, ops, owner_a, False) else "cap"
             if end is not None or j >= K:
                 break
             if pos == B:
@@ -255,8 +259,7 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
     cons = end == "consensus"
     if end in (None, "consensus", "frozen") and samples.next < math.inf:
         # consensus leaves no discordant edge
-        d = 0 if cons and not check else _recount(partner, ops, owner_a,
-                                                   check)
+        d = 0 if cons and not check else _recount(match, ops, owner_a, check)
         samples.record(math.inf, heart / n, d / m)
     if mutate_graph:
         g.set_edges(*_matched_edges(owner_a, np.array(partner)))
@@ -301,9 +304,10 @@ def _matched_edges(owner, partner):
 
 
 def _recount(partner, ops, owner, check) -> int:
-    """Discordant edges of the matching; with ``check``, also assert that
-    it is one and that :func:`count_discordant` agrees."""
-    p = np.array(partner)
+    """Discordant edges of the matching ``partner`` (a list or an array);
+    with ``check``, also assert that it is one and that
+    :func:`count_discordant` agrees."""
+    p = np.asarray(partner)
     o = np.array(ops, dtype=np.int8)[owner]
     d = int(np.count_nonzero(o != o[p])) // 2
     if check:
@@ -330,40 +334,47 @@ def _mk_traj(out_t, out_h, out_d, cons_t, cons_v, events):
 def _voter_complete_engine(n, heart0, horizon, schedule, rng, max_events):
     """Heart-count chain on the simple complete graph.
 
-    On K_n the heart count jumps +-1, each at rate k(n-k)/(n-1), and the
-    discordant count is exactly k(n-k); simulating the count directly has
-    the same law as the per-edge engine with O(1) instead of O(n) work per
-    event.
+    On K_n the heart count k jumps +-1 with equal odds after an
+    Exp(2k(n-k)/(n-1)) holding time, and the discordant count is exactly
+    k(n-k).  Jumps are drawn from ``rng`` in numpy blocks: the steps of the
+    walk, cut at its first hit of 0 or n, then one holding time per step
+    kept.
     """
     samples = _Samples(schedule, horizon)
     m = n * (n - 1) // 2
-    rnd = _derive_rnd(rng)
-    rnd_random = rnd.random
-    k = heart0
-    t = 0.0
-    events = 0
-    cons_t = cons_v = None
-    if k == 0 or k == n:
-        cons_t, cons_v = 0.0, (1 if k == n else 0)
+    hz = math.inf if horizon is None else horizon
+    k, t, events, B = heart0, 0.0, 0, 0
+    past = False  # the next jump comes after the horizon
     while 0 < k < n:
         if events >= max_events:
             raise SimulationTimeout(
                 f"event cap {max_events} reached at t={t:.6g}",
-                partial=samples.traj(cons_t, cons_v, events))
-        total = 2.0 * k * (n - k) / (n - 1)
-        t_next = t - math.log(1.0 - rnd_random()) / total
-        if samples.next < t_next:
-            samples.record(t_next, k / n, k * (n - k) / m)
-        if horizon is not None and t_next > horizon:
-            t = horizon
+                partial=samples.traj(None, None, events))
+        if past:
             break
-        t = t_next
-        events += 1
-        k += 1 if rnd_random() < 0.5 else -1
-        if k == 0 or k == n:
-            cons_t, cons_v = t, (1 if k == n else 0)
+        B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
+        path = k + np.cumsum(np.where(rng.random(B) < 0.5, 1, -1))
+        hit = np.flatnonzero((path == 0) | (path == n))
+        if hit.size:
+            path = path[:hit[0] + 1]
+        left = np.concatenate(([k], path[:-1]))  # the state each jump leaves
+        times = t + np.cumsum(rng.standard_exponential(len(path))
+                              / (2.0 * left * (n - left) / (n - 1)))
+        c = int(np.searchsorted(times, hz, "right"))
+        past = c < len(times)
+        c = min(c, max_events - events)
+        if c == 0:
+            continue
+        # a sample at time x shows the state after every jump at time <= x
+        while samples.next < times[c - 1]:
+            j = int(np.searchsorted(times, samples.next, "right"))
+            kj = int(left[j])
+            samples.record(times[j], kj / n, kj * (n - kj) / m)
+        k, t, events = int(path[c - 1]), float(times[c - 1]), events + c
     samples.record(math.inf, k / n, k * (n - k) / m)
-    return samples.traj(cons_t, cons_v, events)
+    cons = k == 0 or k == n
+    return samples.traj(t if cons else None, int(k == n) if cons else None,
+                        events)
 
 
 def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
@@ -378,8 +389,9 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
     change returns it up to the horizon.
 
     On a K_n whose edge lists were never read (``g.implicit_complete``) the
-    heart-count chain runs instead, in O(1) per event; ``check=True`` takes
-    the per-edge engine, which builds the lists.
+    heart-count chain runs instead, its jumps drawn from ``rng`` in numpy
+    blocks, with no per-edge work; ``check=True`` takes the per-edge
+    engine, which builds the lists.
     """
     if isinstance(g, Graph) and g.implicit_complete and not check:
         if len(state.opinions) != g.n:

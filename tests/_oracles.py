@@ -1,10 +1,13 @@
 """Independent test oracles: exact birth-death absorption times and small
 brute-force recounts, which avoid the package's own event engines and
-bookkeeping; plus the event-driven engine that ran every undirected run off
-an implicit K_n before the literal-clock engine replaced it (every
-``nu > 0`` run first, then every ``nu = 0`` run), kept verbatim as the
-reference for the two-sample law tests.  At ``nu = 0`` it reproduces the
-former ``run_voter`` seed for seed.  Its slot bookkeeping is the former
+bookkeeping; plus two former engines, kept verbatim as the references for
+the two-sample law tests: the scalar heart-count chain that ran on an
+implicit K_n before its jumps were drawn in numpy blocks, and the
+event-driven engine that ran every other undirected run before the
+literal-clock engine replaced it (every ``nu > 0`` run first, then every
+``nu = 0`` run).  The chain reproduces the former K_n runs of ``run_voter``
+seed for seed, and at ``nu = 0`` the event-driven engine reproduces the
+other former ``run_voter`` runs.  That engine's slot bookkeeping is the former
 ``_sset`` format, with the positions in a dict: ``refile`` files slots by
 their discordance and ``weighted_drop`` removes them, both keeping the
 running weight in the order the engine has always used.  The package's
@@ -50,6 +53,49 @@ def complete_voter_mean_tau(N):
 
 def brute_discordant(edge_pairs, opinions):
     return sum(1 for u, v in edge_pairs if opinions[u] != opinions[v])
+
+
+# ----------------------------------------------------------------------
+# the former scalar heart-count chain on an implicit K_n
+# ----------------------------------------------------------------------
+
+def reference_complete_chain(n, heart0, horizon, schedule, rng, max_events):
+    """Heart-count chain on the simple complete graph.
+
+    On K_n the heart count jumps +-1, each at rate k(n-k)/(n-1), and the
+    discordant count is exactly k(n-k); simulating the count directly has
+    the same law as the per-edge engine with O(1) instead of O(n) work per
+    event.
+    """
+    samples = _Samples(schedule, horizon)
+    m = n * (n - 1) // 2
+    rnd = _derive_rnd(rng)
+    rnd_random = rnd.random
+    k = heart0
+    t = 0.0
+    events = 0
+    cons_t = cons_v = None
+    if k == 0 or k == n:
+        cons_t, cons_v = 0.0, (1 if k == n else 0)
+    while 0 < k < n:
+        if events >= max_events:
+            raise SimulationTimeout(
+                f"event cap {max_events} reached at t={t:.6g}",
+                partial=samples.traj(cons_t, cons_v, events))
+        total = 2.0 * k * (n - k) / (n - 1)
+        t_next = t - math.log(1.0 - rnd_random()) / total
+        if samples.next < t_next:
+            samples.record(t_next, k / n, k * (n - k) / m)
+        if horizon is not None and t_next > horizon:
+            t = horizon
+            break
+        t = t_next
+        events += 1
+        k += 1 if rnd_random() < 0.5 else -1
+        if k == 0 or k == n:
+            cons_t, cons_v = t, (1 if k == n else 0)
+    samples.record(math.inf, k / n, k * (n - k) / m)
+    return samples.traj(cons_t, cons_v, events)
 
 
 # ----------------------------------------------------------------------

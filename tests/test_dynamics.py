@@ -7,6 +7,7 @@ import pytest
 from discordlab import dynamics, experiments, graphs, limits
 from discordlab.errors import InvalidParameterError, SimulationTimeout
 
+from _deadline import deadline
 from _oracles import bd_mean_absorption, complete_voter_mean_tau
 
 
@@ -168,7 +169,7 @@ def test_frozen_disconnected_graph_reports_timeout(rng):
     traj = dynamics.run_voter(g, st, 5.0, [1.0, 5.0], rng)
     assert traj.consensus_time is None
     assert np.all(traj.discordant_frac == 0.0)
-    with pytest.raises(SimulationTimeout):
+    with deadline(), pytest.raises(SimulationTimeout):
         dynamics.consensus_time(g, st, rng)
 
 

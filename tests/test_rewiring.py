@@ -9,10 +9,8 @@ consensus at ``nu = 0`` are drawn on connected graphs only, where the
 reference engine reaches consensus too.
 """
 
-import contextlib
 import math
 import re
-import signal
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from scipy.sparse import csgraph
 from discordlab import dynamics, graphs
 from discordlab.errors import SimulationTimeout
 
+from _deadline import deadline
 from _oracles import reference_rewiring
 
 ALPHA = 0.01
@@ -56,37 +55,13 @@ def _graph(family, n, rng, connected=False):
             return g
 
 
-class _Spun(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def _deadline(seconds=20.0):
-    """Fail, instead of hanging, when a run spins: a state that can no
-    longer change proposes adoptions that flip nothing, so no event cap
-    ends it, unless the engine sees that consensus is out of reach."""
-    def spun(signum, frame):
-        raise _Spun
-    old = signal.signal(signal.SIGALRM, spun)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except _Spun:
-        # a fresh error without the interrupted frames, whose traceback
-        # entries can lack a line number
-        raise AssertionError(f"no verdict within {seconds} s") from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def _runs(engine, family, n, nu, conv, horizon, sched, R, seed):
     out = []
     for r in range(R):
         rng = np.random.default_rng([seed, r])
         g = _graph(family, n, rng, connected=nu == 0 and horizon is None)
         st = dynamics.init_opinions_iid(n, 0.5, rng)
-        with _deadline():
+        with deadline():
             out.append(engine(g, st, nu, horizon, sched, rng,
                               rate_convention=conv))
     return out
@@ -175,7 +150,7 @@ def test_cap_time_matches_reference():
                 rng = np.random.default_rng([seed, r])
                 g = graphs.generate_random_regular(n, 3, rng)
                 st = dynamics.init_opinions_iid(n, 0.5, rng)
-                with _deadline(), pytest.raises(SimulationTimeout) as err:
+                with deadline(), pytest.raises(SimulationTimeout) as err:
                     engine(g, st, nu, None, [], rng, max_events=cap)
                 assert err.value.partial.n_events == cap
                 times[engine].append(_cap_time(err.value))
@@ -205,7 +180,7 @@ def test_degree_weighted_hearts_give_the_consensus_odds():
                 if nu > 0 or _connected(g):
                     break
             st = dynamics.OpinionState(list(ops), 2)
-            with _deadline():
+            with deadline():
                 traj = dynamics.run_voter_rewiring(
                     g, st, nu, None, [], rng, rate_convention="edge",
                     max_events=100_000)
@@ -268,13 +243,13 @@ def test_disagreeing_unanimous_components_stop_at_once(rng):
     st = dynamics.OpinionState([1, 1, 1, 0, 0, 0], 3)
     for run in (dynamics.run_voter, dynamics.run_voter_rewiring):
         args = (0.0,) if run is dynamics.run_voter_rewiring else ()
-        with _deadline(), pytest.raises(SimulationTimeout,
+        with deadline(), pytest.raises(SimulationTimeout,
                                         match="unreachable") as err:
             run(_two_triangles(), st, *args, None, [1.0], rng,
                 max_events=10_000)
         assert err.value.partial.n_events == 0
         assert len(err.value.partial.times) == 0
-    with _deadline(), pytest.raises(SimulationTimeout, match="unreachable"):
+    with deadline(), pytest.raises(SimulationTimeout, match="unreachable"):
         dynamics.consensus_time(_two_triangles(), st, rng, max_events=10_000)
 
 
@@ -286,7 +261,7 @@ def test_mixed_components_reach_consensus_or_stop_when_they_disagree():
     outcomes = set()
     for seed in range(40):
         try:
-            with _deadline():
+            with deadline():
                 traj = dynamics.run_voter(_two_triangles(), st, None, [],
                                           np.random.default_rng(seed),
                                           max_events=10_000)
@@ -303,7 +278,7 @@ def test_self_loop_only_vertex_is_its_own_component(rng):
     # vertex 2 has a self-loop and no other edge, so it never changes
     g = graphs.Graph(3, [0, 2], [1, 2])
     st = dynamics.OpinionState([1, 1, 0], 2)
-    with _deadline(), pytest.raises(SimulationTimeout,
+    with deadline(), pytest.raises(SimulationTimeout,
                                     match="unreachable") as err:
         dynamics.run_voter(g, st, None, [], rng, max_events=10_000)
     assert err.value.partial.n_events == 0
@@ -312,7 +287,7 @@ def test_self_loop_only_vertex_is_its_own_component(rng):
     outcomes = set()
     for seed in range(40):
         try:
-            with _deadline():
+            with deadline():
                 traj = dynamics.run_voter(g, st, None, [],
                                           np.random.default_rng(seed),
                                           max_events=10_000)

@@ -13,6 +13,9 @@ The four static rows (``voter-rrg``, ``voter-er``, ``voter-rrg-multigraph``,
 implicit K_n moved to the literal-clock engine, after its ``nu = 0`` law
 tests (``test_rewiring.py``) passed; their former digests, from the
 event-driven engine, are held by the reference engine of ``_oracles``.
+No row covers the heart-count chain of an implicit K_n, whose law is tested
+in ``test_complete_chain.py``.  The consensus runs are time-bounded, so that
+a run that spins fails instead of hanging.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ import pytest
 
 from discordlab import coevolution, dynamics, graphs
 
+from _deadline import deadline
 from _oracles import reference_rewiring
 
 
@@ -96,7 +100,8 @@ def _consensus(nu, seed, reference=False):
     st = dynamics.init_opinions_iid(g.n, 0.5, rng)
     if reference:
         return _digest(_reference_voter(g, st, None, [], rng).consensus_time)
-    return _digest(dynamics.consensus_time(g, st, rng, nu=nu))
+    with deadline():
+        return _digest(dynamics.consensus_time(g, st, rng, nu=nu))
 
 
 def _rewire_model(variant, beta, seed, n=40):
