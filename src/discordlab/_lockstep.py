@@ -11,9 +11,9 @@ Poisson process of rate N whose sequence of moves does not depend on the
 step times (uniformization, Jensen 1953).  So the number of steps between
 two sample times is Poisson(N * gap), drawn up front, and the state at a
 sample time is the state after that many steps.  This is the law of the
-single-run engines in :mod:`dynamics`: ``run_voter``, which runs the same
-literal clock one proposal at a time, and ``run_voter_directed``, which
-schedules flips only; the random stream differs.
+single-run engines in :mod:`dynamics`, ``run_voter`` and
+``run_voter_directed``, which run the same literal clock one replica and
+one proposal at a time; the random stream differs.
 
 When every copying degree is equal, a move is a uniform copying slot: a
 uniform half-edge, or a uniform arc read in its copying direction.

@@ -9,11 +9,8 @@ random stream: a uniform draw indexes ``items``, so every engine must
 insert and remove in the same sequence to reproduce a run.
 
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set
-exactly while ``ops[us[e]] != ops[vs[e]]``.  When slots carry unequal rates,
-slot ``e`` weighs ``wa[us[e]]`` (a directed arc flips only its copying end
-``us[e]``) and the functions keep the running total ``w`` of member
-weights; with ``wa=None`` only the count is kept.  ``build`` files every
-slot once at the start of a run.  After that the set changes only at a
+exactly while ``ops[us[e]] != ops[vs[e]]``.  ``build`` files every slot
+once at the start of a run.  After that the set changes only at a
 flip, through ``toggle``, and at an endpoint edit, through ``drop``: when a
 vertex flips, every slot at it that is not a self-loop changes
 discordance, so ``toggle`` reads no opinions.
@@ -65,26 +62,20 @@ class SampleableSet:
 # The batch functions below take the lists as arguments and inline the
 # insertion and removal: a call per slot costs the engines several percent.
 
-def build(us, vs, ops, wa=None):
-    """``(items, pos, w)`` for the slots ``range(len(us))``: the discordant
-    slots in id order, and the total of their weights summed in that
-    order."""
+def build(us, vs, ops):
+    """``(items, pos)`` for the slots ``range(len(us))``: the discordant
+    slots in id order."""
     items = [e for e, (u, v) in enumerate(zip(us, vs)) if ops[u] != ops[v]]
     pos = [-1] * len(us)
     for i, e in enumerate(items):
         pos[e] = i
-    w = 0.0
-    if wa is not None:
-        for e in items:
-            w += wa[us[e]]
-    return items, pos, w
+    return items, pos
 
 
-def toggle(slots, items, pos, us, vs, wa=None, w=0.0):
+def toggle(slots, items, pos, us, vs):
     """Refile ``slots``, the slots at a vertex that has just flipped, in
     order: a member is removed, a non-member appended unless it is a
-    self-loop.  Returns ``w`` updated by the weights of the slots that
-    moved."""
+    self-loop."""
     for e in slots:
         i = pos[e]
         if i >= 0:
@@ -93,14 +84,9 @@ def toggle(slots, items, pos, us, vs, wa=None, w=0.0):
             if last != e:
                 items[i] = last
                 pos[last] = i
-            if wa is not None:
-                w -= wa[us[e]]
         elif us[e] != vs[e]:
             pos[e] = len(items)
             items.append(e)
-            if wa is not None:
-                w += wa[us[e]]
-    return w
 
 
 def drop(slots, items, pos):

@@ -11,12 +11,13 @@ voter model.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._sset import SampleableSet, build, drop, toggle
-from .dynamics import _derive_rnd, _mk_traj, _prepared_schedule
+from .dynamics import _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
 from .graphs import generate_erdos_renyi, generate_gnm
 from .limits import SwitchProbs
@@ -46,6 +47,12 @@ UNRESOLVED = "UNRESOLVED"
 
 TO_RANDOM = "TO_RANDOM"
 TO_SAME = "TO_SAME"
+
+
+def _derive_rnd(rng) -> random.Random:
+    # one numpy draw seeds a stdlib generator; the hot loops then run on
+    # random.Random, whose scalar draws are several times cheaper
+    return random.Random(int(rng.integers(1 << 63)))
 
 
 @dataclass
@@ -183,7 +190,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
              SampleableSet(v for v in range(n) if ops[v] == 1))
-    disc_items, disc_pos, _ = build(eu, ev, ops)
+    disc_items, disc_pos = build(eu, ev, ops)
 
     adopt_p = beta / n
     t = 0.0
@@ -258,7 +265,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
              SampleableSet(v for v in range(n) if ops[v] == 1))
-    disc_items, disc_pos, _ = build(eu, ev, ops)
+    disc_items, disc_pos = build(eu, ev, ops)
 
     steps = 0
     rec = _Recorder()

@@ -1,21 +1,21 @@
-"""Exact voter dynamics on a static or rewired graph.
+"""Exact voter dynamics on a static, rewired or directed graph.
 
-Every undirected run follows the literal clock (uniformization, Jensen
-1953) on a perfect matching of the 2m edge stubs (Bollobas 1980), whose
-degrees swaps never change.  Proposals, drawn in numpy blocks, come at the
-constant rate n + nu' m^2/2, nu' being the swap rate of one pair of edges
-(0 on a static graph): a uniform vertex copies through a uniform own stub,
-or two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'} (a
-null when t is s or s').  A gap between sample times holds Poisson many
+Every run follows the literal clock (uniformization, Jensen 1953) on the
+copying slots of its graph: the 2m edge stubs of an undirected graph,
+perfectly matched (Bollobas 1980), whose degrees swaps never change, or the
+m arcs of a directed one, each at the vertex that copies through it.
+Proposals, drawn in numpy blocks, come at the constant rate
+n + nu' m^2/2, nu' being the swap rate of one pair of edges (0 on a static
+or directed graph): a uniform vertex copies through a uniform own slot, or
+two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'} (a null
+when t is s or s').  A gap between sample times holds Poisson many
 proposals, an event in it is placed by a Beta draw, and with no horizon the
 K-th proposal comes at a Gamma(K) time.  An adoption that changes no
 opinion is not an event.
 
 On a K_n whose edge lists were never read the heart count runs as a
 birth-death chain instead, its jumps also drawn from ``rng`` in numpy
-blocks, with no ``random.Random``.  Directed runs are Gillespie on the
-embedded jump chain of the effective process: only flips are scheduled, a
-discordant arc flipping its copying end at rate 1/deg.
+blocks.
 
 Observables are recorded by carrying the state to each scheduled time
 (piecewise constant between events).  Runs are deterministic given
@@ -25,12 +25,10 @@ Observables are recorded by carrying the state to each scheduled time
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._sset import build, toggle
 from .errors import InvalidParameterError, SimulationTimeout
 from .graphs import DirectedGraph, Graph, count_discordant
 
@@ -101,6 +99,10 @@ def init_opinions_iid(n, u, rng, g=None) -> OpinionState:
 
 def _prepared_schedule(schedule, horizon):
     sched = [float(x) for x in schedule]
+    if any(math.isnan(x) for x in sched) or (horizon is not None
+                                             and math.isnan(horizon)):
+        raise InvalidParameterError("horizon and schedule times must not be "
+                                    "NaN")
     if any(x < 0 for x in sched):
         raise InvalidParameterError("schedule times must be >= 0")
     if horizon is not None and any(x > horizon for x in sched):
@@ -108,12 +110,6 @@ def _prepared_schedule(schedule, horizon):
     if any(b <= a for a, b in zip(sched, sched[1:])):
         raise InvalidParameterError("schedule must be strictly increasing")
     return sched
-
-
-def _derive_rnd(rng) -> random.Random:
-    # one numpy draw seeds a stdlib generator; the hot loops then run on
-    # random.Random, whose scalar draws are several times cheaper
-    return random.Random(int(rng.integers(1 << 63)))
 
 
 class _Samples:
@@ -144,35 +140,50 @@ class _Samples:
 
 
 # ----------------------------------------------------------------------
-# undirected engine: literal clock on a perfect matching of stubs
+# the literal clock on copying slots: the stubs of an undirected graph,
+# perfectly matched, or the arcs of a directed one
 # ----------------------------------------------------------------------
 
 # proposals drawn per numpy block: the first block, doubled up to the last
 _FIRST_BLOCK, _MAX_BLOCK = 256, 1 << 14
 
 
-def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
-                    rng, rate_convention, max_events, check, mutate_graph):
+def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
+                    rate_convention, max_events, check, mutate_graph,
+                    adopt_from=None):
+    """Every voter run off an implicit K_n: on an undirected graph, or on a
+    :class:`DirectedGraph` when ``adopt_from`` is given.  Through slot
+    ``s`` vertex ``owner[s]`` copies ``src[s]``; the slots are sorted by
+    owner, and slot ``slots`` is a null (vertex 0 copying itself)."""
     n, m = g.n, g.m
-    if n == 0 or m == 0:
-        raise InvalidParameterError("graph must have at least one edge")
-    if nu > 0 and m < 2:
-        raise InvalidParameterError("rewiring needs at least two edges")
+    if adopt_from is None:
+        if n == 0 or m == 0:
+            raise InvalidParameterError("graph must have at least one edge")
+        if nu > 0 and m < 2:
+            raise InvalidParameterError("rewiring needs at least two edges")
+        # stub 2e is the end of edge e at us[e], 2e+1 its end at vs[e]; sorted
+        # by vertex, so that owner, off and deg never change under swaps.  A
+        # stub copies the owner of the stub it is matched to.
+        ends = np.column_stack(g.endpoint_arrays()).ravel()
+        order = np.argsort(ends, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(2 * m)
+        owner_a = ends[order]
+        match = rank[order ^ 1]
+        src_a = owner_a[match]
+        deg = np.bincount(ends, minlength=n)
+    else:
+        us, vs, deg = _copy_arcs(g, adopt_from)
+        order = np.argsort(us, kind="stable")
+        owner_a, src_a = us[order], vs[order]
     if len(state.opinions) != n:
         raise InvalidParameterError("opinion vector length != vertex count")
     samples = _Samples(schedule, horizon)
-    # stub 2e is the end of edge e at us[e], 2e+1 its end at vs[e]; sorted
-    # by vertex, so that owner, off and deg never change under swaps
-    ends = np.column_stack(g.endpoint_arrays()).ravel()
-    order = np.argsort(ends, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(2 * m)
-    owner_a = ends[order]
-    match = rank[order ^ 1]
-    owner, partner = owner_a.tolist(), match.tolist()
-    if nu > 0:
-        match = partner  # _recount reads the list that swaps rewrite
-    deg = np.bincount(ends, minlength=n)
+    slots = len(owner_a)
+    per_edge = slots // m  # two stubs to an edge, one slot to an arc
+    owner, src = owner_a.tolist() + [0], src_a.tolist() + [0]
+    # with swaps the matching changes, and src with it
+    partner = match.tolist() + [slots] if nu > 0 else None
     csr = None if deg.min() == deg.max() else (np.cumsum(deg) - deg, deg)
     pair_rate = nu / (2.0 * m) if rate_convention == "pair" else nu / m
     # a swap proposal is a null one time in m, so each pair of edges swaps
@@ -180,14 +191,24 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
     total = n + pair_rate * m * m / 2.0
     ops = list(state.opinions)
     heart = sum(ops)
+
+    def recount(verify):
+        """Discordant edges now; with ``verify``, held to
+        :func:`count_discordant`."""
+        if partner is None:
+            return _recount(ops, owner_a, src_a, per_edge,
+                            g if verify else None)
+        p = np.array(partner[:slots])
+        return _recount(ops, owner_a, owner_a[p], 2,
+                        _matching_graph(n, owner_a, p) if verify else None)
+
     classes = None
     if horizon is None:
         # classes that copy from no vertex outside them: without swaps the
-        # components, with them each isolated vertex and all the rest
+        # closed classes of the copy graph (the components of an undirected
+        # one), with them each isolated vertex and all the rest
         if nu == 0:
-            arcs = ends.reshape(-1, 2)
-            cls = _closed_classes(n, arcs.ravel().tolist(),
-                                  arcs[:, ::-1].ravel().tolist())
+            cls = _closed_classes(n, owner[:slots], src[:slots])
         else:
             iso = deg == 0
             cls = (np.cumsum(iso) * iso).tolist() if iso.any() else None
@@ -200,8 +221,7 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
     stops = samples.sched[:-1] + [math.inf if horizon is None else horizon]
     for stop in stops:
         if samples.next < stop:
-            samples.record(stop, heart / n,
-                           _recount(match, ops, owner_a, check) / m)
+            samples.record(stop, heart / n, recount(check) / m)
         gap = max(stop - t0, 0.0)
         K = rng.poisson(total * gap) if gap < math.inf else math.inf
         j = 0  # proposals of this gap played
@@ -212,21 +232,20 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
                 end = "unreachable"
             elif events >= max_events:
                 # without swaps, a state with no discordant edge is final
-                end = "frozen" if nu == 0 and not _recount(
-                    match, ops, owner_a, False) else "cap"
+                end = "frozen" if nu == 0 and not recount(False) else "cap"
             if end is not None or j >= K:
                 break
             if pos == B:
                 swept += int(cum[-1]) if B else 0
                 B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
-                S, T, cum = _proposals(rng, B, n / total, n, 2 * m, csr)
+                S, T, cum = _proposals(rng, B, n / total, n, slots, csr)
                 pos = 0
             c = int(min(K - j, B - pos, max_events - events))
             si = iter(S[pos:pos + c])
-            # an adoption through stub s (t < 0), or the swap of stubs s, t
-            for s, t in zip(si, T[pos:pos + c]):
-                if t < 0:
-                    x = ops[owner[partner[s]]]
+            if partner is None:
+                # an adoption through slot s
+                for s in si:
+                    x = ops[src[s]]
                     v = owner[s]
                     if ops[v] != x:
                         ops[v] = x
@@ -235,16 +254,29 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
                         if (heart == 0 or heart == n
                                 or classes is not None and classes.flip(v, x)):
                             break
-                else:
-                    s2 = partner[s]
-                    if t == s or t == s2:
-                        nulls += 1
-                        continue
-                    t2 = partner[t]
-                    partner[s] = t
-                    partner[t] = s
-                    partner[s2] = t2
-                    partner[t2] = s2
+            else:
+                # an adoption through stub s (t < 0), or the swap of stubs s, t
+                for s, t in zip(si, T[pos:pos + c]):
+                    if t < 0:
+                        x = ops[owner[partner[s]]]
+                        v = owner[s]
+                        if ops[v] != x:
+                            ops[v] = x
+                            flips += 1
+                            heart += 1 if x else -1
+                            if (heart == 0 or heart == n or classes is not None
+                                    and classes.flip(v, x)):
+                                break
+                    else:
+                        s2 = partner[s]
+                        if t == s or t == s2:
+                            nulls += 1
+                            continue
+                        t2 = partner[t]
+                        partner[s] = t
+                        partner[t] = s
+                        partner[s2] = t2
+                        partner[t2] = s2
             played = c - si.__length_hint__()  # proposals the loop took
             pos += played
             j += played
@@ -259,10 +291,10 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
     cons = end == "consensus"
     if end in (None, "consensus", "frozen") and samples.next < math.inf:
         # consensus leaves no discordant edge
-        d = 0 if cons and not check else _recount(match, ops, owner_a, check)
+        d = 0 if cons and not check else recount(check)
         samples.record(math.inf, heart / n, d / m)
     if mutate_graph:
-        g.set_edges(*_matched_edges(owner_a, np.array(partner)))
+        g.set_edges(*_matched_edges(owner_a, np.array(partner[:slots])))
     if classes is not None:
         _check_classes(classes, samples, t_end, events)
     if end == "cap":
@@ -273,27 +305,27 @@ def _literal_engine(g: Graph, state: OpinionState, nu, horizon, schedule,
                         events)
 
 
-def _proposals(rng, size, pa, n, two_m, csr):
+def _proposals(rng, size, pa, n, slots, csr):
     """``size`` proposals ``S, T`` as lists, and the running count of swaps.
-    With probability ``pa`` an adoption through a uniform stub ``S`` of a
-    uniform vertex (``T = -1``), a null ``S = T = 0`` at an isolated one;
-    else a swap of the uniform stubs ``S`` and ``T``."""
+    With probability ``pa`` an adoption through a uniform slot ``S`` of a
+    uniform vertex (``T = -1``), through the null slot ``slots`` at a
+    vertex with none; else a swap of the uniform stubs ``S`` and ``T``."""
     u, y = rng.random((2, size))
     adopt = u < pa
-    t = (y * two_m).astype(np.int64)
+    t = (y * slots).astype(np.int64)
     # rounding in pa can carry these products to their upper bound; with
     # pa == 1 (no swaps) every proposal is an adoption
-    s = np.minimum(((u - pa) * (two_m / (1.0 - pa))).astype(np.int64),
-                   two_m - 1) if pa < 1.0 else np.empty_like(t)
+    s = np.minimum(((u - pa) * (slots / (1.0 - pa))).astype(np.int64),
+                   slots - 1) if pa < 1.0 else np.empty_like(t)
     if csr is None:
         s[adopt] = t[adopt]
-        t[adopt] = -1
     else:
         off, deg = csr
         v = np.minimum((u[adopt] * (n / pa)).astype(np.int64), n - 1)
         d = deg[v]
-        s[adopt] = np.where(d > 0, off[v] + (y[adopt] * d).astype(np.int64), 0)
-        t[adopt] = np.where(d > 0, -1, 0)
+        s[adopt] = np.where(d > 0, off[v] + (y[adopt] * d).astype(np.int64),
+                            slots)
+    t[adopt] = -1
     return s.tolist(), t.tolist(), np.cumsum(t >= 0)
 
 
@@ -303,20 +335,23 @@ def _matched_edges(owner, partner):
     return owner[first], owner[partner[first]]
 
 
-def _recount(partner, ops, owner, check) -> int:
-    """Discordant edges of the matching ``partner`` (a list or an array);
-    with ``check``, also assert that it is one and that
-    :func:`count_discordant` agrees."""
-    p = np.asarray(partner)
-    o = np.array(ops, dtype=np.int8)[owner]
-    d = int(np.count_nonzero(o != o[p])) // 2
-    if check:
-        i = np.arange(len(p))
-        if np.any(p == i) or np.any(p[p] != i):
-            raise AssertionError("stubs are not a perfect matching")
-        if d != count_discordant(Graph(len(ops), *_matched_edges(owner, p)),
-                                 ops):
-            raise AssertionError("discordance recount diverged")
+def _matching_graph(n, owner, partner) -> Graph:
+    """The graph of the stub matching ``partner`` (an array), asserting
+    that it is one."""
+    i = np.arange(len(partner))
+    if np.any(partner == i) or np.any(partner[partner] != i):
+        raise AssertionError("stubs are not a perfect matching")
+    return Graph(n, *_matched_edges(owner, partner))
+
+
+def _recount(ops, owner, src, per_edge, graph=None) -> int:
+    """Discordant edges: the slots ``s`` whose vertices ``owner[s]`` and
+    ``src[s]`` (arrays) disagree, over the ``per_edge`` slots of an edge.
+    With ``graph``, also assert that :func:`count_discordant` agrees."""
+    o = np.array(ops, dtype=np.int8)
+    d = int(np.count_nonzero(o[owner] != o[src])) // per_edge
+    if graph is not None and d != count_discordant(graph, ops):
+        raise AssertionError("discordance recount diverged")
     return d
 
 
@@ -435,80 +470,18 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     adopt_from="out": each vertex at rate 1 copies a uniform out-neighbour
     (so the tail of a discordant arc flips); "in" uses in-neighbours instead.
 
+    The run takes the literal clock of :func:`run_voter`, on the arcs in
+    their copying direction, and reads only the graph's endpoint arrays.
     With ``horizon=None`` the run goes on until consensus.  When the copy
     graph has two or more closed classes (strongly connected components that
     copy from no vertex outside them), consensus becomes unreachable once
     two of them are unanimous and disagree; the run then raises
     :class:`SimulationTimeout` at once, with the trajectory so far as
-    ``partial``.
+    ``partial``.  ``check=True`` holds the recount over arcs at each sample
+    time to :func:`count_discordant`.
     """
-    n, m = g.n, g.m
-    us, vs, degs = (a.tolist() for a in _copy_arcs(g, adopt_from))
-    if len(state.opinions) != n:
-        raise InvalidParameterError("opinion vector length != vertex count")
-    samples = _Samples(schedule, horizon)
-    ops = list(state.opinions)
-    heart = sum(ops)
-    dmin, dmax = min(degs), max(degs)
-    regular = dmin == dmax
-    wmax = 1.0 / dmin
-    # a discordant arc flips us[a] at rate 1/deg(us[a]) and never vs[a]
-    inv = None if regular else [1.0 / d for d in degs]
-    inc = [o + i for o, i in zip(g.out_adj, g.in_adj)]
-    disc_items, disc_pos, W = build(us, vs, ops, inv)
-
-    rnd = _derive_rnd(rng)
-    rnd_random = rnd.random
-    t = 0.0
-    events = 0
-    cons_t = cons_v = None
-    absorbed = heart == 0 or heart == n
-    if absorbed:
-        cons_t, cons_v = 0.0, ops[0]
-    cls = _closed_classes(n, us, vs) if horizon is None else None
-    classes = None if cls is None else _Classes(cls, ops)
-    if classes is not None:
-        _check_classes(classes, samples, t, events)
-
-    while True:
-        nd = len(disc_items)
-        vr = nd / dmin if regular else (W if nd else 0.0)
-        if absorbed or vr <= 0.0:
-            break
-        if events >= max_events:
-            raise SimulationTimeout(
-                f"event cap {max_events} reached at t={t:.6g}",
-                partial=samples.traj(cons_t, cons_v, events))
-        t_next = t - math.log(1.0 - rnd_random()) / vr
-        if samples.next < t_next:
-            if check and nd != count_discordant(g, ops):
-                raise AssertionError("discordance bookkeeping diverged")
-            samples.record(t_next, heart / n, nd / m)
-        if horizon is not None and t_next > horizon:
-            t = horizon
-            break
-        t = t_next
-        events += 1
-        if regular:
-            a = disc_items[int(rnd_random() * nd)]
-        else:
-            while True:
-                a = disc_items[int(rnd_random() * len(disc_items))]
-                if rnd_random() * wmax < inv[us[a]]:
-                    break
-        flip = us[a]
-        newop = ops[vs[a]]
-        ops[flip] = newop
-        heart += 1 if newop == 1 else -1
-        W = toggle(inc[flip], disc_items, disc_pos, us, vs, inv, W)
-        if heart == 0 or heart == n:
-            absorbed = True
-            cons_t, cons_v = t, ops[0]
-        elif classes is not None and classes.flip(flip, newop):
-            _check_classes(classes, samples, t, events)
-
-    samples.record(math.inf, heart / n, len(disc_items) / m)
-    return samples.traj(cons_t, cons_v, events)
+    return _literal_engine(g, state, 0.0, horizon, schedule, rng, "pair",
+                           max_events, check, False, adopt_from)
 
 
 def _copy_arcs(g: DirectedGraph, adopt_from):

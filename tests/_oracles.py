@@ -1,26 +1,37 @@
 """Independent test oracles: exact birth-death absorption times and small
 brute-force recounts, which avoid the package's own event engines and
-bookkeeping; plus two former engines, kept verbatim as the references for
+bookkeeping; plus three former engines, kept verbatim as the references for
 the two-sample law tests: the scalar heart-count chain that ran on an
-implicit K_n before its jumps were drawn in numpy blocks, and the
-event-driven engine that ran every other undirected run before the
-literal-clock engine replaced it (every ``nu > 0`` run first, then every
-``nu = 0`` run).  The chain reproduces the former K_n runs of ``run_voter``
-seed for seed, and at ``nu = 0`` the event-driven engine reproduces the
-other former ``run_voter`` runs.  That engine's slot bookkeeping is the former
-``_sset`` format, with the positions in a dict: ``refile`` files slots by
-their discordance and ``weighted_drop`` removes them, both keeping the
-running weight in the order the engine has always used.  The package's
-``_sset.toggle`` must leave the same members, positions and weight as
-``refile`` after a flip."""
+implicit K_n before its jumps were drawn in numpy blocks, the event-driven
+engine that ran every other undirected run before the literal-clock engine
+replaced it (every ``nu > 0`` run first, then every ``nu = 0`` run), and
+the event-driven directed engine that ran every ``run_voter_directed`` run
+before the literal-clock engine took those over too.  The chain reproduces
+the former K_n runs of ``run_voter`` seed for seed, at ``nu = 0`` the
+undirected event-driven engine reproduces the other former ``run_voter``
+runs, and ``reference_directed`` the former directed runs.
+
+The undirected engine's slot bookkeeping is the former ``_sset`` format,
+with the positions in a dict: ``refile`` files slots by their discordance
+and ``weighted_drop`` removes them, both keeping the running weight in the
+order the engine has always used.  The directed engine weighs each
+discordant arc by the adoption rate of its copying end, with the weighted
+``_sset`` functions it used, kept here as ``weighted_build`` and
+``weighted_toggle``.  The package's ``_sset.toggle`` must leave the same
+members and positions as ``refile`` after a flip, and ``weighted_toggle``
+the same weight too."""
 
 import math
+import random
 
 import numpy as np
 
-from discordlab.dynamics import OpinionState, _derive_rnd, _Samples
+from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
+                                 _Samples, _check_classes, _closed_classes,
+                                 _copy_arcs)
 from discordlab.errors import InvalidParameterError, SimulationTimeout
-from discordlab.graphs import Graph, count_discordant, swap_endpoints
+from discordlab.graphs import (DirectedGraph, Graph, count_discordant,
+                               swap_endpoints)
 
 
 def bd_mean_absorption(rates_up, rates_down):
@@ -53,6 +64,12 @@ def complete_voter_mean_tau(N):
 
 def brute_discordant(edge_pairs, opinions):
     return sum(1 for u, v in edge_pairs if opinions[u] != opinions[v])
+
+
+def _derive_rnd(rng) -> random.Random:
+    # one numpy draw seeds a stdlib generator; the hot loops then run on
+    # random.Random, whose scalar draws are several times cheaper
+    return random.Random(int(rng.integers(1 << 63)))
 
 
 # ----------------------------------------------------------------------
@@ -272,3 +289,130 @@ def reference_rewiring(g, state, nu, horizon, schedule, rng, *,
     return reference_voter_engine(g, state, nu, horizon, schedule, rng,
                                   rate_convention, max_events, False,
                                   mutate_graph)
+
+
+# ----------------------------------------------------------------------
+# the former event-driven directed engine
+# ----------------------------------------------------------------------
+
+def reference_directed(g: DirectedGraph, state: OpinionState, horizon,
+                       schedule, rng, *, adopt_from="out",
+                       max_events=DEFAULT_MAX_EVENTS,
+                       check=False):
+    """Directed voter model; discordance is counted over arcs.
+
+    adopt_from="out": each vertex at rate 1 copies a uniform out-neighbour
+    (so the tail of a discordant arc flips); "in" uses in-neighbours instead.
+
+    With ``horizon=None`` the run goes on until consensus.  When the copy
+    graph has two or more closed classes (strongly connected components that
+    copy from no vertex outside them), consensus becomes unreachable once
+    two of them are unanimous and disagree; the run then raises
+    :class:`SimulationTimeout` at once, with the trajectory so far as
+    ``partial``.
+    """
+    n, m = g.n, g.m
+    us, vs, degs = (a.tolist() for a in _copy_arcs(g, adopt_from))
+    if len(state.opinions) != n:
+        raise InvalidParameterError("opinion vector length != vertex count")
+    samples = _Samples(schedule, horizon)
+    ops = list(state.opinions)
+    heart = sum(ops)
+    dmin, dmax = min(degs), max(degs)
+    regular = dmin == dmax
+    wmax = 1.0 / dmin
+    # a discordant arc flips us[a] at rate 1/deg(us[a]) and never vs[a]
+    inv = None if regular else [1.0 / d for d in degs]
+    inc = [o + i for o, i in zip(g.out_adj, g.in_adj)]
+    disc_items, disc_pos, W = weighted_build(us, vs, ops, inv)
+
+    rnd = _derive_rnd(rng)
+    rnd_random = rnd.random
+    t = 0.0
+    events = 0
+    cons_t = cons_v = None
+    absorbed = heart == 0 or heart == n
+    if absorbed:
+        cons_t, cons_v = 0.0, ops[0]
+    cls = _closed_classes(n, us, vs) if horizon is None else None
+    classes = None if cls is None else _Classes(cls, ops)
+    if classes is not None:
+        _check_classes(classes, samples, t, events)
+
+    while True:
+        nd = len(disc_items)
+        vr = nd / dmin if regular else (W if nd else 0.0)
+        if absorbed or vr <= 0.0:
+            break
+        if events >= max_events:
+            raise SimulationTimeout(
+                f"event cap {max_events} reached at t={t:.6g}",
+                partial=samples.traj(cons_t, cons_v, events))
+        t_next = t - math.log(1.0 - rnd_random()) / vr
+        if samples.next < t_next:
+            if check and nd != count_discordant(g, ops):
+                raise AssertionError("discordance bookkeeping diverged")
+            samples.record(t_next, heart / n, nd / m)
+        if horizon is not None and t_next > horizon:
+            t = horizon
+            break
+        t = t_next
+        events += 1
+        if regular:
+            a = disc_items[int(rnd_random() * nd)]
+        else:
+            while True:
+                a = disc_items[int(rnd_random() * len(disc_items))]
+                if rnd_random() * wmax < inv[us[a]]:
+                    break
+        flip = us[a]
+        newop = ops[vs[a]]
+        ops[flip] = newop
+        heart += 1 if newop == 1 else -1
+        W = weighted_toggle(inc[flip], disc_items, disc_pos, us, vs, inv, W)
+        if heart == 0 or heart == n:
+            absorbed = True
+            cons_t, cons_v = t, ops[0]
+        elif classes is not None and classes.flip(flip, newop):
+            _check_classes(classes, samples, t, events)
+
+    samples.record(math.inf, heart / n, len(disc_items) / m)
+    return samples.traj(cons_t, cons_v, events)
+
+
+def weighted_build(us, vs, ops, wa=None):
+    """``(items, pos, w)`` for the slots ``range(len(us))``: the discordant
+    slots in id order, and the total of their weights summed in that
+    order."""
+    items = [e for e, (u, v) in enumerate(zip(us, vs)) if ops[u] != ops[v]]
+    pos = [-1] * len(us)
+    for i, e in enumerate(items):
+        pos[e] = i
+    w = 0.0
+    if wa is not None:
+        for e in items:
+            w += wa[us[e]]
+    return items, pos, w
+
+
+def weighted_toggle(slots, items, pos, us, vs, wa=None, w=0.0):
+    """Refile ``slots``, the slots at a vertex that has just flipped, in
+    order: a member is removed, a non-member appended unless it is a
+    self-loop.  Returns ``w`` updated by the weights of the slots that
+    moved."""
+    for e in slots:
+        i = pos[e]
+        if i >= 0:
+            pos[e] = -1
+            last = items.pop()
+            if last != e:
+                items[i] = last
+                pos[last] = i
+            if wa is not None:
+                w -= wa[us[e]]
+        elif us[e] != vs[e]:
+            pos[e] = len(items)
+            items.append(e)
+            if wa is not None:
+                w += wa[us[e]]
+    return w

@@ -255,6 +255,7 @@ def test_config_missing_keys_or_not_an_object(text):
     {"family": "rrg", "n": 20},              # no d
     {"family": "er", "n": 20, "p": "x"},     # string for a float
     {"family": "dcm", "n": 20},              # neither d nor d_in/d_out
+    {"family": "dcm", "n": 20, "d_in": [1, 2], "d_out": [2, 1]},  # not n long
 ])
 def test_ensemble_bad_model_spec_exits_2(tmp_path, capsys, model):
     cfg = experiments.ExperimentConfig(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from discordlab import dynamics, experiments, graphs, limits
+from discordlab import coevolution, dynamics, experiments, graphs, limits
 from discordlab.errors import InvalidParameterError, SimulationTimeout
 
 from _deadline import deadline
@@ -325,6 +325,7 @@ def test_complete_rewiring_matches_explicit_edge_list():
     assert sorted(gm.degrees()) == [n - 1] * n
 
 
+@deadline()
 def test_complete_count_chain_only_while_implicit():
     n = 30
     st = dynamics.init_opinions_iid(n, 0.5, np.random.default_rng(5))
@@ -377,6 +378,7 @@ def test_rewiring_bookkeeping_fuzz_and_degree_preservation():
     gm.check_consistency()
 
 
+@deadline()
 def test_rewiring_nu0_on_implicit_complete_is_the_count_chain():
     # K_60 with unread edge lists: nu = 0 is run_voter, the heart-count
     # chain, and builds no lists
@@ -396,6 +398,7 @@ def test_rewiring_nu0_on_implicit_complete_is_the_count_chain():
     assert g.implicit_complete
 
 
+@deadline()
 def test_opinion_length_is_checked_on_every_engine(rng):
     k = graphs.generate_complete(5)
     g = graphs.generate_random_regular(6, 3, rng)
@@ -408,6 +411,44 @@ def test_opinion_length_is_checked_on_every_engine(rng):
     for run in runs:
         with pytest.raises(InvalidParameterError, match="opinion vector"):
             run()
+
+
+NAN = float("nan")
+
+
+def _nan_runs(engine, horizon, sched):
+    """A run of ``engine`` with the given horizon and sample times."""
+    rng = np.random.default_rng(21)
+    if engine == "lockstep":
+        cfg = experiments.ExperimentConfig(
+            model={"family": "rrg", "n": 20, "d": 3}, u=0.5,
+            replicas=experiments.LOCKSTEP_MIN_REPLICAS, master_seed=3,
+            horizon=horizon, sample_times=sched)
+        return experiments.run_ensemble(cfg)
+    if engine == "dense":
+        state = coevolution.init_positional(20, rng=rng)
+        s = coevolution.SwitchProbs(s_c1=0.5, s_c0=1.5, s_d1=2.0, s_d0=0.7)
+        return coevolution.run_dense(state, 1.0, 1.0, s, horizon, sched, rng)
+    if engine == "directed":
+        g = graphs.generate_directed_configuration([3] * 20, [3] * 20, rng)
+        st = dynamics.init_opinions_iid(20, 0.5, rng)
+        return dynamics.run_voter_directed(g, st, horizon, sched, rng)
+    g = (graphs.generate_complete(20) if engine == "complete-chain"
+         else graphs.generate_random_regular(20, 3, rng))
+    st = dynamics.init_opinions_iid(20, 0.5, rng)
+    nu = 2.0 if engine == "rewiring" else 0.0
+    return dynamics.run_voter_rewiring(g, st, nu, horizon, sched, rng)
+
+
+@pytest.mark.parametrize("engine", ["voter", "complete-chain", "rewiring",
+                                    "directed", "lockstep", "dense"])
+def test_nan_horizon_or_sample_time_is_rejected(engine):
+    # a NaN horizon used to run on to consensus, and a NaN sample time to
+    # drop out of the returned times
+    for horizon, sched in ((NAN, [1.0, 2.0]), (3.0, [1.0, NAN]),
+                           (3.0, [NAN])):
+        with deadline(), pytest.raises(InvalidParameterError, match="NaN"):
+            _nan_runs(engine, horizon, sched)
 
 
 def test_rewiring_validation(rng):

@@ -70,6 +70,19 @@ def test_build_graph_families(rng):
         experiments.build_graph({"family": "tree", "n": 5}, rng)
 
 
+def test_dcm_degree_sequences_must_have_n_entries(rng):
+    # the graph used to take the length of the sequences as its size, while
+    # estimate_theta scaled by n
+    for d_in, d_out in (([1, 2], [2, 1]), ([1] * 21, [1] * 21),
+                        ([1] * 20, [1] * 19)):
+        model = {"family": "dcm", "n": 20, "d_in": d_in, "d_out": d_out}
+        with pytest.raises(InvalidParameterError, match="20"):
+            experiments.build_graph(model, rng)
+    g = experiments.build_graph({"family": "dcm", "n": 3, "d_in": [1, 2, 0],
+                                 "d_out": [1, 1, 1]}, rng)
+    assert (g.n, g.m) == (3, 3)
+
+
 def test_compare_to_prediction_self_is_zero():
     res = experiments.run_ensemble(small_cfg())
     rep = experiments.compare_to_prediction(

@@ -1,5 +1,6 @@
-"""The lockstep ensemble path of ``run_ensemble`` against the event-driven
+"""The lockstep ensemble path of ``run_ensemble`` against the single-run
 engines it stands in for, on undirected (rrg, ER) and directed (dcm) graphs.
+The exact directed laws are checked on both paths.
 
 The two paths share graphs and starting opinions but not the random stream
 of the dynamics, so they are compared in law: at every sample time a
@@ -33,7 +34,7 @@ def cfg_of(model, horizon=4.0, step=0.5, **over):
 
 
 def both_paths(cfg):
-    """(lockstep result, event-driven heart, disc, taus) for one config."""
+    """(lockstep result, single-run heart, disc, taus) for one config."""
     assert experiments._takes_lockstep(cfg)
     lock = experiments.run_ensemble(cfg)
     heart, disc, taus, _, _ = experiments._replica_ensemble(cfg, workers=1)
@@ -57,6 +58,15 @@ def law_pvalues(lock, heart, disc, taus):
         ps.append(stats.ks_2samp(lock.taus[hit_a], taus[hit_b],
                                  method="asymp").pvalue)
     return np.asarray(ps)
+
+
+def directed_paths(cfg):
+    """Consensus times and values of the replicas of ``cfg`` on each path:
+    the lockstep engine, and ``run_voter_directed`` replica by replica."""
+    lock = experiments.run_ensemble(cfg)
+    _, _, taus, values, _ = experiments._replica_ensemble(cfg, workers=1)
+    return {"lockstep": (lock.taus, lock.consensus_values),
+            "single-run": (taus, values)}
 
 
 def exp_cdf(rate, horizon):
@@ -239,13 +249,13 @@ def test_directed_two_cycle_absorbs_at_an_exp2_time(monkeypatch):
                         lambda n, u, rng: dynamics.OpinionState([1, 0], 1))
     cfg = cfg_of({"family": "dcm", "n": 2, "d": 1}, horizon=6.0, step=1.5,
                  replicas=1000)
-    lock = experiments.run_ensemble(cfg)
-    assert np.all(np.isfinite(lock.taus))
-    ones = sum(v == 1 for v in lock.consensus_values)
-    assert ones + sum(v == 0 for v in lock.consensus_values) == cfg.replicas
-    ps = [stats.binomtest(ones, cfg.replicas, 1 / 2).pvalue,
-          stats.kstest(lock.taus, exp_cdf(2.0, cfg.horizon)).pvalue]
-    assert min(ps) >= ALPHA / len(ps), ps
+    for path, (taus, values) in directed_paths(cfg).items():
+        assert np.all(np.isfinite(taus)), path
+        ones = sum(v == 1 for v in values)
+        assert ones + sum(v == 0 for v in values) == cfg.replicas, path
+        ps = [stats.binomtest(ones, cfg.replicas, 1 / 2).pvalue,
+              stats.kstest(taus, exp_cdf(2.0, cfg.horizon)).pvalue]
+        assert min(ps) >= ALPHA / len(ps), (path, ps)
 
 
 @pytest.mark.parametrize("adopt_from, tails, heads",
@@ -262,10 +272,10 @@ def test_a_vertex_copies_only_along_its_own_arcs(monkeypatch, adopt_from,
                         lambda n, u, rng: dynamics.OpinionState([0, 1], 1))
     cfg = cfg_of({"family": "dcm", "n": 2, "d": 1}, horizon=20.0, step=5.0,
                  replicas=1000, adopt_from=adopt_from)
-    lock = experiments.run_ensemble(cfg)
-    assert lock.consensus_values == [1] * cfg.replicas
-    p = stats.kstest(lock.taus, exp_cdf(1.0, cfg.horizon)).pvalue
-    assert p >= ALPHA, p
+    for path, (taus, values) in directed_paths(cfg).items():
+        assert values == [1] * cfg.replicas, path
+        p = stats.kstest(taus, exp_cdf(1.0, cfg.horizon)).pvalue
+        assert p >= ALPHA, (path, p)
 
 
 def test_cap_flip_on_a_path(monkeypatch):

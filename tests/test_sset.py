@@ -1,5 +1,6 @@
-"""The shared discordant-slot primitive against brute force, and the
-package layering it depends on."""
+"""The shared discordant-slot primitive against brute force, its weighted
+copies in ``_oracles`` (which the reference directed engine uses) along
+with it, and the package layering it depends on."""
 
 import ast
 import math
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from discordlab._sset import SampleableSet, build, drop, toggle
 from discordlab.graphs import swap_endpoints
 
-from _oracles import brute_discordant, refile
+from _oracles import (brute_discordant, refile, weighted_build,
+                      weighted_toggle)
 
 # |w - fsum of member weights| <= REL_TOL * (weight of every slot): the
 # running total is a chain of float additions and subtractions of terms no
@@ -61,61 +63,68 @@ def _discordant(us, vs, ops):
     return members
 
 
-def _remove(slots, items, pos, us, vs, wa, w):
+def _remove(slots, items, pos, us, vs, wa, w, plain):
     """Weighted removal of the members of ``slots``, in order: a toggle of
-    one member removes it."""
+    one member removes it.  ``plain`` is the unweighted set, kept alongside
+    by the package's ``toggle``."""
     for e in slots:
         if pos[e] >= 0:
-            w = toggle((e,), items, pos, us, vs, wa, w)
+            w = weighted_toggle((e,), items, pos, us, vs, wa, w)
+            toggle((e,), *plain, us, vs)
     return w
 
 
-def _file(slots, items, pos, us, vs, ops, wa, w):
+def _file(slots, items, pos, us, vs, ops, wa, w, plain):
     """Append the discordant non-members of ``slots``, in order: a toggle
     of one absent slot that is not a self-loop appends it."""
     for e in slots:
         if pos[e] < 0 and ops[us[e]] != ops[vs[e]]:
-            w = toggle((e,), items, pos, us, vs, wa, w)
+            w = weighted_toggle((e,), items, pos, us, vs, wa, w)
+            toggle((e,), *plain, us, vs)
     return w
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(scenarios())
 def test_build_toggle_drop_and_endpoint_edits_match_brute_force(case):
+    # the weighted oracle copies and the package's functions side by side
     us, vs, wa, ops, steps = case
     us, vs, ops = list(us), list(vs), list(ops)
     inc = _incidence(len(ops), us, vs)
-    items, pos, w = build(us, vs, ops, wa)
+    items, pos, w = weighted_build(us, vs, ops, wa)
+    plain = build(us, vs, ops)
     _check(items, pos, us, wa, w, _discordant(us, vs, ops))
     for step in steps:
         if step[0] == "flip":
             v = step[1]
             ops[v] ^= 1
-            w = toggle(inc[v], items, pos, us, vs, wa, w)
+            w = weighted_toggle(inc[v], items, pos, us, vs, wa, w)
+            toggle(inc[v], *plain, us, vs)
         elif step[0] == "move":
             _, e, first, x = step
-            w = _remove((e,), items, pos, us, vs, wa, w)
+            w = _remove((e,), items, pos, us, vs, wa, w, plain)
             ends = us if first else vs
             inc[ends[e]].remove(e)
             inc[x].append(e)
             ends[e] = x
-            w = _file((e,), items, pos, us, vs, ops, wa, w)
+            w = _file((e,), items, pos, us, vs, ops, wa, w, plain)
         elif step[0] == "swap":
             _, i, j, first = step
             if i == j:
                 continue
-            w = _remove((i, j), items, pos, us, vs, wa, w)
+            w = _remove((i, j), items, pos, us, vs, wa, w, plain)
             swap_endpoints(us, vs, inc, i, j, first)
-            w = _file((i, j), items, pos, us, vs, ops, wa, w)
+            w = _file((i, j), items, pos, us, vs, ops, wa, w, plain)
         else:
             slots = step[1]
             kept = set(items) - set(slots)
-            plain_items, plain_pos = list(items), list(pos)
-            drop(slots, plain_items, plain_pos)
-            w = _remove(slots, items, pos, us, vs, wa, w)
-            assert (plain_items, plain_pos) == (items, pos)
+            dropped = list(items), list(pos)
+            drop(slots, *dropped)
+            w = _remove(slots, items, pos, us, vs, wa, w, plain)
+            assert dropped == (items, pos)
             _check(items, pos, us, wa, w, kept)
-            w = _file(slots, items, pos, us, vs, ops, wa, w)
+            w = _file(slots, items, pos, us, vs, ops, wa, w, plain)
+        assert plain == (items, pos)
         _check(items, pos, us, wa, w, _discordant(us, vs, ops))
 
 
@@ -139,6 +148,8 @@ def flip_runs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(flip_runs())
 def test_toggle_after_a_flip_is_refile_bit_for_bit(case):
+    # the package's toggle keeps refile's members and positions, and the
+    # weighted oracle copy its weight too
     us, vs, ops, wa, flips = case
     ops = list(ops)
     m = len(us)
@@ -147,25 +158,30 @@ def test_toggle_after_a_flip_is_refile_bit_for_bit(case):
     wb = None if wa is None else [0.0] * len(ops)
     ref_items, ref_pos = [], {}
     ref_w = refile(range(m), ref_items, ref_pos, us, vs, ops, wa, wb)
-    items, pos, w = build(us, vs, ops, wa)
+    items, pos = build(us, vs, ops)
+    w_items, w_pos, w = weighted_build(us, vs, ops, wa)
     for v in [None, *flips]:
         if v is not None:
             ops[v] ^= 1
             ref_w = refile(inc[v], ref_items, ref_pos, us, vs, ops, wa, wb,
                            ref_w)
-            w = toggle(inc[v], items, pos, us, vs, wa, w)
-        assert items == ref_items
-        assert pos == [ref_pos.get(e, -1) for e in range(m)]
+            toggle(inc[v], items, pos, us, vs)
+            w = weighted_toggle(inc[v], w_items, w_pos, us, vs, wa, w)
+        assert items == w_items == ref_items
+        assert pos == w_pos == [ref_pos.get(e, -1) for e in range(m)]
         assert w.hex() == ref_w.hex()
 
 
 def test_count_only_mode_keeps_no_weight():
+    # the package's set keeps members and positions, and no weight
     us, vs, ops = [0, 1, 2], [1, 2, 0], [0, 1, 1]
-    items, pos, w = build(us, vs, ops)
-    assert w == 0.0
+    items, pos = build(us, vs, ops)
     assert items == [0, 2]
-    drop((0,), items, pos)
-    assert items == [2] and pos == [-1, -1, 0]
+    # vertex 1 flips: its slots 0 and 1 change discordance
+    assert toggle([0, 1], items, pos, us, vs) is None
+    assert items == [2, 1] and pos == [-1, 1, 0]
+    drop((2,), items, pos)
+    assert items == [1] and pos == [-1, 0, -1]
 
 
 def test_sampleable_set_add_discard_pick():

@@ -13,8 +13,12 @@ The four static rows (``voter-rrg``, ``voter-er``, ``voter-rrg-multigraph``,
 implicit K_n moved to the literal-clock engine, after its ``nu = 0`` law
 tests (``test_rewiring.py``) passed; their former digests, from the
 event-driven engine, are held by the reference engine of ``_oracles``.
-No row covers the heart-count chain of an implicit K_n, whose law is tested
-in ``test_complete_chain.py``.  The consensus runs are time-bounded, so that
+The four ``directed-*`` rows were recorded again when directed runs moved
+from their event-driven engine to the literal-clock engine, after the law
+tests of ``test_directed_laws.py`` passed; their former digests are held by
+the reference directed engine of ``_oracles``.  No row covers the
+heart-count chain of an implicit K_n, whose law is tested in
+``test_complete_chain.py``.  The consensus runs are time-bounded, so that
 a run that spins fails instead of hanging.
 """
 
@@ -26,7 +30,7 @@ import pytest
 from discordlab import coevolution, dynamics, graphs
 
 from _deadline import deadline
-from _oracles import reference_rewiring
+from _oracles import reference_directed, reference_rewiring
 
 
 def _digest(*parts):
@@ -82,15 +86,15 @@ def _rewiring(family, seed):
     return _traj_digest(traj, g.eu, g.ev, [x for a in g.inc for x in a])
 
 
-def _directed(kind, adopt_from, seed):
+def _directed(kind, adopt_from, seed, run=dynamics.run_voter_directed):
     rng = np.random.default_rng(seed)
     if kind == "regular":
         g = graphs.generate_directed_configuration([2] * 150, [2] * 150, rng)
     else:
         g = _mixed_dcm(150, rng)
     st = dynamics.init_opinions_iid(g.n, 0.5, rng)
-    traj = dynamics.run_voter_directed(g, st, 40.0, np.linspace(0, 40, 41),
-                                       rng, adopt_from=adopt_from)
+    traj = run(g, st, 40.0, np.linspace(0, 40, 41), rng,
+               adopt_from=adopt_from)
     return _traj_digest(traj)
 
 
@@ -167,13 +171,13 @@ DIGESTS = {
     "dense-unchecked":
         "dd2829206930686816e1bc20b6a3b75cbc4400fcc883dbdc93b28f6962bb33e9",
     "directed-mixed-in":
-        "4b78d3d932ec7a2c86bb82616bca13a23ef71bc5127ac0a4d2cc3a3d42daf167",
+        "bc9a35d1fd1787498424e87e24c03189301c53b28e7fcffc3918968e663dc480",
     "directed-mixed-out":
-        "fc53ff0404138a14adb36ee90f895b79220764ab89ab08026b7711d7bddd83e4",
+        "1c09b16e03063b47ba36cb4bd873b38861f9b084a6c0299ad295314502fb8bce",
     "directed-regular-in":
-        "e9b84f14ea50eff35cc17884538a087248c924fba5ffb95b3634b7f83c6517c8",
+        "b1c73363a1302a70df4bcc2d8f06103a23f7ab79e68793e1d1d96c5ca2ccc95a",
     "directed-regular-out":
-        "78af106f8c775a84d2e68917adf2a6bd425d037a75a3c619b5b2f302bc1654df",
+        "6dafb98e5508a11df3695cf6d5cfc82bf989b9001f639d32220af01430d202c1",
     "holme-newman":
         "bee2acb87c4cc79714cfcb8106b5b7b3f16479f931ac609935b7822dd0fba4a5",
     "holme-newman-multigraph":
@@ -230,3 +234,30 @@ REFERENCE_DIGESTS = {
 def test_reference_engine_keeps_the_former_static_stream(name):
     run, *args = REFERENCE_CASES[name]
     assert run(*args) == REFERENCE_DIGESTS[name]
+
+
+# The directed rows as ``run_voter_directed`` produced them on the former
+# event-driven directed engine, which the reference engine of ``_oracles``
+# reproduces.
+REFERENCE_DIRECTED_CASES = {
+    name: (*CASES[name], reference_directed)
+    for name in ("directed-regular-out", "directed-regular-in",
+                 "directed-mixed-out", "directed-mixed-in")
+}
+
+REFERENCE_DIRECTED_DIGESTS = {
+    "directed-mixed-in":
+        "4b78d3d932ec7a2c86bb82616bca13a23ef71bc5127ac0a4d2cc3a3d42daf167",
+    "directed-mixed-out":
+        "fc53ff0404138a14adb36ee90f895b79220764ab89ab08026b7711d7bddd83e4",
+    "directed-regular-in":
+        "e9b84f14ea50eff35cc17884538a087248c924fba5ffb95b3634b7f83c6517c8",
+    "directed-regular-out":
+        "78af106f8c775a84d2e68917adf2a6bd425d037a75a3c619b5b2f302bc1654df",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DIRECTED_CASES))
+def test_reference_engine_keeps_the_former_directed_stream(name):
+    run, *args = REFERENCE_DIRECTED_CASES[name]
+    assert run(*args) == REFERENCE_DIRECTED_DIGESTS[name]
