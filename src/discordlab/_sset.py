@@ -1,11 +1,12 @@
-"""The discordant-slot set the event engines keep, and its O(1) sampling.
+"""The discordant-slot set that ``run_rewire_model`` keeps, to draw a
+uniform discordant edge, and its O(1) sampling.
 
 Format: a list ``items`` of the member slots plus a list ``pos`` indexed by
 slot id, ``pos[e]`` being the index of ``e`` in ``items`` or -1 when ``e``
 is absent.  Insertion appends; removal moves the last element into the
 hole, so membership changes and uniform draws are O(1) (the swap-with-tail
 trick of the epidemic-simulation literature).  Member order is part of the
-random stream: a uniform draw indexes ``items``, so every engine must
+random stream: a uniform draw indexes ``items``, so the engine must
 insert and remove in the same sequence to reproduce a run.
 
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set

@@ -15,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -201,6 +202,7 @@ def cmd_coevolve(args, argv):
     elif args.coevo_model == "dense":
         _require(args.n is not None, "--n is required")
         _require(args.horizon is not None, "--horizon is required for dense")
+        _require(args.samples >= 0, "--samples must be >= 0")
         s = coevolution.SwitchProbs(s_c1=args.sc1, s_c0=args.sc0,
                                     s_d1=args.sd1, s_d0=args.sd0)
         if args.init == "positional":
@@ -353,6 +355,13 @@ def _add_model_flags(p):
     p.add_argument("--policy", choices=["reject", "allow"], default="reject")
 
 
+def _finite(text) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="discordlab",
@@ -413,32 +422,37 @@ def build_parser():
     c.set_defaults(func=cmd_coevolve)
 
     o = sub.add_parser("oracle", help="query the analytic N->infinity oracles")
-    o.add_argument("which", choices=["theta-regular", "theta-rewiring",
-                                     "theta-directed", "fd", "predict",
-                                     "dense-limit"])
-    o.add_argument("--d", type=int)
-    o.add_argument("--nu", type=float)
-    o.add_argument("--m1", type=float)
-    o.add_argument("--m2", type=float)
-    o.add_argument("--u", type=float)
-    o.add_argument("--t", type=float)
-    o.add_argument("--n", type=int)
-    o.add_argument("--t-max", dest="t_max", type=float)
-    o.add_argument("--points", type=int, default=201)
-    o.add_argument("--tol", type=float, default=1e-6)
-    o.add_argument("--eta", type=float, default=1.0)
-    o.add_argument("--rho", type=float, default=1.0)
-    o.add_argument("--sc0", type=float, default=1.0)
-    o.add_argument("--sc1", type=float, default=1.0)
-    o.add_argument("--sd0", type=float, default=1.0)
-    o.add_argument("--sd1", type=float, default=1.0)
-    o.add_argument("--p0", type=float, default=0.5)
-    o.add_argument("--q0", type=float, default=0.5)
-    o.add_argument("--dt", type=float, default=1e-3)
-    o.add_argument("--seed", type=int)
-    o.add_argument("--out")
-    o.add_argument("--quiet", action="store_true")
     o.set_defaults(func=cmd_oracle)
+    oracles = o.add_subparsers(dest="which", required=True)
+
+    types = {"--d": int, "--n": int, "--t-max": _finite}
+
+    def oracle(name, *required):
+        """The parser of one oracle, which requires the flags it reads."""
+        p = oracles.add_parser(name)
+        for flag in required:
+            p.add_argument(flag, type=types.get(flag, float), required=True)
+        p.add_argument("--quiet", action="store_true")
+        return p
+
+    oracle("theta-regular", "--d")
+    oracle("theta-rewiring", "--d", "--nu").add_argument(
+        "--tol", type=float, default=1e-6)
+    oracle("theta-directed", "--m1", "--m2")
+    fd = oracle("fd", "--d", "--t-max")
+    fd.add_argument("--points", type=int, default=201)
+    fd.add_argument("--tol", type=float, default=1e-6)
+    fd.add_argument("--out")
+    oracle("predict", "--u", "--d", "--t", "--n").add_argument(
+        "--tol", type=float, default=1e-6)
+    dl = oracle("dense-limit", "--t-max")
+    for flag in ("--eta", "--rho", "--sc0", "--sc1", "--sd0", "--sd1"):
+        dl.add_argument(flag, type=float, default=1.0)
+    dl.add_argument("--p0", type=float, default=0.5)
+    dl.add_argument("--q0", type=float, default=0.5)
+    dl.add_argument("--dt", type=float, default=1e-3)
+    dl.add_argument("--seed", type=int)
+    dl.add_argument("--out")
 
     e = sub.add_parser("ensemble", help="replicated runs from a JSON config")
     e.add_argument("--config", required=True)

@@ -19,7 +19,7 @@ import numpy as np
 from ._sset import SampleableSet, build, drop, toggle
 from .dynamics import _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import generate_erdos_renyi, generate_gnm
+from .graphs import count_discordant, generate_erdos_renyi, generate_gnm
 from .limits import SwitchProbs
 
 __all__ = [
@@ -265,14 +265,15 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
              SampleableSet(v for v in range(n) if ops[v] == 1))
-    disc_items, disc_pos = build(eu, ev, ops)
+    # no draw reads which edges are discordant, only how many
+    nd = count_discordant(g, ops)
 
     steps = 0
     rec = _Recorder()
     maybe = rec.maybe
-    maybe(0.0, heart / n, len(disc_items) / m if m else 0.0)
+    maybe(0.0, heart / n, nd / m if m else 0.0)
     resolved = True
-    while disc_items:
+    while nd:
         if steps >= max_steps:
             resolved = False
             break
@@ -280,7 +281,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
         v = int(rr() * n)
         dv = len(inc[v])
         if dv == 0:
-            maybe(float(steps), heart / n, len(disc_items) / m)
+            maybe(float(steps), heart / n, nd / m)
             continue
         e = inc[v][int(rr() * dv)]
         other = ev[e] if eu[e] == v else eu[e]
@@ -295,19 +296,21 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
                     inc[w].append(e)
                     eu[e] = v
                     ev[e] = w
-                if disc_pos[e] >= 0:  # e now joins two vertices of one opinion
-                    drop((e,), disc_items, disc_pos)
+                if ops[v] != ops[other]:  # e was discordant
+                    nd -= 1
         elif ops[v] != ops[other]:
             old = ops[v]
+            # each edge at v that is not a self-loop changes discordance
+            for f in inc[v]:
+                if eu[f] != ev[f]:
+                    nd += 1 if ops[eu[f]] == ops[ev[f]] else -1
             ops[v] = ops[other]
             heart += 1 if ops[other] == 1 else -1
             by_op[old].discard(v)
             by_op[1 - old].add(v)
-            toggle(inc[v], disc_items, disc_pos, eu, ev)
-        maybe(float(steps), heart / n, len(disc_items) / m)
+        maybe(float(steps), heart / n, nd / m)
 
-    return rec.finish(float(steps), ops, heart, len(disc_items), m, steps,
-                      resolved)
+    return rec.finish(float(steps), ops, heart, nd, m, steps, resolved)
 
 
 # ----------------------------------------------------------------------

@@ -236,9 +236,10 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
             if end is not None or j >= K:
                 break
             if pos == B:
-                swept += int(cum[-1]) if B else 0
+                swept += int(cum[-1]) if cum is not None else 0
                 B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
-                S, T, cum = _proposals(rng, B, n / total, n, slots, csr)
+                S, T, cum = _proposals(rng, B, n / total, n, slots, csr,
+                                       partner is not None)
                 pos = 0
             c = int(min(K - j, B - pos, max_events - events))
             si = iter(S[pos:pos + c])
@@ -280,7 +281,8 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
             played = c - si.__length_hint__()  # proposals the loop took
             pos += played
             j += played
-            events = flips - nulls + swept + (int(cum[pos - 1]) if pos else 0)
+            events = flips if cum is None else \
+                flips - nulls + swept + int(cum[pos - 1])
         if end is not None:
             # the time of the j-th of the K proposals of this gap
             if j:
@@ -305,26 +307,29 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
                         events)
 
 
-def _proposals(rng, size, pa, n, slots, csr):
-    """``size`` proposals ``S, T`` as lists, and the running count of swaps.
-    With probability ``pa`` an adoption through a uniform slot ``S`` of a
-    uniform vertex (``T = -1``), through the null slot ``slots`` at a
-    vertex with none; else a swap of the uniform stubs ``S`` and ``T``."""
+def _proposals(rng, size, pa, n, slots, csr, swaps):
+    """``size`` proposals: a list ``S`` of slots and, with ``swaps``, a
+    list ``T`` and the running count of swaps (else ``None, None``).  With
+    probability ``pa`` an adoption through a uniform slot ``S`` of a uniform
+    vertex (``T = -1``), through the null slot ``slots`` at a vertex with
+    none; else a swap of the uniform stubs ``S`` and ``T``."""
     u, y = rng.random((2, size))
-    adopt = u < pa
-    t = (y * slots).astype(np.int64)
-    # rounding in pa can carry these products to their upper bound; with
-    # pa == 1 (no swaps) every proposal is an adoption
-    s = np.minimum(((u - pa) * (slots / (1.0 - pa))).astype(np.int64),
-                   slots - 1) if pa < 1.0 else np.empty_like(t)
+    adopt = u < pa if swaps else slice(None)  # pa == 1 without swaps
     if csr is None:
-        s[adopt] = t[adopt]
+        a = (y[adopt] * slots).astype(np.int64)
     else:
         off, deg = csr
         v = np.minimum((u[adopt] * (n / pa)).astype(np.int64), n - 1)
         d = deg[v]
-        s[adopt] = np.where(d > 0, off[v] + (y[adopt] * d).astype(np.int64),
-                            slots)
+        a = np.where(d > 0, off[v] + (y[adopt] * d).astype(np.int64), slots)
+    if not swaps:
+        return a.tolist(), None, None
+    t = (y * slots).astype(np.int64)
+    # rounding in pa can carry this product to its upper bound; a pa that
+    # rounds to 1 makes every proposal an adoption
+    s = np.minimum(((u - pa) * (slots / (1.0 - pa))).astype(np.int64),
+                   slots - 1) if pa < 1.0 else np.empty_like(t)
+    s[adopt] = a
     t[adopt] = -1
     return s.tolist(), t.tolist(), np.cumsum(t >= 0)
 

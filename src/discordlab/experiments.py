@@ -142,6 +142,18 @@ _MODEL_KEYS = {
 _DCM_SEQUENCE_KEYS = {"d_in": list[int], "d_out": list[int]}
 
 
+def _check_keys(spec: dict, keys: dict, what: str) -> None:
+    """Raise InvalidParameterError unless ``spec`` holds every key of
+    ``keys`` with a value of its JSON type."""
+    for key, hint in keys.items():
+        if key not in spec:
+            raise InvalidParameterError(f"{what} needs key {key!r}")
+        if not _json_fits(spec[key], hint):
+            raise InvalidParameterError(
+                f"{what}: key {key!r} must be {hint.__name__}, "
+                f"got {spec[key]!r}")
+
+
 def build_graph(model: dict, rng):
     """Instantiate the graph family described by a model spec dict.  An
     unknown family, or a key the family needs that is missing or of the
@@ -153,14 +165,7 @@ def build_graph(model: dict, rng):
         keys = _MODEL_KEYS[family]
     else:
         raise InvalidParameterError(f"unknown graph family {family!r}")
-    for key, hint in keys.items():
-        if key not in model:
-            raise InvalidParameterError(
-                f"graph family {family!r} needs model key {key!r}")
-        if not _json_fits(model[key], hint):
-            raise InvalidParameterError(
-                f"model key {key!r} must be {hint.__name__}, "
-                f"got {model[key]!r}")
+    _check_keys(model, keys, f"graph family {family!r}")
     n = model.get("n")
     if family == "complete":
         return graphs.generate_complete(n)
@@ -349,19 +354,30 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     """
     if cfg.replicas < 1:
         raise InvalidParameterError("need at least one replica")
+    if cfg.master_seed < 0:
+        raise InvalidParameterError("master_seed must be >= 0")
     if cfg.rate_convention not in ("pair", "edge"):
         raise InvalidParameterError(
             f"unknown rate convention {cfg.rate_convention!r}")
     if cfg.horizon is not None and any(
             t > cfg.horizon for t in cfg.sample_times):
         raise InvalidParameterError("sample grid must lie within the horizon")
+    times = np.asarray(cfg.sample_times, dtype=float)
+    if cfg.comparison:
+        # resolved before the runs, so that a bad spec costs none
+        spec = dict(cfg.comparison)
+        _check_keys(spec, {"tolerance": float}, "comparison")
+        tol = spec.pop("tolerance")
+        observable = spec.pop("observable", "discordant_frac")
+        if observable not in ("heart_frac", "discordant_frac"):
+            raise InvalidParameterError(f"unknown observable {observable!r}")
+        pred = resolve_prediction(spec, times)
     R = cfg.replicas
     if _takes_lockstep(cfg):
         heart, disc, taus, values, timed_out = _lockstep_ensemble(cfg)
     else:
         heart, disc, taus, values, timed_out = _replica_ensemble(cfg, workers)
 
-    times = np.asarray(cfg.sample_times, dtype=float)
     samples = {"heart_frac": heart, "discordant_frac": disc}
     result = EnsembleResult(
         times=times,
@@ -374,10 +390,6 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
         config=cfg,
     )
     if cfg.comparison:
-        spec = dict(cfg.comparison)
-        tol = spec.pop("tolerance")
-        observable = spec.pop("observable", "discordant_frac")
-        pred = resolve_prediction(spec, times)
         result.comparison = compare_to_prediction(
             result, pred, tol, observable=observable)
     return result
@@ -388,8 +400,11 @@ def resolve_prediction(spec: dict, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     name = spec.get("name")
     if name == "constant":
+        _check_keys(spec, {"value": float}, "prediction 'constant'")
         return np.full(len(times), float(spec["value"]))
     if name == "discordance":
+        _check_keys(spec, {"u": float, "d": int, "n": int},
+                    "prediction 'discordance'")
         return np.atleast_1d(limits.discordance_prediction(
             spec["u"], spec["d"], times, spec["n"],
             tolerance=spec.get("tolerance", 1e-6)))

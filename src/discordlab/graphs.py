@@ -1,15 +1,15 @@
 """Graph models: complete, random regular (pairing model), directed
-configuration model, Erdos-Renyi, plus degree-preserving edge swaps and
-discordant-edge counting.
+configuration model, Erdos-Renyi, plus discordant-edge counting and edge
+list files.
 
 Conventions used throughout the package:
 
 * Graphs are multigraphs by default: parallel edges are distinct edge ids,
   a self-loop occupies two incidence slots of its vertex (as in the
   half-edge pairing construction), so sum(deg) == 2*M always holds.
-* Edge ids are stable: ``rewire_swap`` replaces endpoints in place, so
-  Poisson clocks attached to edge ids stay attached through swaps.  A graph
-  handed back by ``run_voter_rewiring(mutate_graph=True)`` is renumbered.
+* Edge ids are stable: the co-evolution engines replace endpoints in
+  place.  A graph handed back by ``run_voter_rewiring(mutate_graph=True)``
+  is renumbered.
 
 Generator costs, for n vertices and m edges out:
 
@@ -26,7 +26,8 @@ Generator costs, for n vertices and m edges out:
 
 An undirected graph builds its edge and incidence lists from its endpoint
 arrays (K_n from n alone) in one bulk pass on first read, in the order one
-``add_edge`` per edge would give them; see :class:`Graph`.
+``add_edge`` per edge would give them; see :class:`Graph`.  A directed
+graph holds only its endpoint arrays, which is all the engines read.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "generate_directed_configuration",
     "generate_erdos_renyi",
     "generate_gnm",
-    "rewire_swap",
     "count_discordant",
     "write_edgelist",
     "read_edgelist",
@@ -236,20 +236,13 @@ class Graph:
 
 
 class DirectedGraph:
-    """Directed multigraph; arc ids are stable, arcs point tail -> head.
+    """Directed multigraph on ``range(n)`` whose arc ``a`` points from
+    ``tails[a]`` to ``heads[a]``, held as two read-only endpoint arrays."""
 
-    As in :class:`Graph`, arcs are held as two read-only endpoint arrays
-    until the first read of ``tails``, ``heads``, ``out_adj`` or ``in_adj``
-    builds the lists in place and drops the arrays.
-    """
-
-    __slots__ = ("n", "_ends", "_tails", "_heads", "_out_adj", "_in_adj")
+    __slots__ = ("n", "_ends")
 
     def __init__(self, n, tails=(), heads=()):
-        """Digraph on ``range(n)`` whose arc ``a`` points from ``tails[a]``
-        to ``heads[a]``.  The graph keeps copies of ``tails`` and ``heads``;
-        the adjacency lists come out as one ``add_arc`` per arc in id order
-        would leave them."""
+        """The graph keeps copies of ``tails`` and ``heads``."""
         if n < 0:
             raise InvalidParameterError("vertex count must be >= 0")
         if len(tails) != len(heads):
@@ -262,79 +255,28 @@ class DirectedGraph:
             raise InvalidParameterError("endpoint out of range")
         tails.flags.writeable = heads.flags.writeable = False
         self._ends = (tails, heads)
-        self._tails = self._heads = self._out_adj = self._in_adj = None
 
     def endpoint_arrays(self):
         """``(tails, heads)``, the endpoints of every arc in id order as
-        int64 arrays; read-only while the lists are unbuilt."""
-        if self._tails is not None:
-            return (np.array(self._tails, np.int64),
-                    np.array(self._heads, np.int64))
+        read-only int64 arrays."""
         return self._ends
-
-    def _lists(self):
-        if self._tails is None:
-            tails, heads = self._ends
-            ids = np.arange(len(tails))
-            self._tails = tails.tolist()
-            self._heads = heads.tolist()
-            self._out_adj = _grouped(self.n, tails, ids)
-            self._in_adj = _grouped(self.n, heads, ids)
-            self._ends = None
-        return self._tails, self._heads, self._out_adj, self._in_adj
-
-    @property
-    def tails(self) -> list[int]:
-        return self._lists()[0]
-
-    @property
-    def heads(self) -> list[int]:
-        return self._lists()[1]
-
-    @property
-    def out_adj(self) -> list[list[int]]:
-        return self._lists()[2]
-
-    @property
-    def in_adj(self) -> list[list[int]]:
-        return self._lists()[3]
 
     @property
     def m(self) -> int:
-        if self._tails is not None:
-            return len(self._tails)
         return len(self._ends[0])
 
-    def add_arc(self, tail, head) -> int:
-        if not (0 <= tail < self.n and 0 <= head < self.n):
-            raise InvalidParameterError(f"endpoint out of range: ({tail}, {head})")
-        tails, heads, out_adj, in_adj = self._lists()
-        a = len(tails)
-        tails.append(tail)
-        heads.append(head)
-        out_adj[tail].append(a)
-        in_adj[head].append(a)
-        return a
-
     def arcs(self):
-        if self._tails is not None:
-            return zip(self._tails, self._heads)
         return zip(self._ends[0].tolist(), self._ends[1].tolist())
 
     def out_degrees(self) -> list[int]:
-        return np.bincount(self.endpoint_arrays()[0], minlength=self.n).tolist()
+        return np.bincount(self._ends[0], minlength=self.n).tolist()
 
     def in_degrees(self) -> list[int]:
-        return np.bincount(self.endpoint_arrays()[1], minlength=self.n).tolist()
+        return np.bincount(self._ends[1], minlength=self.n).tolist()
 
     def copy(self) -> "DirectedGraph":
         g = DirectedGraph(self.n)
         g._ends = self._ends  # read-only, so both graphs may hold them
-        if self._tails is not None:
-            g._tails = list(self._tails)
-            g._heads = list(self._heads)
-            g._out_adj = [list(a) for a in self._out_adj]
-            g._in_adj = [list(a) for a in self._in_adj]
         return g
 
 
@@ -473,44 +415,8 @@ def generate_gnm(n, m, rng) -> Graph:
 
 
 # ----------------------------------------------------------------------
-# mutation and bookkeeping
+# bookkeeping
 # ----------------------------------------------------------------------
-
-def rewire_swap(g: Graph, e1: int, e2: int, rng) -> None:
-    """Swap endpoints of two edge slots, degree-preserving.
-
-    Edges {a,b}, {c,d} become one of the crossed matchings {a,c},{b,d} or
-    {a,d},{b,c}, each with probability 1/2.  Self-loops and multi-edges may
-    be created; degrees never change.
-    """
-    if e1 == e2:
-        raise InvalidParameterError("edge slots must differ")
-    m = g.m
-    if not (0 <= e1 < m and 0 <= e2 < m):
-        raise InvalidParameterError("edge slot out of range")
-    # crossed matchings may produce loops/parallel edges; they are kept
-    g.allows_self_loops = True
-    g.allows_multi_edges = True
-    swap_endpoints(g.eu, g.ev, g.inc, e1, e2, rng.random() < 0.5)
-
-
-def swap_endpoints(eu, ev, inc, e1, e2, first) -> None:
-    """The swap behind :func:`rewire_swap`, on the raw lists: the second
-    endpoint of ``e1`` trades places with the first endpoint of ``e2`` if
-    ``first``, else with its second."""
-    b = ev[e1]
-    if first:
-        x = eu[e2]
-        eu[e2] = b
-    else:
-        x = ev[e2]
-        ev[e2] = b
-    ev[e1] = x
-    inc[b].remove(e1)
-    inc[x].append(e1)
-    inc[x].remove(e2)
-    inc[b].append(e2)
-
 
 def count_discordant(g, opinions) -> int:
     """Number of edges whose endpoints hold different opinions.

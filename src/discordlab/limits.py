@@ -100,14 +100,17 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
     if tolerance <= 0:
         raise InvalidParameterError("tolerance must be > 0")
     if times is None:
-        if t_max is None or t_max < 0:
-            raise InvalidParameterError("need t_max >= 0 or explicit times")
+        if t_max is None or not 0 <= t_max < math.inf:
+            raise InvalidParameterError(
+                "need finite t_max >= 0 or explicit times")
         times = np.linspace(0.0, t_max, 401)
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise InvalidParameterError("times must be a non-empty 1-d array")
-    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-        raise InvalidParameterError("times must be >= 0, strictly increasing")
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0) \
+            or np.any(np.diff(grid) <= 0):
+        raise InvalidParameterError(
+            "times must be finite, >= 0 and strictly increasing")
 
     # escape bound (d-1)^-(K+1) <= tolerance/2
     K = max(8, math.ceil(math.log(2.0 / tolerance) / math.log(d - 1)))
@@ -462,8 +465,8 @@ def integrate_dense_limit(params: DenseLimitParams, dt, t_max, rng=None,
     p-equation is integrated against it: pathwise comparison mode.
     Returns (times, p_path, q_path).
     """
-    if dt <= 0 or t_max <= 0:
-        raise InvalidParameterError("need dt > 0 and t_max > 0")
+    if not (0 < dt < math.inf and 0 < t_max < math.inf):
+        raise InvalidParameterError("need finite dt > 0 and t_max > 0")
     nsteps = int(round(t_max / dt))
     times = np.arange(nsteps + 1) * dt
     p = np.empty(nsteps + 1)

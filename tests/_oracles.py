@@ -14,7 +14,12 @@ runs, and ``reference_directed`` the former directed runs.
 The undirected engine's slot bookkeeping is the former ``_sset`` format,
 with the positions in a dict: ``refile`` files slots by their discordance
 and ``weighted_drop`` removes them, both keeping the running weight in the
-order the engine has always used.  The directed engine weighs each
+order the engine has always used.  Its swaps are ``swap_endpoints`` on
+the edge and incidence lists, which ``rewire_swap`` wraps for a whole
+:class:`Graph`; both were ``graphs`` functions.  The directed engine reads
+the out- and in-adjacency lists that ``directed_lists`` builds from a
+:class:`DirectedGraph`'s endpoint arrays, in the order the former
+``DirectedGraph.add_arc``, one arc at a time, left them.  It weighs each
 discordant arc by the adoption rate of its copying end, with the weighted
 ``_sset`` functions it used, kept here as ``weighted_build`` and
 ``weighted_toggle``.  The package's ``_sset.toggle`` must leave the same
@@ -30,8 +35,7 @@ from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
                                  _Samples, _check_classes, _closed_classes,
                                  _copy_arcs)
 from discordlab.errors import InvalidParameterError, SimulationTimeout
-from discordlab.graphs import (DirectedGraph, Graph, count_discordant,
-                               swap_endpoints)
+from discordlab.graphs import DirectedGraph, Graph, count_discordant
 
 
 def bd_mean_absorption(rates_up, rates_down):
@@ -64,6 +68,53 @@ def complete_voter_mean_tau(N):
 
 def brute_discordant(edge_pairs, opinions):
     return sum(1 for u, v in edge_pairs if opinions[u] != opinions[v])
+
+
+def directed_lists(g: DirectedGraph):
+    """``(out_adj, in_adj)``: the arc ids out of and into each vertex, in
+    increasing id order."""
+    out_adj = [[] for _ in range(g.n)]
+    in_adj = [[] for _ in range(g.n)]
+    for a, (t, h) in enumerate(g.arcs()):
+        out_adj[t].append(a)
+        in_adj[h].append(a)
+    return out_adj, in_adj
+
+
+def rewire_swap(g: Graph, e1: int, e2: int, rng) -> None:
+    """Swap endpoints of two edge slots, degree-preserving.
+
+    Edges {a,b}, {c,d} become one of the crossed matchings {a,c},{b,d} or
+    {a,d},{b,c}, each with probability 1/2.  Self-loops and multi-edges may
+    be created; degrees never change.
+    """
+    if e1 == e2:
+        raise InvalidParameterError("edge slots must differ")
+    m = g.m
+    if not (0 <= e1 < m and 0 <= e2 < m):
+        raise InvalidParameterError("edge slot out of range")
+    # crossed matchings may produce loops/parallel edges; they are kept
+    g.allows_self_loops = True
+    g.allows_multi_edges = True
+    swap_endpoints(g.eu, g.ev, g.inc, e1, e2, rng.random() < 0.5)
+
+
+def swap_endpoints(eu, ev, inc, e1, e2, first) -> None:
+    """The swap behind :func:`rewire_swap`, on the raw lists: the second
+    endpoint of ``e1`` trades places with the first endpoint of ``e2`` if
+    ``first``, else with its second."""
+    b = ev[e1]
+    if first:
+        x = eu[e2]
+        eu[e2] = b
+    else:
+        x = ev[e2]
+        ev[e2] = b
+    ev[e1] = x
+    inc[b].remove(e1)
+    inc[x].append(e1)
+    inc[x].remove(e2)
+    inc[b].append(e2)
 
 
 def _derive_rnd(rng) -> random.Random:
@@ -323,7 +374,7 @@ def reference_directed(g: DirectedGraph, state: OpinionState, horizon,
     wmax = 1.0 / dmin
     # a discordant arc flips us[a] at rate 1/deg(us[a]) and never vs[a]
     inv = None if regular else [1.0 / d for d in degs]
-    inc = [o + i for o, i in zip(g.out_adj, g.in_adj)]
+    inc = [o + i for o, i in zip(*directed_lists(g))]
     disc_items, disc_pos, W = weighted_build(us, vs, ops, inv)
 
     rnd = _derive_rnd(rng)

@@ -193,6 +193,58 @@ def test_exit_code_param_errors(tmp_path, capsys):
     assert dispatch(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta-regular"],
+    ["theta-rewiring", "--d", "3"],
+    ["theta-directed", "--m1", "3"],
+    ["fd", "--d", "3"],
+    ["predict", "--u", "0.5", "--d", "3", "--t", "1"],
+    ["dense-limit"],
+    ["dense-limit", "--t-max", "nan"],
+    ["fd", "--d", "3", "--t-max", "inf"],
+], ids=["theta-regular", "theta-rewiring", "theta-directed", "fd",
+        "predict", "dense-limit", "dense-limit-t-max-nan", "fd-t-max-inf"])
+def test_oracle_bad_input_exits_2(capsys, argv):
+    assert dispatch(["oracle", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_coevolve_negative_samples_exits_2(tmp_path, capsys):
+    assert dispatch(["coevolve", "--model", "dense", "--n", "20",
+                     "--horizon", "1", "--samples", "-1",
+                     "--out", str(tmp_path / "d.csv"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("patch", [
+    {"master_seed": -1},
+    {"comparison": {"name": "constant", "value": 0.5}},  # no tolerance
+    {"comparison": {"name": "constant", "tolerance": 0.1}},  # no value
+    {"comparison": {"name": "discordance", "d": 3, "n": 20,
+                    "tolerance": 0.1}},  # no u
+    {"comparison": {"name": "constant", "value": 0.5, "tolerance": 0.1,
+                    "observable": "tau"}},
+], ids=["negative_seed", "no_tolerance", "constant_no_value",
+        "discordance_no_u", "unknown_observable"])
+def test_ensemble_bad_run_spec_exits_2(tmp_path, capsys, patch):
+    cfg = experiments.ExperimentConfig(
+        model={"family": "rrg", "n": 20, "d": 3}, u=0.5, replicas=2,
+        master_seed=1, horizon=1.0, sample_times=[1.0])
+    for key, value in patch.items():
+        setattr(cfg, key, value)
+    with pytest.raises(InvalidParameterError):
+        experiments.run_ensemble(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    rc = dispatch(["ensemble", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "res"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_code_timeout(tmp_path):
     rc = dispatch(["simulate", "--model", "rrg", "--n", "60", "--d", "3",
                    "--u", "0.5", "--horizon", "50", "--samples", "3",

@@ -8,7 +8,8 @@ from discordlab import coevolution, dynamics, experiments, graphs, limits
 from discordlab.errors import InvalidParameterError, SimulationTimeout
 
 from _deadline import deadline
-from _oracles import bd_mean_absorption, complete_voter_mean_tau
+from _oracles import (bd_mean_absorption, complete_voter_mean_tau,
+                      directed_lists)
 
 
 def k4_cycle_graph(n):
@@ -522,9 +523,7 @@ def test_rewiring_speeds_consensus_small():
 # ----------------------------------------------------------------------
 
 def test_directed_two_cycle_exponential():
-    g = graphs.DirectedGraph(2)
-    g.add_arc(0, 1)
-    g.add_arc(1, 0)
+    g = graphs.DirectedGraph(2, [0, 1], [1, 0])
     taus = []
     for i in range(10_000):
         st = dynamics.OpinionState([0, 1], 1)
@@ -543,15 +542,12 @@ def test_directed_all_same_start_never_changes(rng):
 
 
 def test_directed_requires_positive_out_degree(rng):
-    g = graphs.DirectedGraph(2)
-    g.add_arc(0, 1)  # vertex 1 has out-degree 0
+    g = graphs.DirectedGraph(2, [0], [1])  # vertex 1 has out-degree 0
     st = dynamics.OpinionState([0, 1], 1)
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter_directed(g, st, 1.0, [], rng)
     # the same graph is fine when adopting from in-neighbours of each vertex
-    g2 = graphs.DirectedGraph(2)
-    g2.add_arc(0, 1)
-    g2.add_arc(0, 1)
+    g2 = graphs.DirectedGraph(2, [0, 0], [1, 1])
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter_directed(g2, st, 1.0, [], rng, adopt_from="in")
 
@@ -560,6 +556,8 @@ def _directed_exact_mean_absorption(g, ops0):
     """Exact CTMC absorption time via a full 2^n generator built straight
     from the model definition (vertex at rate 1 adopts uniform out-arc)."""
     n = g.n
+    out_adj = directed_lists(g)[0]
+    heads = g.endpoint_arrays()[1].tolist()
     states = list(itertools.product([0, 1], repeat=n))
     index = {s: i for i, s in enumerate(states)}
     Q = np.zeros((2 ** n, 2 ** n))
@@ -568,9 +566,9 @@ def _directed_exact_mean_absorption(g, ops0):
         if len(set(s)) == 1:
             continue
         for v in range(n):
-            arcs = g.out_adj[v]
+            arcs = out_adj[v]
             for a in arcs:
-                w = g.heads[a]
+                w = heads[a]
                 if s[w] != s[v]:
                     t = list(s)
                     t[v] = s[w]
@@ -585,9 +583,8 @@ def _directed_exact_mean_absorption(g, ops0):
 
 
 def test_directed_engine_matches_exact_ctmc():
-    g = graphs.DirectedGraph(4)
-    for t, h in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 0), (1, 3), (3, 1)]:
-        g.add_arc(t, h)
+    g = graphs.DirectedGraph(4, [0, 1, 2, 3, 0, 2, 1, 3],
+                             [1, 2, 3, 0, 2, 0, 3, 1])
     ops0 = [1, 0, 1, 0]
     exact = _directed_exact_mean_absorption(g, ops0)
     taus = []

@@ -313,3 +313,16 @@ def test_integrate_dense_limit_qpath_validation(rng):
         limits.integrate_dense_limit(params, 0.01, 1.0, q_path=np.zeros(5))
     with pytest.raises(InvalidParameterError):
         limits.integrate_dense_limit(params, 0.01, 1.0)  # no rng, no q_path
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_t_max_is_rejected(rng, bad):
+    params = limits.DenseLimitParams(eta=1.0, rho=1.0, s=FIG9, p0=0.5, q0=0.5)
+    with pytest.raises(InvalidParameterError):
+        limits.integrate_dense_limit(params, 0.01, bad, rng=rng)
+    with pytest.raises(InvalidParameterError):
+        limits.integrate_dense_limit(params, bad, 1.0, rng=rng)
+    with pytest.raises(InvalidParameterError):
+        limits.meeting_profile(3, t_max=bad)
+    with pytest.raises(InvalidParameterError):
+        limits.meeting_profile(3, times=np.array([0.0, bad]))

@@ -9,10 +9,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from discordlab._sset import SampleableSet, build, drop, toggle
-from discordlab.graphs import swap_endpoints
-
-from _oracles import (brute_discordant, refile, weighted_build,
-                      weighted_toggle)
+from _oracles import (brute_discordant, refile, swap_endpoints,
+                      weighted_build, weighted_toggle)
 
 # |w - fsum of member weights| <= REL_TOL * (weight of every slot): the
 # running total is a chain of float additions and subtractions of terms no

@@ -16,7 +16,10 @@ event-driven engine, are held by the reference engine of ``_oracles``.
 The four ``directed-*`` rows were recorded again when directed runs moved
 from their event-driven engine to the literal-clock engine, after the law
 tests of ``test_directed_laws.py`` passed; their former digests are held by
-the reference directed engine of ``_oracles``.  No row covers the
+the reference directed engine of ``_oracles``.  The
+``holme-newman-loops`` row was recorded before ``run_holme_newman`` moved
+from a discordant-slot set to a count of discordant edges, which keeps
+every digest.  No row covers the
 heart-count chain of an implicit K_n, whose law is tested in
 ``test_complete_chain.py``.  The consensus runs are time-bounded, so that
 a run that spins fails instead of hanging.
@@ -115,13 +118,15 @@ def _rewire_model(variant, beta, seed, n=40):
                         outcome.final_heart_fraction)
 
 
-def _holme_newman(seed, beta=0.5, multigraph=False):
+def _holme_newman(seed, beta=0.5, extra=None):
+    """A run on G(120, 240), or on that graph with the edges
+    ``extra(u0, v0)`` appended, where edge 0 joins ``u0`` and ``v0``."""
     rng = np.random.default_rng(seed)
     g = None
-    if multigraph:
+    if extra is not None:
         us, vs = graphs.generate_gnm(120, 240, rng).endpoint_arrays()
-        # a self-loop at vertex 5 and a second copy of edge 0
-        g = graphs.Graph(120, [*us, 5, us[0]], [*vs, 5, vs[0]])
+        add_us, add_vs = zip(*extra(us[0], vs[0]))
+        g = graphs.Graph(120, [*us, *add_us], [*vs, *add_vs])
     outcome, traj = coevolution.run_holme_newman(120, 240, beta, rng,
                                                  initial_graph=g)
     return _traj_digest(traj, outcome.absorption_time, outcome.verdict,
@@ -156,7 +161,14 @@ CASES = {
     "dense-checked": (_dense, 114),
     "voter-rrg-multigraph": (_static, "rrg-multigraph", 116),
     "dense-unchecked": (_dense, 117, 60, False),
-    "holme-newman-multigraph": (_holme_newman, 118, 0.2, True),
+    # a self-loop at vertex 5 and a second copy of edge 0
+    "holme-newman-multigraph": (_holme_newman, 118, 0.2,
+                                lambda u0, v0: [(5, 5), (u0, v0)]),
+    # two self-loops at an end of edge 0, which is tripled; on this seed
+    # that vertex flips while both loops and all three copies are there
+    "holme-newman-loops": (_holme_newman, 128, 0.9,
+                           lambda u0, v0: [(u0, u0), (u0, u0), (u0, v0),
+                                           (u0, v0)]),
     "rewire-to-random-loops": (_rewire_model, coevolution.TO_RANDOM, 5.0, 119,
                                10),
 }
@@ -182,6 +194,8 @@ DIGESTS = {
         "bee2acb87c4cc79714cfcb8106b5b7b3f16479f931ac609935b7822dd0fba4a5",
     "holme-newman-multigraph":
         "4ba192291d57511f442df2bb74ebccff1258e0f75df2ba8b2e52715ce6c4373d",
+    "holme-newman-loops":
+        "5b3a8ee8a38092c9594029632d1e498c22609be4b4c25a868cecca0709f12970",
     "rewire-to-random":
         "60171ff1c033e3ec1ac406979f0a1dd49b9f70fda3487f92ac575b28f7045469",
     "rewire-to-random-loops":
