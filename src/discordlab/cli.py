@@ -40,6 +40,7 @@ def _sha256(path):
 
 def _resolve_seed(seed):
     if seed is not None:
+        _require(seed >= 0, "--seed must be >= 0")
         return int(seed)
     return int(np.random.SeedSequence().entropy % (1 << 63))
 
@@ -254,6 +255,7 @@ def cmd_oracle(args, argv):
     elif which == "theta-directed":
         out = {"theta": limits.theta_directed_eulerian(args.m1, args.m2)}
     elif which == "fd":
+        _require(args.points >= 1, "--points must be >= 1")
         prof = limits.meeting_profile(
             args.d, t_max=args.t_max, tolerance=args.tol,
             times=np.linspace(0.0, args.t_max, args.points))

@@ -160,7 +160,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     Returns (AbsorptionOutcome, Trajectory); hitting max_events yields
     verdict UNRESOLVED with the partial trajectory.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise InvalidParameterError("beta must be > 0")
     if n < 2:
         raise InvalidParameterError("need n >= 2")
@@ -179,9 +179,9 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     rnd = _derive_rnd(rng)
     rr = rnd.random
 
-    # the engine edits its own endpoint lists and keeps set incidence, so
+    # the engine edits fresh endpoint lists and keeps set incidence, so
     # the graph's incidence lists are never built
-    eu, ev = (a.tolist() for a in g.endpoint_arrays())
+    eu, ev = g.eu, g.ev
     m = len(eu)
     inc = [set() for _ in range(n)]
     for e in range(m):
@@ -254,13 +254,13 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
         raise InvalidParameterError("beta must be in [0,1]")
     if n < 1:
         raise InvalidParameterError("need n >= 1")
-    g = initial_graph.copy() if initial_graph is not None \
+    g = initial_graph if initial_graph is not None \
         else generate_gnm(n, m_edges, rng)
     ops = (rng.random(n) < 0.5).astype(np.int8).tolist()
     rnd = _derive_rnd(rng)
     rr = rnd.random
 
-    eu, ev, inc = g.eu, g.ev, g.inc
+    eu, ev, inc = g.eu, g.ev, g.inc  # fresh lists: the engine edits them
     m = g.m
     heart = sum(ops)
     by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
@@ -351,6 +351,8 @@ class DenseState:
     @classmethod
     def iid(cls, n, p0, q0, rng) -> "DenseState":
         """Independent fair pair coins: edges with prob p0, hearts with q0."""
+        if n < 2:
+            raise InvalidParameterError("need n >= 2")
         if not (0.0 <= p0 <= 1.0 and 0.0 <= q0 <= 1.0):
             raise InvalidParameterError("densities must be in [0,1]")
         ops = (rng.random(n) < q0).astype(np.int8)
@@ -454,8 +456,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     heart neighbours, through the views.  ``check=True`` recounts the pair
     classes from the views at every sample time; the draws are the same.
     """
-    if eta < 0 or rho < 0:
-        raise InvalidParameterError("rates must be >= 0")
+    if not (0 <= eta < math.inf and 0 <= rho < math.inf):
+        raise InvalidParameterError("rates must be finite and >= 0")
     if state.n < 2:
         raise InvalidParameterError("need n >= 2")
     if horizon is None:

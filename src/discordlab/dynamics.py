@@ -13,8 +13,8 @@ proposals, an event in it is placed by a Beta draw, and with no horizon the
 K-th proposal comes at a Gamma(K) time.  An adoption that changes no
 opinion is not an event.
 
-On a K_n whose edge lists were never read the heart count runs as a
-birth-death chain instead, its jumps also drawn from ``rng`` in numpy
+On the K_n of ``generate_complete``, held as n alone, the heart count runs
+as a birth-death chain instead, its jumps also drawn from ``rng`` in numpy
 blocks.
 
 Observables are recorded by carrying the state to each scheduled time
@@ -428,10 +428,9 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
     unanimous and disagree.  A finite-horizon run whose state can no longer
     change returns it up to the horizon.
 
-    On a K_n whose edge lists were never read (``g.implicit_complete``) the
-    heart-count chain runs instead, its jumps drawn from ``rng`` in numpy
-    blocks, with no per-edge work; ``check=True`` takes the per-edge
-    engine, which builds the lists.
+    On a K_n held as n alone (``g.implicit_complete``) the heart-count
+    chain runs instead, its jumps drawn from ``rng`` in numpy blocks, with
+    no per-edge work; ``check=True`` takes the per-edge engine.
     """
     if isinstance(g, Graph) and g.implicit_complete and not check:
         if len(state.opinions) != g.n:
@@ -456,8 +455,8 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
     raises :class:`SimulationTimeout` as soon as the isolated vertices
     disagree with each other or with all the rest.
     """
-    if nu < 0:
-        raise InvalidParameterError("rewiring rate must be >= 0")
+    if not 0 <= nu < math.inf:
+        raise InvalidParameterError("rewiring rate must be finite and >= 0")
     if rate_convention not in ("pair", "edge"):
         raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
     if nu == 0:

@@ -7,13 +7,14 @@ Conventions used throughout the package:
 * Graphs are multigraphs by default: parallel edges are distinct edge ids,
   a self-loop occupies two incidence slots of its vertex (as in the
   half-edge pairing construction), so sum(deg) == 2*M always holds.
-* Edge ids are stable: the co-evolution engines replace endpoints in
-  place.  A graph handed back by ``run_voter_rewiring(mutate_graph=True)``
-  is renumbered.
+* A graph is a value that the engines read: each engine edits its own
+  copy of the endpoints, and only ``Graph.set_edges`` changes a graph.  A
+  graph handed back by ``run_voter_rewiring(mutate_graph=True)`` is
+  renumbered.
 
 Generator costs, for n vertices and m edges out:
 
-* ``generate_complete``: O(1).  Building its edge lists costs O(n^2).
+* ``generate_complete``: O(1).  Reading its edges costs O(n^2).
 * ``generate_random_regular``: O(n*d) per pairing attempt; with
   ``policy="reject"`` the expected number of attempts is about
   exp((d^2 - 1)/4), a constant in n.
@@ -24,10 +25,9 @@ Generator costs, for n vertices and m edges out:
 * ``generate_gnm``: O(n + m) expected while m is at most a constant
   fraction of C(n,2) (rejection of repeated pairs).
 
-An undirected graph builds its edge and incidence lists from its endpoint
-arrays (K_n from n alone) in one bulk pass on first read, in the order one
-``add_edge`` per edge would give them; see :class:`Graph`.  A directed
-graph holds only its endpoint arrays, which is all the engines read.
+Both graph classes hold only their endpoint arrays (K_n only n), which is
+all the engines read.  ``Graph.eu``, ``ev`` and ``inc`` build fresh lists
+from them on every read; see :class:`Graph`.
 """
 
 from __future__ import annotations
@@ -54,122 +54,71 @@ __all__ = [
 
 
 class Graph:
-    """Mutable undirected multigraph addressed by stable edge ids.
+    """Undirected multigraph on ``range(n)`` whose edge ``e`` joins
+    ``us[e]`` and ``vs[e]``, held as two read-only endpoint arrays; the K_n
+    of :func:`generate_complete` is held as n alone, and
+    ``implicit_complete`` is True until :meth:`set_edges` is called.
 
-    ``eu[e], ev[e]`` are the endpoints of edge id ``e``; ``inc[v]`` lists the
-    edge ids incident to ``v`` (a self-loop id appears twice).  Endpoint
-    replacement costs O(deg) for the incidence fix-up and nothing else.
-
-    Edges are held as two read-only endpoint arrays until the first read of
-    ``eu``, ``ev`` or ``inc`` builds the lists in place and drops the arrays;
-    callers may mutate the lists from then on.  The K_n of
-    :func:`generate_complete` holds only n, and ``implicit_complete`` is True
-    until its lists are read.
+    ``eu[e], ev[e]`` are the endpoints of edge id ``e`` and ``inc[v]`` lists
+    the edge ids at ``v`` in increasing order (a self-loop id twice).  Each
+    read builds fresh lists, so editing them leaves the graph as it is;
+    only :meth:`set_edges` replaces its edges.
     """
 
-    __slots__ = ("n", "_ends", "_eu", "_ev", "_inc", "allows_self_loops",
-                 "allows_multi_edges")
+    __slots__ = ("n", "_ends", "allows_self_loops", "allows_multi_edges")
 
     def __init__(self, n, us=(), vs=(), *, allows_self_loops=True,
                  allows_multi_edges=True):
-        """Graph on ``range(n)`` whose edge ``e`` joins ``us[e]`` and ``vs[e]``.
-
-        The graph keeps copies of ``us`` and ``vs``.  The incidence lists come
-        out as one ``add_edge`` per edge in id order would leave them.
-        """
-        if n < 0:
-            raise InvalidParameterError("vertex count must be >= 0")
+        """The graph keeps copies of ``us`` and ``vs``."""
         self.n = int(n)
+        self._ends = _endpoints(n, us, vs)
         self.allows_self_loops = allows_self_loops
         self.allows_multi_edges = allows_multi_edges
-        us = np.array(us, dtype=np.int64)
-        vs = np.array(vs, dtype=np.int64)
-        if len(us) != len(vs):
-            raise InvalidParameterError("endpoint arrays differ in length")
-        if len(us) and not (0 <= min(us.min(), vs.min())
-                            and max(us.max(), vs.max()) < self.n):
-            raise InvalidParameterError("endpoint out of range")
-        if not allows_self_loops and np.any(us == vs):
+        if not allows_self_loops and self.has_self_loop():
             raise InvalidParameterError("self-loops are disabled on this graph")
-        us.flags.writeable = vs.flags.writeable = False
-        self._ends = (us, vs)
-        self._eu = self._ev = self._inc = None
 
     @property
     def implicit_complete(self) -> bool:
-        """True while this is a K_n whose edge lists were never read."""
-        return self._eu is None and self._ends is None
+        """True for the K_n of :func:`generate_complete`, held as n alone."""
+        return self._ends is None
 
     def endpoint_arrays(self):
         """``(us, vs)``, the endpoints of every edge in id order as int64
-        arrays; read-only while the edge lists are unbuilt."""
-        if self._eu is not None:
-            return np.array(self._eu, np.int64), np.array(self._ev, np.int64)
+        arrays."""
         if self._ends is None:
             return np.triu_indices(self.n, k=1)
         return self._ends
 
-    def _lists(self):
-        if self._eu is None:
-            us, vs = self.endpoint_arrays()
-            ends = np.column_stack((us, vs)).ravel()  # u0, v0, u1, v1, ...
-            self._eu = us.tolist()
-            self._ev = vs.tolist()
-            self._inc = _grouped(self.n, ends, np.arange(len(ends)) >> 1)
-            self._ends = None
-        return self._eu, self._ev, self._inc
-
     @property
     def eu(self) -> list[int]:
-        return self._lists()[0]
+        return self.endpoint_arrays()[0].tolist()
 
     @property
     def ev(self) -> list[int]:
-        return self._lists()[1]
+        return self.endpoint_arrays()[1].tolist()
 
     @property
     def inc(self) -> list[list[int]]:
-        return self._lists()[2]
+        ends = np.column_stack(self.endpoint_arrays()).ravel()  # u0, v0, ...
+        return _grouped(self.n, ends, np.arange(len(ends)) >> 1)
 
     @property
     def m(self) -> int:
-        if self._eu is not None:
-            return len(self._eu)
         if self._ends is None:
             return self.n * (self.n - 1) // 2
         return len(self._ends[0])
 
     def set_edges(self, us, vs) -> None:
         """Make edge ``e`` join ``us[e]`` and ``vs[e]`` for every ``e``, as
-        the constructor does; built lists are dropped, and self-loops and
-        multi-edges are allowed from then on."""
+        the constructor does; self-loops and multi-edges are allowed from
+        then on."""
         self.__init__(self.n, us, vs)
 
-    def add_edge(self, u, v) -> int:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvalidParameterError(f"endpoint out of range: ({u}, {v})")
-        if u == v and not self.allows_self_loops:
-            raise InvalidParameterError("self-loops are disabled on this graph")
-        eu, ev, inc = self._lists()
-        e = len(eu)
-        eu.append(u)
-        ev.append(v)
-        inc[u].append(e)
-        inc[v].append(e)
-        return e
-
-    def endpoints(self, e):
-        return self.eu[e], self.ev[e]
-
-    def degree(self, v) -> int:
-        return len(self.inc[v])
-
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.inc]
+        ends = np.concatenate(self.endpoint_arrays())
+        return np.bincount(ends, minlength=self.n).tolist()
 
     def edges(self):
-        if self._eu is not None:
-            return zip(self._eu, self._ev)
         if self._ends is None:
             return itertools.combinations(range(self.n), 2)
         return zip(self._ends[0].tolist(), self._ends[1].tolist())
@@ -178,23 +127,20 @@ class Graph:
         g = Graph(self.n, allows_self_loops=self.allows_self_loops,
                   allows_multi_edges=self.allows_multi_edges)
         g._ends = self._ends  # read-only, so both graphs may hold them
-        if self._eu is not None:
-            g._eu = list(self._eu)
-            g._ev = list(self._ev)
-            g._inc = [list(a) for a in self._inc]
         return g
 
     def has_self_loop(self) -> bool:
-        return any(u == v for u, v in self.edges())
+        if self._ends is None:  # the K_n of generate_complete is simple
+            return False
+        us, vs = self._ends
+        return bool(np.any(us == vs))
 
     def has_multi_edge(self) -> bool:
-        seen = set()
-        for u, v in self.edges():
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
+        if self._ends is None:
+            return False
+        us, vs = self._ends
+        key = np.minimum(us, vs) * self.n + np.maximum(us, vs)
+        return len(np.unique(key)) < len(key)
 
     def is_simple(self) -> bool:
         return not self.has_self_loop() and not self.has_multi_edge()
@@ -202,7 +148,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        eu, ev, inc = self._lists()
+        eu, ev, inc = self.eu, self.ev, self.inc
         seen = bytearray(self.n)
         stack = [0]
         seen[0] = 1
@@ -218,17 +164,7 @@ class Graph:
         return count == self.n
 
     def check_consistency(self):
-        """Full rebuild check of the incidence structure and flags."""
-        inc = self.inc
-        if sum(len(a) for a in inc) != 2 * self.m:
-            raise AssertionError("handshake violated: sum(deg) != 2M")
-        rebuilt = [[] for _ in range(self.n)]
-        for e, (u, v) in enumerate(self.edges()):
-            rebuilt[u].append(e)
-            rebuilt[v].append(e)
-        for v in range(self.n):
-            if sorted(rebuilt[v]) != sorted(inc[v]):
-                raise AssertionError(f"incidence list of vertex {v} is stale")
+        """Check the edges against the two flags."""
         if not self.allows_self_loops and self.has_self_loop():
             raise AssertionError("self-loop present despite flag")
         if not self.allows_multi_edges and self.has_multi_edge():
@@ -243,18 +179,8 @@ class DirectedGraph:
 
     def __init__(self, n, tails=(), heads=()):
         """The graph keeps copies of ``tails`` and ``heads``."""
-        if n < 0:
-            raise InvalidParameterError("vertex count must be >= 0")
-        if len(tails) != len(heads):
-            raise InvalidParameterError("endpoint arrays differ in length")
         self.n = int(n)
-        tails = np.array(tails, dtype=np.int64)
-        heads = np.array(heads, dtype=np.int64)
-        if len(tails) and not (0 <= min(tails.min(), heads.min())
-                               and max(tails.max(), heads.max()) < self.n):
-            raise InvalidParameterError("endpoint out of range")
-        tails.flags.writeable = heads.flags.writeable = False
-        self._ends = (tails, heads)
+        self._ends = _endpoints(n, tails, heads)
 
     def endpoint_arrays(self):
         """``(tails, heads)``, the endpoints of every arc in id order as
@@ -280,6 +206,22 @@ class DirectedGraph:
         return g
 
 
+def _endpoints(n, us, vs):
+    """Read-only int64 copies of ``us`` and ``vs``, checked to be endpoints
+    of equally many edges within ``range(n)``."""
+    if n < 0:
+        raise InvalidParameterError("vertex count must be >= 0")
+    us = np.array(us, dtype=np.int64)
+    vs = np.array(vs, dtype=np.int64)
+    if len(us) != len(vs):
+        raise InvalidParameterError("endpoint arrays differ in length")
+    if len(us) and not (0 <= min(us.min(), vs.min())
+                        and max(us.max(), vs.max()) < n):
+        raise InvalidParameterError("endpoint out of range")
+    us.flags.writeable = vs.flags.writeable = False
+    return us, vs
+
+
 def _grouped(n, keys, ids) -> list[list[int]]:
     """For each v in range(n), the ``ids[i]`` with ``keys[i] == v`` in
     increasing i: the lists that appending ids[i] to list keys[i] for
@@ -297,8 +239,8 @@ def _grouped(n, keys, ids) -> list[list[int]]:
 # ----------------------------------------------------------------------
 
 def generate_complete(n) -> Graph:
-    """Simple graph on n >= 2 vertices with all C(n,2) edges, held
-    implicitly: the edge lists are built on first read."""
+    """Simple graph on n >= 2 vertices with all C(n,2) edges, held as n
+    alone: its endpoint arrays are built on each read."""
     if n < 2:
         raise InvalidParameterError("complete graph needs n >= 2")
     g = Graph(n, allows_self_loops=False, allows_multi_edges=False)

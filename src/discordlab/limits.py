@@ -97,8 +97,8 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
     """
     if d < 3:
         raise InvalidParameterError("need degree d >= 3")
-    if tolerance <= 0:
-        raise InvalidParameterError("tolerance must be > 0")
+    if not 0 < tolerance < math.inf:
+        raise InvalidParameterError("tolerance must be finite and > 0")
     if times is None:
         if t_max is None or not 0 <= t_max < math.inf:
             raise InvalidParameterError(
@@ -235,12 +235,12 @@ def theta_directed_eulerian(m1, m2) -> float:
     """Diffusion constant of the Eulerian directed configuration model,
     (m2/m1^2 - 1 + sqrt(1 - 1/m1))^-1, from the first two moments of the
     limiting degree distribution."""
-    if m1 <= 1:
+    if not m1 > 1:
         raise InvalidParameterError("need first moment m1 > 1")
-    if m2 < m1 * m1:
+    if not m2 >= m1 * m1:
         raise InvalidParameterError("need m2 >= m1^2 (Jensen)")
     denom = m2 / (m1 * m1) - 1.0 + math.sqrt(1.0 - 1.0 / m1)
-    if denom <= 0:
+    if not denom > 0:
         raise InvalidParameterError("degenerate moments: denominator <= 0")
     return 1.0 / denom
 
@@ -258,9 +258,9 @@ def theta_rewiring(d, nu, tolerance=1e-10, max_depth=1 << 22) -> float:
     """
     if d < 3:
         raise InvalidParameterError("need degree d >= 3")
-    if nu <= 0:
+    if not nu > 0:
         raise InvalidParameterError("need rewiring rate nu > 0")
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise InvalidParameterError("tolerance must be > 0")
     beta = math.sqrt(d - 1)
     rho = 2.0 * math.sqrt(d - 1) / d
@@ -294,10 +294,10 @@ def fisher_wright_path(theta, chi0, dt, t_max, rng):
     """One Euler-Maruyama path of d(chi) = sqrt(2 theta chi(1-chi)) dW with
     clamping to [0,1] and absorption at the boundary.  Returns (times, path).
     """
-    if dt <= 0 or t_max < 0:
-        raise InvalidParameterError("need dt > 0 and t_max >= 0")
-    if theta < 0:
-        raise InvalidParameterError("theta must be >= 0")
+    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
+        raise InvalidParameterError("need finite dt > 0 and t_max >= 0")
+    if not 0 <= theta < math.inf:
+        raise InvalidParameterError("theta must be finite and >= 0")
     if not 0.0 <= chi0 <= 1.0:
         raise InvalidParameterError("chi0 must be in [0,1]")
     nsteps = int(round(t_max / dt))
@@ -323,8 +323,10 @@ def fisher_wright_ensemble(theta, chi0, dt, t_max, n_paths, rng,
     (n_paths, len(record_times)) and absorption times are NaN for paths
     still in (0,1) at t_max.  Record times snap to the dt grid.
     """
-    if dt <= 0 or t_max <= 0:
-        raise InvalidParameterError("need dt > 0 and t_max > 0")
+    if not (0 < dt < math.inf and 0 < t_max < math.inf):
+        raise InvalidParameterError("need finite dt > 0 and t_max > 0")
+    if not (0 <= theta < math.inf and 0.0 <= chi0 <= 1.0):
+        raise InvalidParameterError("need finite theta >= 0, chi0 in [0,1]")
     nsteps = int(round(t_max / dt))
     if record_times is None:
         record_times = np.linspace(0.0, nsteps * dt, 51)
@@ -409,8 +411,9 @@ class SwitchProbs:
     s_d0: float
 
     def __post_init__(self):
-        if min(self.s_c1, self.s_c0, self.s_d1, self.s_d0) < 0:
-            raise InvalidParameterError("switch weights must be >= 0")
+        if not all(0 <= w < math.inf for w in (self.s_c1, self.s_c0,
+                                               self.s_d1, self.s_d0)):
+            raise InvalidParameterError("switch weights must be finite, >= 0")
 
     @property
     def max_weight(self) -> float:
@@ -429,8 +432,8 @@ class DenseLimitParams:
     q0: float
 
     def __post_init__(self):
-        if self.eta < 0 or self.rho < 0:
-            raise InvalidParameterError("rates must be >= 0")
+        if not (0 <= self.eta < math.inf and 0 <= self.rho < math.inf):
+            raise InvalidParameterError("rates must be finite and >= 0")
         if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.q0 <= 1.0):
             raise InvalidParameterError("densities must be in [0,1]")
 

@@ -14,15 +14,17 @@ runs, and ``reference_directed`` the former directed runs.
 The undirected engine's slot bookkeeping is the former ``_sset`` format,
 with the positions in a dict: ``refile`` files slots by their discordance
 and ``weighted_drop`` removes them, both keeping the running weight in the
-order the engine has always used.  Its swaps are ``swap_endpoints`` on
-the edge and incidence lists, which ``rewire_swap`` wraps for a whole
-:class:`Graph`; both were ``graphs`` functions.  The directed engine reads
-the out- and in-adjacency lists that ``directed_lists`` builds from a
-:class:`DirectedGraph`'s endpoint arrays, in the order the former
-``DirectedGraph.add_arc``, one arc at a time, left them.  It weighs each
-discordant arc by the adoption rate of its copying end, with the weighted
-``_sset`` functions it used, kept here as ``weighted_build`` and
-``weighted_toggle``.  The package's ``_sset.toggle`` must leave the same
+order the engine has always used.  It reads fresh edge and incidence
+lists from the :class:`Graph` (``eu``, ``ev``, ``inc``), and its swaps
+are ``swap_endpoints`` on those lists, so the graph is never changed;
+``rewire_swap`` makes one swap on a whole graph and writes it back with
+``Graph.set_edges``.  Both were ``graphs`` functions.  The directed
+engine reads the out- and in-adjacency lists that ``directed_lists``
+builds from a :class:`DirectedGraph`'s endpoint arrays, in the order the
+former ``DirectedGraph.add_arc``, one arc at a time, left them.  It
+weighs each discordant arc by the adoption rate of its copying end, with
+the weighted ``_sset`` functions it used, kept here as ``weighted_build``
+and ``weighted_toggle``.  The package's ``_sset.toggle`` must leave the same
 members and positions as ``refile`` after a flip, and ``weighted_toggle``
 the same weight too."""
 
@@ -93,10 +95,10 @@ def rewire_swap(g: Graph, e1: int, e2: int, rng) -> None:
     m = g.m
     if not (0 <= e1 < m and 0 <= e2 < m):
         raise InvalidParameterError("edge slot out of range")
-    # crossed matchings may produce loops/parallel edges; they are kept
-    g.allows_self_loops = True
-    g.allows_multi_edges = True
-    swap_endpoints(g.eu, g.ev, g.inc, e1, e2, rng.random() < 0.5)
+    eu, ev = g.eu, g.ev
+    swap_endpoints(eu, ev, g.inc, e1, e2, rng.random() < 0.5)
+    # set_edges keeps the loops and parallel edges a crossed matching makes
+    g.set_edges(eu, ev)
 
 
 def swap_endpoints(eu, ev, inc, e1, e2, first) -> None:
@@ -170,9 +172,10 @@ def reference_complete_chain(n, heart0, horizon, schedule, rng, max_events):
 # the former event-driven engine of voter dynamics with rewiring
 # ----------------------------------------------------------------------
 
-def reference_voter_engine(g: Graph, state: OpinionState, nu, horizon,
-                           schedule, rng, rate_convention, max_events, check,
-                           mutate_graph):
+def reference_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
+                       rng, *, rate_convention="pair", max_events=10**9):
+    """``run_voter_rewiring`` as it ran on the event-driven engine (at
+    ``nu = 0``, the former ``run_voter``), leaving ``g`` as it is."""
     n, m = g.n, g.m
     if n == 0 or m == 0:
         raise InvalidParameterError("graph must have at least one edge")
@@ -186,12 +189,7 @@ def reference_voter_engine(g: Graph, state: OpinionState, nu, horizon,
         raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
     samples = _Samples(schedule, horizon)
 
-    if nu > 0:
-        if not mutate_graph:
-            g = g.copy()
-        g.allows_self_loops = True
-        g.allows_multi_edges = True
-    eu, ev, inc = g.eu, g.ev, g.inc
+    eu, ev, inc = g.eu, g.ev, g.inc  # fresh lists, which the swaps edit
     ops = list(state.opinions)
     heart = sum(ops)
     degs = [len(a) for a in inc]
@@ -226,10 +224,7 @@ def reference_voter_engine(g: Graph, state: OpinionState, nu, horizon,
         cons_t, cons_v = 0.0, ops[0]
 
     def flush(limit):
-        nd = len(disc_items)
-        if check and nd != count_discordant(g, ops):
-            raise AssertionError("discordance bookkeeping diverged")
-        samples.record(limit, heart / n, nd / m)
+        samples.record(limit, heart / n, len(disc_items) / m)
 
     while True:
         nd = len(disc_items)
@@ -330,16 +325,6 @@ def weighted_drop(slots, items, pos, us, vs, wa, wb, w):
             if wa is not None:
                 w -= wa[us[e]] + wb[vs[e]]
     return w
-
-
-def reference_rewiring(g, state, nu, horizon, schedule, rng, *,
-                       rate_convention="pair", max_events=10**9,
-                       mutate_graph=False):
-    """``run_voter_rewiring`` as it ran on the event-driven engine (at
-    ``nu = 0``, the former ``run_voter``)."""
-    return reference_voter_engine(g, state, nu, horizon, schedule, rng,
-                                  rate_convention, max_events, False,
-                                  mutate_graph)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,23 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import discordlab
 from discordlab import experiments
 from discordlab.cli import dispatch
 from discordlab.errors import InvalidParameterError
+
+from _deadline import deadline
 
 
 def sha(path):
@@ -202,8 +208,22 @@ def test_exit_code_param_errors(tmp_path, capsys):
     ["dense-limit"],
     ["dense-limit", "--t-max", "nan"],
     ["fd", "--d", "3", "--t-max", "inf"],
+    ["theta-rewiring", "--d", "3", "--nu", "nan"],
+    ["theta-rewiring", "--d", "3", "--nu", "1", "--tol", "nan"],
+    ["fd", "--d", "3", "--t-max", "1", "--tol", "nan"],
+    ["fd", "--d", "3", "--t-max", "1", "--points", "-1"],
+    ["predict", "--u", "0.5", "--d", "3", "--t", "1", "--n", "100",
+     "--tol", "nan"],
+    ["theta-directed", "--m1", "nan", "--m2", "9"],
+    ["dense-limit", "--t-max", "1", "--eta", "nan"],
+    ["dense-limit", "--t-max", "1", "--sc0", "nan"],
+    ["dense-limit", "--t-max", "1", "--seed", "-1"],
 ], ids=["theta-regular", "theta-rewiring", "theta-directed", "fd",
-        "predict", "dense-limit", "dense-limit-t-max-nan", "fd-t-max-inf"])
+        "predict", "dense-limit", "dense-limit-t-max-nan", "fd-t-max-inf",
+        "theta-rewiring-nu-nan", "theta-rewiring-tol-nan", "fd-tol-nan",
+        "fd-points-negative", "predict-tol-nan", "theta-directed-m1-nan",
+        "dense-limit-eta-nan", "dense-limit-sc0-nan",
+        "dense-limit-seed-negative"])
 def test_oracle_bad_input_exits_2(capsys, argv):
     assert dispatch(["oracle", *argv]) == 2
     err = capsys.readouterr().err
@@ -214,6 +234,25 @@ def test_coevolve_negative_samples_exits_2(tmp_path, capsys):
     assert dispatch(["coevolve", "--model", "dense", "--n", "20",
                      "--horizon", "1", "--samples", "-1",
                      "--out", str(tmp_path / "d.csv"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dense", "--horizon", "1", "--sd1", "nan"],
+    ["dense", "--horizon", "1", "--eta", "nan"],
+    ["rewire-random", "--beta", "nan"],
+    ["rewire-random", "--beta", "1", "--seed", "-1"],
+    ["dense", "--horizon", "1", "--init", "iid", "--n", "-1"],
+], ids=["dense-sd1-nan", "dense-eta-nan", "rewire-random-beta-nan",
+        "rewire-random-seed-negative", "dense-iid-n-negative"])
+def test_coevolve_bad_input_exits_2(tmp_path, capsys, argv):
+    # a NaN weight acted as 0, a NaN eta spun to the event cap, a NaN beta
+    # never adopted, and a negative seed or size ended in numpy's ValueError
+    model, *flags = argv
+    assert dispatch(["coevolve", "--model", model, "--n", "20", *flags,
+                     "--max-events", "1000", "--out", str(tmp_path / "c.csv"),
+                     "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -366,3 +405,98 @@ def test_cli_import_leaves_process_pools_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=60).returncode == 0
+
+
+# ----------------------------------------------------------------------
+# contract sweep: bad input exits 2, never with a traceback
+# ----------------------------------------------------------------------
+
+_BAD = st.sampled_from(["nan", "inf", "-inf", "0", "-1"])
+
+
+def _flag(name, lo, hi):
+    """``[name=value]`` with the value drawn from [lo, hi] (integers if
+    both bounds are), or, one time in four, ``[]``: the flag left out."""
+    good = st.integers(lo, hi) if isinstance(lo, int) and \
+        isinstance(hi, int) else st.floats(lo, hi)
+    return st.tuples(st.integers(0, 3), good).map(
+        lambda kv: [f"{name}={kv[1]}"] if kv[0] else [])
+
+
+def _flags(*specs):
+    """Flags drawn by :func:`_flag`, with at most one of them set to NaN,
+    +-inf, 0 or -1 instead."""
+    def join(parts, spoiled):
+        parts = list(parts)
+        if spoiled is not None:
+            i, value = spoiled
+            parts[i] = [f"{specs[i][0]}={value}"]  # "=" lets "-inf" through
+        return [x for part in parts for x in part]
+    return st.builds(join, st.tuples(*(_flag(*spec) for spec in specs)),
+                     st.none() | st.tuples(st.integers(0, len(specs) - 1),
+                                           _BAD))
+
+
+# every range keeps one call well under a second
+_TOL = ("--tol", 1e-10, 1.0)
+_RATES = [(f, 0.0, 10.0) for f in ("--eta", "--rho", "--sc0", "--sc1",
+                                   "--sd0", "--sd1")]
+_DENSITIES = [("--p0", 0.0, 1.0), ("--q0", 0.0, 1.0)]
+_RUN = [("--n", 2, 12), ("--max-events", 0, 1000), ("--seed", 0, 99)]
+_SWEEP = {
+    "oracle theta-regular": _flags(("--d", 1, 12)),
+    "oracle theta-rewiring": _flags(("--d", 1, 12), ("--nu", 1e-2, 100.0),
+                                    _TOL),
+    "oracle theta-directed": _flags(("--m1", 0.0, 20.0),
+                                    ("--m2", 0.0, 400.0)),
+    "oracle fd": _flags(("--d", 1, 12), ("--t-max", 0.0, 50.0),
+                        ("--points", 1, 201), _TOL),
+    "oracle predict": _flags(("--u", 0.0, 1.0), ("--d", 1, 12),
+                             ("--t", 0.0, 50.0), ("--n", 1, 1000), _TOL),
+    "oracle dense-limit": _flags(("--t-max", 0.0, 50.0), ("--dt", 1e-2, 1.0),
+                                 ("--seed", 0, 99), *_RATES, *_DENSITIES),
+    "coevolve rewire-random": _flags(*_RUN, ("--beta", 1e-2, 50.0)),
+    "coevolve rewire-same": _flags(*_RUN, ("--beta", 1e-2, 50.0)),
+    "coevolve holme-newman": _flags(*_RUN, ("--m-edges", 0, 20),
+                                    ("--beta", 0.0, 1.0)),
+    "coevolve dense": st.tuples(
+        _flags(*_RUN, ("--horizon", 0.0, 2.0), ("--samples", 0, 101),
+               *_RATES, *_DENSITIES),
+        st.sampled_from([[], ["--init", "iid"]])).map(lambda t: t[0] + t[1]),
+}
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in the output")
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEP))
+def test_dispatch_sweep_exits_cleanly(command):
+    """Each ``oracle`` subcommand and each ``coevolve`` model, on drawn
+    flags: exit 0 or 2 (4 for a run that hits its event cap) with no
+    traceback, and an oracle's exit-0 output is JSON with no NaN or inf.
+    ``simulate``, ``ensemble`` and ``generate`` are not swept yet."""
+    codes = (0, 2) if command.startswith("oracle") else (0, 2, 4)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_SWEEP[command])
+    def sweep(flags):
+        argv = command.split() + flags
+        if argv[0] == "coevolve":
+            argv[1:1] = ["--model"]
+            argv += ["--out", os.path.join(out_dir, "c.csv"), "--quiet"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = dispatch(argv)
+            except Exception as exc:  # a traceback from the command line
+                raise AssertionError(f"{argv}: {exc!r}") from exc
+        said = err.getvalue()
+        assert code in codes and "Traceback" not in said, (argv, code, said)
+        assert said.startswith("timeout: ") if code == 4 else \
+            ("error: " in said) == (code == 2), (argv, code, said)
+        if code == 0 and argv[0] == "oracle":
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+
+    with tempfile.TemporaryDirectory() as out_dir, deadline(60.0):
+        sweep()

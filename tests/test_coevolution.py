@@ -10,9 +10,7 @@ from discordlab.errors import InvalidParameterError, SimulationTimeout
 
 
 def two_vertex_edge():
-    g = graphs.Graph(2)
-    g.add_edge(0, 1)
-    return g
+    return graphs.Graph(2, [0], [1])
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +152,18 @@ def test_holme_newman_sweep_emits_minority_curve():
         rows.append((beta, float(np.mean(fr))))
     print("holme-newman minority fraction by rewiring share:", rows)
     assert all(0.0 <= v <= 0.5 for _, v in rows)
+
+
+def test_holme_newman_leaves_the_caller_graph(rng):
+    # the engine rewires fresh lists read from the graph, never the graph
+    g = graphs.generate_gnm(40, 80, rng)
+    before = [a.copy() for a in g.endpoint_arrays()]
+    out, traj = coevolution.run_holme_newman(40, 80, 0.9, rng,
+                                             initial_graph=g)
+    assert traj.n_events > 0 and out.verdict != coevolution.UNRESOLVED
+    assert all(np.array_equal(a, b)
+               for a, b in zip(before, g.endpoint_arrays()))
+    assert not g.allows_self_loops and not g.allows_multi_edges
 
 
 def test_holme_newman_validation(rng):

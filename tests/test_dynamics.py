@@ -12,13 +12,6 @@ from _oracles import (bd_mean_absorption, complete_voter_mean_tau,
                       directed_lists)
 
 
-def k4_cycle_graph(n):
-    g = graphs.Graph(n)
-    for v in range(n):
-        g.add_edge(v, (v + 1) % n)
-    return g
-
-
 # ----------------------------------------------------------------------
 # initial conditions
 # ----------------------------------------------------------------------
@@ -78,8 +71,7 @@ def test_schedule_validation(rng):
 
 
 def test_two_vertex_consensus_is_exponential_rate_two():
-    g = graphs.Graph(2)
-    g.add_edge(0, 1)
+    g = graphs.Graph(2, [0], [1])
     taus = []
     for i in range(10_000):
         st = dynamics.OpinionState([0, 1], 1)
@@ -163,9 +155,7 @@ def test_timeout_carries_partial_trajectory(rng):
 
 
 def test_frozen_disconnected_graph_reports_timeout(rng):
-    g = graphs.Graph(4)
-    g.add_edge(0, 1)
-    g.add_edge(2, 3)
+    g = graphs.Graph(4, [0, 2], [1, 3])
     st = dynamics.OpinionState([1, 1, 0, 0], 2)  # per-component consensus
     traj = dynamics.run_voter(g, st, 5.0, [1.0, 5.0], rng)
     assert traj.consensus_time is None
@@ -287,8 +277,8 @@ def test_swaps_continue_without_discordant_edges(rng):
 # ----------------------------------------------------------------------
 
 def explicit_complete(n):
-    """K_n with its edge lists built up front: the reference that the
-    implicit K_n of generate_complete must match."""
+    """K_n with explicit endpoint arrays: the reference that the implicit
+    K_n of generate_complete must match."""
     iu, iv = np.triu_indices(n, k=1)
     return graphs.Graph(n, iu, iv, allows_self_loops=False,
                         allows_multi_edges=False)
@@ -328,21 +318,28 @@ def test_complete_rewiring_matches_explicit_edge_list():
 
 @deadline()
 def test_complete_count_chain_only_while_implicit():
+    # a K_n held as n alone runs the count chain until set_edges gives it
+    # edges; reading its edges or lists leaves it so, and check=True takes
+    # the per-edge engine
     n = 30
     st = dynamics.init_opinions_iid(n, 0.5, np.random.default_rng(5))
     g = graphs.generate_complete(n)
     graphs.count_discordant(g, st)
     graphs.edgelist_text(g)
+    g.eu, g.ev, g.inc
     assert g.implicit_complete and g.copy().implicit_complete
     chain = dynamics.run_voter(g, st, 5.0, [5.0], np.random.default_rng(6))
-    assert g.implicit_complete
-    g.inc  # reading the lists makes it an ordinary graph
-    assert not g.implicit_complete
-    edge = dynamics.run_voter(g, st, 5.0, [5.0], np.random.default_rng(6))
     ref = dynamics.run_voter(explicit_complete(n), st, 5.0, [5.0],
                              np.random.default_rng(6))
-    assert edge.n_events == ref.n_events
-    assert np.array_equal(edge.heart_frac, ref.heart_frac)
+    checked = dynamics.run_voter(g, st, 5.0, [5.0], np.random.default_rng(6),
+                                 check=True)
+    assert g.implicit_complete
+    g.set_edges(*g.endpoint_arrays())
+    assert not g.implicit_complete
+    edge = dynamics.run_voter(g, st, 5.0, [5.0], np.random.default_rng(6))
+    for run in (checked, edge):
+        assert run.n_events == ref.n_events
+        assert np.array_equal(run.heart_frac, ref.heart_frac)
     assert chain.n_events != ref.n_events
 
 
@@ -453,14 +450,14 @@ def test_nan_horizon_or_sample_time_is_rejected(engine):
 
 
 def test_rewiring_validation(rng):
-    g = graphs.Graph(2)
-    g.add_edge(0, 1)
+    g = graphs.Graph(2, [0], [1])
     st = dynamics.OpinionState([0, 1], 1)
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter_rewiring(g, st, 1.0, 1.0, [], rng)  # M < 2
-    with pytest.raises(InvalidParameterError):
-        dynamics.run_voter_rewiring(g, st, -1.0, 1.0, [], rng)
-    g.add_edge(0, 1)
+    for nu in (-1.0, math.nan, math.inf):  # NaN and inf: numpy's ValueError
+        with pytest.raises(InvalidParameterError):
+            dynamics.run_voter_rewiring(g, st, nu, 1.0, [], rng)
+    g = graphs.Graph(2, [0, 0], [1, 1])
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter_rewiring(g, st, 1.0, 1.0, [], rng,
                                     rate_convention="both")

@@ -265,11 +265,11 @@ def test_graph_bulk_constructor_matches_add_edge(rng):
     us = rng.integers(0, 15, 60)
     vs = rng.integers(0, 15, 60)
     bulk = graphs.Graph(15, us, vs)
-    one_by_one = graphs.Graph(15)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        one_by_one.add_edge(u, v)
-    assert (bulk.eu, bulk.ev, bulk.inc) == \
-        (one_by_one.eu, one_by_one.ev, one_by_one.inc)
+    inc = [[] for _ in range(15)]  # one edge at a time, in id order
+    for e, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        inc[u].append(e)
+        inc[v].append(e)
+    assert (bulk.eu, bulk.ev, bulk.inc) == (us.tolist(), vs.tolist(), inc)
     d = graphs.DirectedGraph(15, us, vs)
     assert directed_lists(d) == tuple(
         [np.flatnonzero(ends == v).tolist() for v in range(15)]
@@ -317,10 +317,8 @@ def test_gnm_exact_count(rng):
 # ----------------------------------------------------------------------
 
 def _path_graph(pairs, n):
-    g = graphs.Graph(n)
-    for u, v in pairs:
-        g.add_edge(u, v)
-    return g
+    us, vs = zip(*pairs)
+    return graphs.Graph(n, us, vs)
 
 
 def test_rewire_swap_enumerates_both_matchings():
@@ -378,17 +376,14 @@ def test_count_discordant_complete_product():
         ops = [1] * k + [0] * (9 - k)
         assert graphs.count_discordant(g, ops) == k * (9 - k)
     assert g.implicit_complete
-    g.inc
-    for k in range(10):  # same counts from the built edge lists
+    explicit = graphs.Graph(9, *g.endpoint_arrays())
+    for k in range(10):  # same counts from the explicit endpoint arrays
         ops = [1] * k + [0] * (9 - k)
-        assert graphs.count_discordant(g, ops) == k * (9 - k)
+        assert graphs.count_discordant(explicit, ops) == k * (9 - k)
 
 
 def test_count_discordant_self_loops_and_multi(rng):
-    g = graphs.Graph(3)
-    g.add_edge(0, 0)
-    g.add_edge(0, 1)
-    g.add_edge(0, 1)
+    g = graphs.Graph(3, [0, 0, 0], [0, 1, 1])
     assert graphs.count_discordant(g, [1, 0, 0]) == 2  # loop never discordant
 
 
@@ -430,7 +425,8 @@ def test_edgelist_complete_same_text_implicit_or_built(tmp_path):
     text = graphs.edgelist_text(g)
     graphs.write_edgelist(g, tmp_path / "k6.edges")
     assert g.implicit_complete
-    g.eu  # build the lists
+    g.set_edges(*g.endpoint_arrays())  # the same edges, held explicitly
+    assert not g.implicit_complete
     assert graphs.edgelist_text(g) == text
     assert (tmp_path / "k6.edges").read_text() == text
     assert text.splitlines()[1:3] == ["0 1", "0 2"]
@@ -460,7 +456,7 @@ def test_parse_edgelist_rejects_malformed_text(text):
 
 
 # ----------------------------------------------------------------------
-# lazy edge lists: arrays until first read
+# edge lists: built fresh from the endpoint arrays on every read
 # ----------------------------------------------------------------------
 
 def _parsed(seed):
@@ -520,16 +516,33 @@ def test_unread_graph_answers_like_a_read_one(name, monkeypatch):
     build(3).check_consistency()
     if read.n >= 2:
         g, ref = build(3), read.copy()
-        assert g.add_edge(0, 1) == ref.add_edge(0, 1)
+        for h in (g, ref):
+            h.set_edges(h.eu + [0], h.ev + [1])
         assert _lists(g) == _lists(ref)
+        assert g.m == read.m + 1 and g.inc[0][-1] == read.m
     if read.m >= 2:
         g, ref = build(3), read.copy()
         rewire_swap(g, 0, read.m - 1, np.random.default_rng(5))
         rewire_swap(ref, 0, read.m - 1, np.random.default_rng(5))
         assert _lists(g) == _lists(ref)
         g.check_consistency()
-        # no stale copy of the endpoints outlives the first read
-        assert [a.tolist() for a in g.endpoint_arrays()] == [g.eu, g.ev]
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_BUILDS))
+def test_editing_read_lists_leaves_the_graph(name):
+    # each read builds fresh lists: only set_edges changes a graph
+    g = _LAZY_BUILDS[name](3)
+    before = [a.copy() for a in g.endpoint_arrays()]
+    lists = _lists(g)
+    eu, ev, inc = _lists(g)
+    eu.append(0)
+    ev.append(0)
+    inc[0] += [g.m, g.m]
+    if g.m:
+        eu[0] = ev[0]
+    assert all(np.array_equal(a, b)
+               for a, b in zip(before, g.endpoint_arrays()))
+    assert _lists(g) == lists and g.m == len(before[0])
 
 
 def _eager_lists(n, us, vs):

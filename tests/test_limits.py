@@ -326,3 +326,9 @@ def test_non_finite_t_max_is_rejected(rng, bad):
         limits.meeting_profile(3, t_max=bad)
     with pytest.raises(InvalidParameterError):
         limits.meeting_profile(3, times=np.array([0.0, bad]))
+    for theta, dt, t_max in ((0.5, 0.01, bad), (0.5, bad, 1.0),
+                             (bad, 0.01, 1.0)):
+        with pytest.raises(InvalidParameterError):
+            limits.fisher_wright_path(theta, 0.5, dt, t_max, rng)
+        with pytest.raises(InvalidParameterError):
+            limits.fisher_wright_ensemble(theta, 0.5, dt, t_max, 4, rng)
