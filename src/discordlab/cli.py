@@ -154,7 +154,7 @@ def cmd_simulate(args, argv):
     else:
         traj = dynamics.run_voter_rewiring(
             g, state, args.nu, args.horizon, schedule, rng,
-            rate_convention=args.rate_convention, max_events=args.max_events)
+            max_events=args.max_events)
     _write_csv(args.out, ["t", "heart_frac", "discordant_frac"],
                [traj.times, traj.heart_frac, traj.discordant_frac])
     meta = {
@@ -221,7 +221,7 @@ def cmd_coevolve(args, argv):
                     traj.disc_edge, traj.conc_nonedge, traj.disc_nonedge])
         outcome = coevolution.AbsorptionOutcome(
             absorption_time=traj.consensus_time,
-            final_heart_fraction=float(traj.q[-1]) if len(traj.q) else np.nan,
+            final_heart_fraction=float(traj.q[-1]) if len(traj.q) else None,
             final_edge_count=traj.final_edge_count,
             verdict=coevolution.CONSENSUS if traj.consensus_time is not None
             else coevolution.UNRESOLVED)
@@ -383,9 +383,6 @@ def build_parser():
     s.add_argument("--graph", help="edge list file instead of --model")
     s.add_argument("--u", type=float, required=True)
     s.add_argument("--nu", type=float, default=0.0)
-    s.add_argument("--rate-convention", dest="rate_convention",
-                   choices=["pair", "edge"],
-                   default=dynamics.REWIRE_RATE_CONVENTION)
     s.add_argument("--adopt-from", dest="adopt_from",
                    choices=["out", "in"], default="out")
     s.add_argument("--horizon", type=float, required=True)

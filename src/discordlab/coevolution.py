@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sset import SampleableSet, build, drop, toggle
-from .dynamics import _mk_traj, _prepared_schedule
+from .dynamics import _check_cap, _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
 from .graphs import count_discordant, generate_erdos_renyi, generate_gnm
 from .limits import SwitchProbs
@@ -58,7 +58,7 @@ def _derive_rnd(rng) -> random.Random:
 @dataclass
 class AbsorptionOutcome:
     absorption_time: float | None
-    final_heart_fraction: float
+    final_heart_fraction: float | None  # None: the run recorded no sample
     final_edge_count: int
     verdict: str
 
@@ -164,6 +164,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
         raise InvalidParameterError("beta must be > 0")
     if n < 2:
         raise InvalidParameterError("need n >= 2")
+    _check_cap(max_events)
     variant = variant.upper().replace("-", "_")
     if variant not in (TO_RANDOM, TO_SAME):
         raise InvalidParameterError(f"unknown variant {variant!r}")
@@ -254,6 +255,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
         raise InvalidParameterError("beta must be in [0,1]")
     if n < 1:
         raise InvalidParameterError("need n >= 1")
+    _check_cap(max_steps, "max_steps")
     g = initial_graph if initial_graph is not None \
         else generate_gnm(n, m_edges, rng)
     ops = (rng.random(n) < 0.5).astype(np.int8).tolist()
@@ -462,6 +464,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         raise InvalidParameterError("need n >= 2")
     if horizon is None:
         raise InvalidParameterError("dense runs need a finite horizon")
+    _check_cap(max_events)
     sched = _prepared_schedule(schedule, horizon)
 
     st = state.copy()

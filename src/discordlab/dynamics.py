@@ -35,7 +35,6 @@ from .graphs import DirectedGraph, Graph, count_discordant
 __all__ = [
     "OpinionState",
     "Trajectory",
-    "REWIRE_RATE_CONVENTION",
     "DEFAULT_MAX_EVENTS",
     "init_opinions_iid",
     "run_voter",
@@ -47,23 +46,13 @@ __all__ = [
 
 DEFAULT_MAX_EVENTS = 10**9
 
-# Rewiring clock convention.  "pair" is the literal reading: every unordered
-# pair of edge slots swaps at rate nu/(2M), so a given edge is involved at
-# rate (M-1)*nu/(2M) -> nu/2.  "edge" doubles the pair rate to nu/M so the
-# per-edge involvement rate tends to nu, the normalisation under which the
-# continued-fraction constant theta_{d,nu} describes the plateau.  The
-# factor-2 ambiguity is deliberate and surfaced here rather than resolved
-# silently.
-REWIRE_RATE_CONVENTION = "pair"
-
 
 @dataclass
 class OpinionState:
-    """Opinion vector plus maintained counts."""
+    """Opinion vector plus its heart count."""
 
     opinions: list[int]
     heart_count: int
-    discordant_count: int | None = None
 
     @property
     def n(self) -> int:
@@ -86,15 +75,20 @@ class Trajectory:
     n_events: int = 0
 
 
-def init_opinions_iid(n, u, rng, g=None) -> OpinionState:
-    """i.i.d. Bernoulli(u) hearts; counts filled in (discordance iff g given)."""
+def init_opinions_iid(n, u, rng) -> OpinionState:
+    """i.i.d. Bernoulli(u) hearts."""
     if not 0.0 <= u <= 1.0:
         raise InvalidParameterError("u must be in [0,1]")
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     ops = (rng.random(n) < u).astype(np.int8).tolist()
-    disc = count_discordant(g, ops) if g is not None else None
-    return OpinionState(opinions=ops, heart_count=sum(ops), discordant_count=disc)
+    return OpinionState(opinions=ops, heart_count=sum(ops))
+
+
+def _check_cap(max_events, name="max_events"):
+    """Refuse a negative (or NaN) event cap; a cap of 0 allows no event."""
+    if not max_events >= 0:
+        raise InvalidParameterError(f"{name} must be >= 0")
 
 
 def _prepared_schedule(schedule, horizon):
@@ -149,12 +143,12 @@ _FIRST_BLOCK, _MAX_BLOCK = 256, 1 << 14
 
 
 def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
-                    rate_convention, max_events, check, mutate_graph,
-                    adopt_from=None):
+                    max_events, check, mutate_graph, adopt_from=None):
     """Every voter run off an implicit K_n: on an undirected graph, or on a
     :class:`DirectedGraph` when ``adopt_from`` is given.  Through slot
     ``s`` vertex ``owner[s]`` copies ``src[s]``; the slots are sorted by
     owner, and slot ``slots`` is a null (vertex 0 copying itself)."""
+    _check_cap(max_events)
     n, m = g.n, g.m
     if adopt_from is None:
         if n == 0 or m == 0:
@@ -185,7 +179,7 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
     # with swaps the matching changes, and src with it
     partner = match.tolist() + [slots] if nu > 0 else None
     csr = None if deg.min() == deg.max() else (np.cumsum(deg) - deg, deg)
-    pair_rate = nu / (2.0 * m) if rate_convention == "pair" else nu / m
+    pair_rate = nu / (2.0 * m)
     # a swap proposal is a null one time in m, so each pair of edges swaps
     # at pair_rate
     total = n + pair_rate * m * m / 2.0
@@ -380,6 +374,7 @@ def _voter_complete_engine(n, heart0, horizon, schedule, rng, max_events):
     walk, cut at its first hit of 0 or n, then one holding time per step
     kept.
     """
+    _check_cap(max_events)
     samples = _Samples(schedule, horizon)
     m = n * (n - 1) // 2
     hz = math.inf if horizon is None else horizon
@@ -438,15 +433,20 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
                 "opinion vector length != vertex count")
         return _voter_complete_engine(g.n, sum(state.opinions), horizon,
                                       schedule, rng, max_events)
-    return _literal_engine(g, state, 0.0, horizon, schedule, rng, "pair",
+    return _literal_engine(g, state, 0.0, horizon, schedule, rng,
                            max_events, check, False)
 
 
 def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
-                       rng, *, rate_convention=REWIRE_RATE_CONVENTION,
-                       max_events=DEFAULT_MAX_EVENTS, check=False,
+                       rng, *, max_events=DEFAULT_MAX_EVENTS, check=False,
                        mutate_graph=False) -> Trajectory:
     """Voter dynamics superposed with degree-preserving random edge swaps.
+
+    Every unordered pair of the M edge slots swaps at rate nu/(2M), so a
+    given edge is involved in swaps at rate nu(M-1)/(2M), which tends to
+    nu/2.  The discordance plateau to compare against is therefore
+    ``theta_rewiring(d, nu*(M-1)/(2*M))``, and an edge involved at about
+    rate r takes nu = 2r.
 
     With nu=0 this is :func:`run_voter`, byte-identical on the same seed,
     and the graph is left as it is.  Otherwise, unless ``mutate_graph`` is
@@ -457,13 +457,11 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
     """
     if not 0 <= nu < math.inf:
         raise InvalidParameterError("rewiring rate must be finite and >= 0")
-    if rate_convention not in ("pair", "edge"):
-        raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
     if nu == 0:
         return run_voter(g, state, horizon, schedule, rng,
                          max_events=max_events, check=check)
-    return _literal_engine(g, state, nu, horizon, schedule, rng,
-                           rate_convention, max_events, check, mutate_graph)
+    return _literal_engine(g, state, nu, horizon, schedule, rng, max_events,
+                           check, mutate_graph)
 
 
 def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
@@ -484,7 +482,7 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
     ``partial``.  ``check=True`` holds the recount over arcs at each sample
     time to :func:`count_discordant`.
     """
-    return _literal_engine(g, state, 0.0, horizon, schedule, rng, "pair",
+    return _literal_engine(g, state, 0.0, horizon, schedule, rng,
                            max_events, check, False, adopt_from)
 
 
@@ -622,8 +620,7 @@ def _closed_classes(n, us, vs):
 
 
 def consensus_time(g, state: OpinionState, rng, *,
-                   max_events=DEFAULT_MAX_EVENTS, nu=0.0,
-                   rate_convention=REWIRE_RATE_CONVENTION) -> float:
+                   max_events=DEFAULT_MAX_EVENTS, nu=0.0) -> float:
     """Run until absorption and return the consensus time.
 
     A state from which consensus is out of reach (possible on disconnected
@@ -633,6 +630,5 @@ def consensus_time(g, state: OpinionState, rng, *,
         traj = run_voter_directed(g, state, None, [], rng, max_events=max_events)
     else:
         traj = run_voter_rewiring(g, state, nu, None, [], rng,
-                                  rate_convention=rate_convention,
                                   max_events=max_events)
     return traj.consensus_time

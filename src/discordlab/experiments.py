@@ -83,7 +83,6 @@ class ExperimentConfig:
     horizon: float | None
     sample_times: list = field(default_factory=list)
     nu: float = 0.0
-    rate_convention: str = dynamics.REWIRE_RATE_CONVENTION
     adopt_from: str = "out"
     max_events: int = dynamics.DEFAULT_MAX_EVENTS
     comparison: dict | None = None
@@ -175,6 +174,8 @@ def build_graph(model: dict, rng):
     if family == "er":
         return graphs.generate_erdos_renyi(n, model["p"], rng)
     if "d" in model:
+        if n < 0:  # [d] * n would make an empty graph of it
+            raise InvalidParameterError("vertex count must be >= 0")
         seq = [model["d"]] * n
         return graphs.generate_directed_configuration(seq, seq, rng)
     if not len(model["d_in"]) == len(model["d_out"]) == n:
@@ -241,7 +242,7 @@ def _replica(cfg: ExperimentConfig, r: int) -> dict:
         else:
             traj = dynamics.run_voter_rewiring(
                 g, state, cfg.nu, cfg.horizon, cfg.sample_times, rng,
-                rate_convention=cfg.rate_convention, max_events=cfg.max_events)
+                max_events=cfg.max_events)
     except SimulationTimeout as exc:
         traj = exc.partial
         timed_out = True
@@ -356,9 +357,7 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
         raise InvalidParameterError("need at least one replica")
     if cfg.master_seed < 0:
         raise InvalidParameterError("master_seed must be >= 0")
-    if cfg.rate_convention not in ("pair", "edge"):
-        raise InvalidParameterError(
-            f"unknown rate convention {cfg.rate_convention!r}")
+    dynamics._check_cap(cfg.max_events)
     if cfg.horizon is not None and any(
             t > cfg.horizon for t in cfg.sample_times):
         raise InvalidParameterError("sample grid must lie within the horizon")

@@ -4,9 +4,10 @@ list files.
 
 Conventions used throughout the package:
 
-* Graphs are multigraphs by default: parallel edges are distinct edge ids,
-  a self-loop occupies two incidence slots of its vertex (as in the
+* Graphs are multigraphs: parallel edges are distinct edge ids, a
+  self-loop occupies two incidence slots of its vertex (as in the
   half-edge pairing construction), so sum(deg) == 2*M always holds.
+  ``Graph.is_simple`` reads off the edges whether a graph has neither.
 * A graph is a value that the engines read: each engine edits its own
   copy of the endpoints, and only ``Graph.set_edges`` changes a graph.  A
   graph handed back by ``run_voter_rewiring(mutate_graph=True)`` is
@@ -65,17 +66,12 @@ class Graph:
     only :meth:`set_edges` replaces its edges.
     """
 
-    __slots__ = ("n", "_ends", "allows_self_loops", "allows_multi_edges")
+    __slots__ = ("n", "_ends")
 
-    def __init__(self, n, us=(), vs=(), *, allows_self_loops=True,
-                 allows_multi_edges=True):
+    def __init__(self, n, us=(), vs=()):
         """The graph keeps copies of ``us`` and ``vs``."""
         self.n = int(n)
         self._ends = _endpoints(n, us, vs)
-        self.allows_self_loops = allows_self_loops
-        self.allows_multi_edges = allows_multi_edges
-        if not allows_self_loops and self.has_self_loop():
-            raise InvalidParameterError("self-loops are disabled on this graph")
 
     @property
     def implicit_complete(self) -> bool:
@@ -110,8 +106,7 @@ class Graph:
 
     def set_edges(self, us, vs) -> None:
         """Make edge ``e`` join ``us[e]`` and ``vs[e]`` for every ``e``, as
-        the constructor does; self-loops and multi-edges are allowed from
-        then on."""
+        the constructor does."""
         self.__init__(self.n, us, vs)
 
     def degrees(self) -> list[int]:
@@ -124,8 +119,7 @@ class Graph:
         return zip(self._ends[0].tolist(), self._ends[1].tolist())
 
     def copy(self) -> "Graph":
-        g = Graph(self.n, allows_self_loops=self.allows_self_loops,
-                  allows_multi_edges=self.allows_multi_edges)
+        g = Graph(self.n)
         g._ends = self._ends  # read-only, so both graphs may hold them
         return g
 
@@ -162,13 +156,6 @@ class Graph:
                     count += 1
                     stack.append(w)
         return count == self.n
-
-    def check_consistency(self):
-        """Check the edges against the two flags."""
-        if not self.allows_self_loops and self.has_self_loop():
-            raise AssertionError("self-loop present despite flag")
-        if not self.allows_multi_edges and self.has_multi_edge():
-            raise AssertionError("multi-edge present despite flag")
 
 
 class DirectedGraph:
@@ -243,7 +230,7 @@ def generate_complete(n) -> Graph:
     alone: its endpoint arrays are built on each read."""
     if n < 2:
         raise InvalidParameterError("complete graph needs n >= 2")
-    g = Graph(n, allows_self_loops=False, allows_multi_edges=False)
+    g = Graph(n)
     g._ends = None
     return g
 
@@ -276,8 +263,7 @@ def generate_random_regular(n, d, rng, policy="reject") -> Graph:
             key.sort()
             if np.any(key[1:] == key[:-1]):
                 continue
-        return Graph(n, us, vs, allows_self_loops=(policy == "allow"),
-                     allows_multi_edges=(policy == "allow"))
+        return Graph(n, us, vs)
 
 
 def generate_directed_configuration(d_in, d_out, rng) -> DirectedGraph:
@@ -327,14 +313,14 @@ def generate_erdos_renyi(n, p, rng) -> Graph:
     if n < 0:
         raise InvalidParameterError("vertex count must be >= 0")
     if n < 2 or p == 0.0:
-        return Graph(n, allows_self_loops=False, allows_multi_edges=False)
+        return Graph(n)
     idx = _bernoulli_indices(n * (n - 1) // 2, p, rng)
     # row u holds the pairs (u, u+1), ..., (u, n-1) from index start[u] on
     rows = np.arange(n, dtype=np.int64)
     start = rows * (2 * n - rows - 1) // 2
     us = np.searchsorted(start, idx, side="right") - 1
     vs = idx - start[us] + us + 1
-    return Graph(n, us, vs, allows_self_loops=False, allows_multi_edges=False)
+    return Graph(n, us, vs)
 
 
 def generate_gnm(n, m, rng) -> Graph:
@@ -352,8 +338,7 @@ def generate_gnm(n, m, rng) -> Graph:
             u, v = v, u
         chosen[(u, v)] = None
     pairs = np.array(list(chosen), dtype=np.int64).reshape(-1, 2)
-    return Graph(n, pairs[:, 0], pairs[:, 1], allows_self_loops=False,
-                 allows_multi_edges=False)
+    return Graph(n, pairs[:, 0], pairs[:, 1])
 
 
 # ----------------------------------------------------------------------

@@ -173,7 +173,7 @@ def reference_complete_chain(n, heart0, horizon, schedule, rng, max_events):
 # ----------------------------------------------------------------------
 
 def reference_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
-                       rng, *, rate_convention="pair", max_events=10**9):
+                       rng, *, max_events=10**9):
     """``run_voter_rewiring`` as it ran on the event-driven engine (at
     ``nu = 0``, the former ``run_voter``), leaving ``g`` as it is."""
     n, m = g.n, g.m
@@ -185,8 +185,6 @@ def reference_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
         raise InvalidParameterError("rewiring rate must be >= 0")
     if nu > 0 and m < 2:
         raise InvalidParameterError("rewiring needs at least two edges")
-    if rate_convention not in ("pair", "edge"):
-        raise InvalidParameterError(f"unknown rate convention {rate_convention!r}")
     samples = _Samples(schedule, horizon)
 
     eu, ev, inc = g.eu, g.ev, g.inc  # fresh lists, which the swaps edit
@@ -207,7 +205,7 @@ def reference_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
 
     rew_rate = 0.0
     if nu > 0:
-        pair_rate = nu / (2.0 * m) if rate_convention == "pair" else nu / m
+        pair_rate = nu / (2.0 * m)
         rew_rate = pair_rate * (m * (m - 1) / 2.0)
 
     rnd = _derive_rnd(rng)

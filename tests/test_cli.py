@@ -195,8 +195,20 @@ def test_exit_code_param_errors(tmp_path, capsys):
     assert dispatch(["oracle", "theta-regular", "--d", "1"]) == 2
     assert dispatch(["generate", "--model", "complete", "--n", "1",
                      "--out", str(tmp_path / "x"), "--quiet"]) == 2
+    # a dcm of -1 vertices was written out as an empty graph
+    assert dispatch(["generate", "--model", "dcm", "--n", "-1", "--d", "3",
+                     "--out", str(tmp_path / "x"), "--quiet"]) == 2
     assert dispatch(["simulate", "--bogus-flag"]) == 2
     assert dispatch(["nonsense"]) == 2
+    run = ["simulate", "--model", "complete", "--n", "10", "--u", "0.5",
+           "--horizon", "1", "--out", str(tmp_path / "s.csv"), "--quiet"]
+    capsys.readouterr()
+    # a negative cap used to end the run as a timeout (exit 4), and the
+    # rate convention option is gone
+    for extra in (["--max-events", "-1"], ["--rate-convention", "pair"]):
+        assert dispatch(run + extra) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,15 +256,22 @@ def test_coevolve_negative_samples_exits_2(tmp_path, capsys):
     ["rewire-random", "--beta", "nan"],
     ["rewire-random", "--beta", "1", "--seed", "-1"],
     ["dense", "--horizon", "1", "--init", "iid", "--n", "-1"],
+    ["rewire-random", "--beta", "1", "--max-events", "-1"],
+    ["holme-newman", "--m-edges", "10", "--beta", "0.5",
+     "--max-events", "-1"],
+    ["dense", "--horizon", "1", "--max-events", "-1"],
 ], ids=["dense-sd1-nan", "dense-eta-nan", "rewire-random-beta-nan",
-        "rewire-random-seed-negative", "dense-iid-n-negative"])
+        "rewire-random-seed-negative", "dense-iid-n-negative",
+        "rewire-random-max-events-negative",
+        "holme-newman-max-events-negative", "dense-max-events-negative"])
 def test_coevolve_bad_input_exits_2(tmp_path, capsys, argv):
     # a NaN weight acted as 0, a NaN eta spun to the event cap, a NaN beta
-    # never adopted, and a negative seed or size ended in numpy's ValueError
+    # never adopted, a negative seed or size ended in numpy's ValueError,
+    # and a negative cap stopped a run at once, as UNRESOLVED or a timeout
     model, *flags = argv
-    assert dispatch(["coevolve", "--model", model, "--n", "20", *flags,
-                     "--max-events", "1000", "--out", str(tmp_path / "c.csv"),
-                     "--quiet"]) == 2
+    assert dispatch(["coevolve", "--model", model, "--n", "20",
+                     "--max-events", "1000", *flags,
+                     "--out", str(tmp_path / "c.csv"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -265,8 +284,9 @@ def test_coevolve_bad_input_exits_2(tmp_path, capsys, argv):
                     "tolerance": 0.1}},  # no u
     {"comparison": {"name": "constant", "value": 0.5, "tolerance": 0.1,
                     "observable": "tau"}},
+    {"max_events": -1},
 ], ids=["negative_seed", "no_tolerance", "constant_no_value",
-        "discordance_no_u", "unknown_observable"])
+        "discordance_no_u", "unknown_observable", "negative_cap"])
 def test_ensemble_bad_run_spec_exits_2(tmp_path, capsys, patch):
     cfg = experiments.ExperimentConfig(
         model={"family": "rrg", "n": 20, "d": 3}, u=0.5, replicas=2,
@@ -317,6 +337,7 @@ def test_coevolve_dense_writes_final_edge_count(tmp_path):
     {"u": True},                   # boolean for a float
     {"model": ["rrg"]},            # list for a dict
     {"horizon": "never"},          # string for a float or null
+    {"rate_convention": "pair"},   # a key of former configs
 ])
 def test_ensemble_bad_config_exits_2(tmp_path, capsys, patch):
     cfg = experiments.ExperimentConfig(
@@ -359,6 +380,17 @@ def test_ensemble_bad_model_spec_exits_2(tmp_path, capsys, model):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_coevolve_dense_without_samples_writes_strict_json(tmp_path):
+    # with no sample the final heart fraction was written as NaN, which
+    # is not JSON
+    assert dispatch(["coevolve", "--model", "dense", "--n", "10",
+                     "--horizon", "1", "--samples", "0", "--seed", "1",
+                     "--out", str(tmp_path / "d.csv"), "--quiet"]) == 0
+    text = (tmp_path / "d.csv.outcome.json").read_text()
+    outcome = json.loads(text, parse_constant=_no_constant)
+    assert outcome["final_heart_fraction"] is None
 
 
 def test_coevolve_dense_honours_max_events(tmp_path):
@@ -420,7 +452,7 @@ def _flag(name, lo, hi):
     good = st.integers(lo, hi) if isinstance(lo, int) and \
         isinstance(hi, int) else st.floats(lo, hi)
     return st.tuples(st.integers(0, 3), good).map(
-        lambda kv: [f"{name}={kv[1]}"] if kv[0] else [])
+        lambda kv: [f"{name}={kv[1]}"] if kv[0] < 3 else [])
 
 
 def _flags(*specs):
@@ -443,7 +475,19 @@ _RATES = [(f, 0.0, 10.0) for f in ("--eta", "--rho", "--sc0", "--sc1",
                                    "--sd0", "--sd1")]
 _DENSITIES = [("--p0", 0.0, 1.0), ("--q0", 0.0, 1.0)]
 _RUN = [("--n", 2, 12), ("--max-events", 0, 1000), ("--seed", 0, 99)]
+# the flags each graph model reads
+_GRAPHS = {"complete": [], "dcm": [("--d", 1, 4)], "er": [("--p", 0.0, 1.0)],
+           "rrg": [("--d", 1, 4)]}
+_SIM = [("--u", 0.0, 1.0), ("--horizon", 1e-2, 5.0), ("--samples", 2, 50),
+        ("--max-events", 0, 10_000), ("--seed", 0, 99)]
 _SWEEP = {
+    **{f"generate {model}": _flags(("--n", 2, 30), *flags, ("--seed", 0, 99))
+       for model, flags in _GRAPHS.items()},
+    # only undirected graphs rewire
+    **{f"simulate {model}": _flags(
+        ("--n", 2, 30), *flags, *_SIM,
+        *([] if model == "dcm" else [("--nu", 0.0, 10.0)]))
+       for model, flags in _GRAPHS.items()},
     "oracle theta-regular": _flags(("--d", 1, 12)),
     "oracle theta-rewiring": _flags(("--d", 1, 12), ("--nu", 1e-2, 100.0),
                                     _TOL),
@@ -460,7 +504,7 @@ _SWEEP = {
     "coevolve holme-newman": _flags(*_RUN, ("--m-edges", 0, 20),
                                     ("--beta", 0.0, 1.0)),
     "coevolve dense": st.tuples(
-        _flags(*_RUN, ("--horizon", 0.0, 2.0), ("--samples", 0, 101),
+        _flags(*_RUN, ("--horizon", 0.0, 2.0), ("--samples", 0, 5),
                *_RATES, *_DENSITIES),
         st.sampled_from([[], ["--init", "iid"]])).map(lambda t: t[0] + t[1]),
 }
@@ -472,17 +516,19 @@ def _no_constant(name):
 
 @pytest.mark.parametrize("command", sorted(_SWEEP))
 def test_dispatch_sweep_exits_cleanly(command):
-    """Each ``oracle`` subcommand and each ``coevolve`` model, on drawn
-    flags: exit 0 or 2 (4 for a run that hits its event cap) with no
-    traceback, and an oracle's exit-0 output is JSON with no NaN or inf.
-    ``simulate``, ``ensemble`` and ``generate`` are not swept yet."""
-    codes = (0, 2) if command.startswith("oracle") else (0, 2, 4)
+    """Each ``oracle`` subcommand, each ``coevolve`` model and ``generate``
+    and ``simulate`` on each graph model, on drawn flags: exit 0 or 2 (4
+    for a run that hits its event cap) with no traceback.  An oracle's
+    exit-0 output, and every JSON file a command writes, is JSON with no
+    NaN or inf.  ``ensemble`` is not swept yet."""
+    codes = (0, 2) if command.split()[0] in ("oracle", "generate") \
+        else (0, 2, 4)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(_SWEEP[command])
     def sweep(flags):
         argv = command.split() + flags
-        if argv[0] == "coevolve":
+        if argv[0] != "oracle":
             argv[1:1] = ["--model"]
             argv += ["--out", os.path.join(out_dir, "c.csv"), "--quiet"]
         out, err = io.StringIO(), io.StringIO()
@@ -497,6 +543,12 @@ def test_dispatch_sweep_exits_cleanly(command):
             ("error: " in said) == (code == 2), (argv, code, said)
         if code == 0 and argv[0] == "oracle":
             json.loads(out.getvalue(), parse_constant=_no_constant)
+        for name in os.listdir(out_dir):  # what this call wrote
+            path = os.path.join(out_dir, name)
+            if name.endswith(".json"):
+                with open(path) as fh:
+                    json.load(fh, parse_constant=_no_constant)
+            os.remove(path)
 
     with tempfile.TemporaryDirectory() as out_dir, deadline(60.0):
         sweep()

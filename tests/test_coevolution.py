@@ -112,6 +112,8 @@ def test_rewire_model_validation(rng):
         coevolution.run_rewire_model(5, 0.0, "TO_RANDOM", rng)
     with pytest.raises(InvalidParameterError):
         coevolution.run_rewire_model(5, 1.0, "sideways", rng)
+    with pytest.raises(InvalidParameterError, match="max_events"):
+        coevolution.run_rewire_model(5, 1.0, "TO_RANDOM", rng, max_events=-1)
 
 
 # ----------------------------------------------------------------------
@@ -163,12 +165,14 @@ def test_holme_newman_leaves_the_caller_graph(rng):
     assert traj.n_events > 0 and out.verdict != coevolution.UNRESOLVED
     assert all(np.array_equal(a, b)
                for a, b in zip(before, g.endpoint_arrays()))
-    assert not g.allows_self_loops and not g.allows_multi_edges
+    assert g.is_simple()
 
 
 def test_holme_newman_validation(rng):
     with pytest.raises(InvalidParameterError):
         coevolution.run_holme_newman(10, 5, 1.5, rng)
+    with pytest.raises(InvalidParameterError, match="max_steps"):
+        coevolution.run_holme_newman(10, 5, 0.5, rng, max_steps=-1)
 
 
 # ----------------------------------------------------------------------

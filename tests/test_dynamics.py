@@ -18,10 +18,10 @@ from _oracles import (bd_mean_absorption, complete_voter_mean_tau,
 
 def test_init_extremes(rng):
     g = graphs.generate_complete(10)
-    st0 = dynamics.init_opinions_iid(10, 0.0, rng, g)
-    assert st0.heart_count == 0 and st0.discordant_count == 0
-    st1 = dynamics.init_opinions_iid(10, 1.0, rng, g)
-    assert st1.heart_count == 10 and st1.discordant_count == 0
+    st0 = dynamics.init_opinions_iid(10, 0.0, rng)
+    assert st0.heart_count == 0 and graphs.count_discordant(g, st0) == 0
+    st1 = dynamics.init_opinions_iid(10, 1.0, rng)
+    assert st1.heart_count == 10 and graphs.count_discordant(g, st1) == 0
     with pytest.raises(InvalidParameterError):
         dynamics.init_opinions_iid(10, 1.5, rng)
 
@@ -33,8 +33,8 @@ def test_init_complete_graph_mean_discordance():
     m = g.m
     fracs = []
     for seed in range(draws):
-        st = dynamics.init_opinions_iid(n, u, np.random.default_rng(seed), g)
-        fracs.append(st.discordant_count / m)
+        st = dynamics.init_opinions_iid(n, u, np.random.default_rng(seed))
+        fracs.append(graphs.count_discordant(g, st) / m)
     assert abs(np.mean(fracs) - 2 * u * (1 - u)) < 1.5e-3  # ~7 sigma
 
 
@@ -280,8 +280,7 @@ def explicit_complete(n):
     """K_n with explicit endpoint arrays: the reference that the implicit
     K_n of generate_complete must match."""
     iu, iv = np.triu_indices(n, k=1)
-    return graphs.Graph(n, iu, iv, allows_self_loops=False,
-                        allows_multi_edges=False)
+    return graphs.Graph(n, iu, iv)
 
 
 def test_complete_check_run_matches_explicit_edge_list():
@@ -312,7 +311,6 @@ def test_complete_rewiring_matches_explicit_edge_list():
     dynamics.run_voter_rewiring(gm, st, 2.0, 5.0, sched,
                                 np.random.default_rng(4), mutate_graph=True)
     assert not gm.implicit_complete
-    gm.check_consistency()
     assert sorted(gm.degrees()) == [n - 1] * n
 
 
@@ -373,7 +371,6 @@ def test_rewiring_bookkeeping_fuzz_and_degree_preservation():
                                        mutate_graph=True, check=True)
     assert traj.n_events >= 10_000
     assert sorted(gm.degrees()) == before
-    gm.check_consistency()
 
 
 @deadline()
@@ -414,39 +411,56 @@ def test_opinion_length_is_checked_on_every_engine(rng):
 NAN = float("nan")
 
 
-def _nan_runs(engine, horizon, sched):
-    """A run of ``engine`` with the given horizon and sample times."""
+def _engine_run(engine, horizon, sched, max_events=10**9):
+    """A run of ``engine`` with the given horizon, sample times and event
+    cap."""
     rng = np.random.default_rng(21)
     if engine == "lockstep":
         cfg = experiments.ExperimentConfig(
             model={"family": "rrg", "n": 20, "d": 3}, u=0.5,
             replicas=experiments.LOCKSTEP_MIN_REPLICAS, master_seed=3,
-            horizon=horizon, sample_times=sched)
+            horizon=horizon, sample_times=sched, max_events=max_events)
         return experiments.run_ensemble(cfg)
     if engine == "dense":
         state = coevolution.init_positional(20, rng=rng)
         s = coevolution.SwitchProbs(s_c1=0.5, s_c0=1.5, s_d1=2.0, s_d0=0.7)
-        return coevolution.run_dense(state, 1.0, 1.0, s, horizon, sched, rng)
+        return coevolution.run_dense(state, 1.0, 1.0, s, horizon, sched, rng,
+                                     max_events=max_events)
     if engine == "directed":
         g = graphs.generate_directed_configuration([3] * 20, [3] * 20, rng)
         st = dynamics.init_opinions_iid(20, 0.5, rng)
-        return dynamics.run_voter_directed(g, st, horizon, sched, rng)
+        return dynamics.run_voter_directed(g, st, horizon, sched, rng,
+                                           max_events=max_events)
     g = (graphs.generate_complete(20) if engine == "complete-chain"
          else graphs.generate_random_regular(20, 3, rng))
     st = dynamics.init_opinions_iid(20, 0.5, rng)
     nu = 2.0 if engine == "rewiring" else 0.0
-    return dynamics.run_voter_rewiring(g, st, nu, horizon, sched, rng)
+    return dynamics.run_voter_rewiring(g, st, nu, horizon, sched, rng,
+                                       max_events=max_events)
 
 
-@pytest.mark.parametrize("engine", ["voter", "complete-chain", "rewiring",
-                                    "directed", "lockstep", "dense"])
+_ENGINES = ["voter", "complete-chain", "rewiring", "directed", "lockstep",
+            "dense"]
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
 def test_nan_horizon_or_sample_time_is_rejected(engine):
     # a NaN horizon used to run on to consensus, and a NaN sample time to
     # drop out of the returned times
     for horizon, sched in ((NAN, [1.0, 2.0]), (3.0, [1.0, NAN]),
                            (3.0, [NAN])):
         with deadline(), pytest.raises(InvalidParameterError, match="NaN"):
-            _nan_runs(engine, horizon, sched)
+            _engine_run(engine, horizon, sched)
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_negative_event_cap_is_rejected(engine):
+    # a cap of -1 used to end a run at once as a timeout at its cap, or
+    # time out every replica of a lockstep ensemble; 0 still allows no event
+    for cap in (-1, NAN):
+        with deadline(), pytest.raises(InvalidParameterError,
+                                       match="max_events must be >= 0"):
+            _engine_run(engine, 3.0, [1.0, 2.0], max_events=cap)
 
 
 def test_rewiring_validation(rng):
@@ -457,10 +471,6 @@ def test_rewiring_validation(rng):
     for nu in (-1.0, math.nan, math.inf):  # NaN and inf: numpy's ValueError
         with pytest.raises(InvalidParameterError):
             dynamics.run_voter_rewiring(g, st, nu, 1.0, [], rng)
-    g = graphs.Graph(2, [0, 0], [1, 1])
-    with pytest.raises(InvalidParameterError):
-        dynamics.run_voter_rewiring(g, st, 1.0, 1.0, [], rng,
-                                    rate_convention="both")
     empty = graphs.Graph(2)
     for nu in (0.0, 1.0):
         with pytest.raises(InvalidParameterError, match="at least one edge"):
@@ -481,25 +491,24 @@ def test_rewiring_validation(rng):
 @pytest.mark.slow
 def test_rewiring_discordance_plateau_tracks_continued_fraction():
     # time-averaged discordance over t in [5,10] vs 2u(1-u) theta_{d,r}
-    # where r is the per-edge involvement rate realized by the convention
-    # ("pair": r ~ nu/2, "edge": r ~ nu), damped by exp(-2 theta t / N)
-    n, d, nu, R = 1000, 3, 10.0, 80
+    # where r = nu (M-1)/(2M) ~ nu/2 is the rate at which an edge is
+    # involved in swaps, damped by exp(-2 theta t / N); at nu = 20 an edge
+    # is involved at about rate 10
+    n, d, R = 1000, 3, 80
     sched = np.linspace(5.0, 10.0, 11)
     m = n * d // 2
-    for conv, seed in (("pair", 13_000), ("edge", 14_000)):
+    for nu, seed in ((10.0, 13_000), (20.0, 14_000)):
         vals = []
         for r in range(R):
             rng = experiments.spawn_rng(seed, r)
             g = graphs.generate_random_regular(n, d, rng)
             st = dynamics.init_opinions_iid(n, 0.5, rng)
-            traj = dynamics.run_voter_rewiring(g, st, nu, 10.0, sched, rng,
-                                               rate_convention=conv)
+            traj = dynamics.run_voter_rewiring(g, st, nu, 10.0, sched, rng)
             vals.append(traj.discordant_frac.mean())
-        pair_rate = nu / (2 * m) if conv == "pair" else nu / m
-        r_edge = pair_rate * (m - 1)
+        r_edge = nu / (2 * m) * (m - 1)
         th = limits.theta_rewiring(d, r_edge)
         pred = 0.5 * th * np.exp(-2 * th * sched / n).mean()
-        assert abs(np.mean(vals) - pred) < 0.02, (conv, np.mean(vals), pred)
+        assert abs(np.mean(vals) - pred) < 0.02, (nu, np.mean(vals), pred)
 
 
 @pytest.mark.slow

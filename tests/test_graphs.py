@@ -34,7 +34,7 @@ def test_complete_basic():
     g5 = graphs.generate_complete(5)
     assert g5.degrees() == [4] * 5
     assert sum(g5.degrees()) == 2 * g5.m
-    g5.check_consistency()
+    assert g5.is_simple()
 
 
 def test_complete_rejects_small():
@@ -47,7 +47,6 @@ def test_random_regular_counts(rng):
     assert g.m == 12
     assert g.degrees() == [3] * 8
     assert g.is_simple()
-    g.check_consistency()
 
 
 def test_random_regular_k4(rng):
@@ -89,8 +88,7 @@ def _random_regular_by_unique(n, d, rng):
         key = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
         if len(np.unique(key)) != len(key):
             continue
-        return graphs.Graph(n, us, vs, allows_self_loops=False,
-                            allows_multi_edges=False)
+        return graphs.Graph(n, us, vs)
 
 
 @pytest.mark.parametrize("n,d", [(8, 3), (20, 4), (50, 3), (101, 4),
@@ -174,7 +172,7 @@ def test_erdos_renyi_edge_count_concentration():
 def test_erdos_renyi_p1_is_every_pair_in_order(n):
     g = graphs.generate_erdos_renyi(n, 1.0, np.random.default_rng(n))
     assert list(g.edges()) == list(itertools.combinations(range(n), 2))
-    g.check_consistency()
+    assert g.is_simple()
 
 
 def test_erdos_renyi_sparse_edge_count_mean_and_variance():
@@ -278,8 +276,6 @@ def test_graph_bulk_constructor_matches_add_edge(rng):
         graphs.Graph(3, [0, 3], [1, 1])
     with pytest.raises(InvalidParameterError):
         graphs.DirectedGraph(3, [0], [-1])
-    with pytest.raises(InvalidParameterError):
-        graphs.Graph(3, [0, 2], [1, 2], allows_self_loops=False)
 
 
 def test_directed_lists_are_built_on_first_read(rng):
@@ -327,7 +323,6 @@ def test_rewire_swap_enumerates_both_matchings():
         rewire_swap(g, 0, 1, FixedRng([coin]))
         got = {tuple(sorted(e)) for e in g.edges()}
         assert got == expect
-        g.check_consistency()
 
 
 def test_rewire_swap_involution():
@@ -359,7 +354,6 @@ def test_rewire_swap_preserves_degrees(seed, n_swaps):
             e2 += 1
         rewire_swap(g, e1, e2, rng)
     assert sorted(g.degrees()) == before
-    g.check_consistency()
 
 
 def test_count_discordant_basics():
@@ -513,7 +507,8 @@ def test_unread_graph_answers_like_a_read_one(name, monkeypatch):
     assert _lists(build(3)) == _lists(read)
     assert _lists(unread_copy) == _lists(read)
     assert build(3).degrees() == read.degrees()
-    build(3).check_consistency()
+    # every build but the two pairing multigraphs promises a simple graph
+    assert build(3).is_simple() or name in ("rrg_allow", "parsed")
     if read.n >= 2:
         g, ref = build(3), read.copy()
         for h in (g, ref):
@@ -525,7 +520,6 @@ def test_unread_graph_answers_like_a_read_one(name, monkeypatch):
         rewire_swap(g, 0, read.m - 1, np.random.default_rng(5))
         rewire_swap(ref, 0, read.m - 1, np.random.default_rng(5))
         assert _lists(g) == _lists(ref)
-        g.check_consistency()
 
 
 @pytest.mark.parametrize("name", sorted(_LAZY_BUILDS))

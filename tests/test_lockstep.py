@@ -312,7 +312,6 @@ def test_errors_match_the_event_engines():
                  {"sample_times": [-1.0, 1.0]},
                  {"model": {**dcm, "d": 0}},
                  {"model": dcm, "adopt_from": "sideways"},
-                 {"rate_convention": "both"},
                  {"model": lopsided, "adopt_from": "in"},
                  {"model": {**lopsided, "d_in": [2] * 30,
                             "d_out": [3, 3, 0] * 10}}):
