@@ -12,9 +12,10 @@ insert and remove in the same sequence to reproduce a run.
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set
 exactly while ``ops[us[e]] != ops[vs[e]]``.  ``build`` files every slot
 once at the start of a run.  After that the set changes only at a
-flip, through ``toggle``, and at an endpoint edit, through ``drop``: when a
-vertex flips, every slot at it that is not a self-loop changes
-discordance, so ``toggle`` reads no opinions.
+flip, through ``toggle``, and at an endpoint edit that makes the slot
+concordant, where the engine removes it inline: when a vertex flips, every
+slot at it that is not a self-loop changes discordance, so ``toggle`` reads
+no opinions.
 """
 
 
@@ -89,15 +90,3 @@ def toggle(slots, items, pos, us, vs):
             pos[e] = len(items)
             items.append(e)
 
-
-def drop(slots, items, pos):
-    """Remove each member of ``slots``, in order, whatever its discordance
-    (before its endpoints are edited)."""
-    for e in slots:
-        i = pos[e]
-        if i >= 0:
-            pos[e] = -1
-            last = items.pop()
-            if last != e:
-                items[i] = last
-                pos[last] = i

@@ -309,9 +309,11 @@ def cmd_ensemble(args, argv):
         "comparison": None,
     }
     if result.comparison is not None:
+        sup = result.comparison.sup_deviation
         summary["comparison"] = {
             "observable": result.comparison.observable,
-            "sup_deviation": result.comparison.sup_deviation,
+            # NaN where every replica timed out before a sample time
+            "sup_deviation": sup if math.isfinite(sup) else None,
             "tolerance": result.comparison.tolerance,
             "frac_within_ci": result.comparison.frac_within_ci,
             "passed": result.comparison.passed,
@@ -385,7 +387,7 @@ def build_parser():
     s.add_argument("--nu", type=float, default=0.0)
     s.add_argument("--adopt-from", dest="adopt_from",
                    choices=["out", "in"], default="out")
-    s.add_argument("--horizon", type=float, required=True)
+    s.add_argument("--horizon", type=_finite, required=True)
     s.add_argument("--samples", type=int, default=101)
     s.add_argument("--max-events", dest="max_events", type=int,
                    default=dynamics.DEFAULT_MAX_EVENTS)
@@ -413,7 +415,7 @@ def build_parser():
     c.add_argument("--q0", type=float, default=0.5)
     c.add_argument("--init", choices=["positional", "iid"],
                    default="positional")
-    c.add_argument("--horizon", type=float)
+    c.add_argument("--horizon", type=_finite)
     c.add_argument("--samples", type=int, default=101)
     c.add_argument("--seed", type=int)
     c.add_argument("--out", required=True)

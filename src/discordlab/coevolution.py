@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sset import SampleableSet, build, drop, toggle
+from ._sset import SampleableSet, build, toggle
 from .dynamics import _check_cap, _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
 from .graphs import count_discordant, generate_erdos_renyi, generate_gnm
@@ -77,6 +77,8 @@ class DenseTrajectory:
     conc_nonedge: np.ndarray
     disc_nonedge: np.ndarray
     consensus_time: float | None = None
+    # proposals: opinion and pair ones before consensus, pair ones only
+    # after it (unless check=True, which keeps counting both)
     n_events: int = 0
     final_edge_count: int = 0
 
@@ -102,28 +104,33 @@ def classify_outcome(state_or_heart, n_vertices=None, n_discordant=None) -> str:
 # ----------------------------------------------------------------------
 
 class _Recorder:
-    """Adaptive-stride trajectory recorder: keeps at most ~2*cap samples by
-    doubling the stride, always including the first sample."""
+    """Adaptive-stride trajectory recorder: keeps the samples at event
+    counts 0, stride, 2*stride, ..., at most ~2*cap of them, by dropping
+    every other one and doubling the stride."""
 
     def __init__(self, cap=2048):
         self.cap = cap
         self.stride = 1
-        self.count = 0
+        self.next = 0
         self.t = []
         self.h = []
         self.d = []
 
-    def maybe(self, t, h, d):
-        if self.count % self.stride == 0:
-            self.t.append(t)
-            self.h.append(h)
-            self.d.append(d)
-            if len(self.t) >= 2 * self.cap:
-                self.t = self.t[::2]
-                self.h = self.h[::2]
-                self.d = self.d[::2]
-                self.stride *= 2
-        self.count += 1
+    def record(self, t, h, d):
+        """Keep the sample at event count ``next`` and return the next
+        count to keep.  The kept counts are the multiples of the stride; a
+        thinning comes after an odd multiple of the old stride, so one old
+        stride on is the next multiple of the new one."""
+        self.t.append(t)
+        self.h.append(h)
+        self.d.append(d)
+        self.next += self.stride
+        if len(self.t) >= 2 * self.cap:
+            self.t = self.t[::2]
+            self.h = self.h[::2]
+            self.d = self.d[::2]
+            self.stride *= 2
+        return self.next
 
     def finish(self, t, ops, heart, nd, m, events, resolved):
         """Record the final state (at most once per time) and return the
@@ -169,6 +176,8 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     if variant not in (TO_RANDOM, TO_SAME):
         raise InvalidParameterError(f"unknown variant {variant!r}")
 
+    same = variant == TO_SAME
+
     g = initial_graph if initial_graph is not None \
         else generate_erdos_renyi(n, 0.5, rng)
     if initial_opinions is not None:
@@ -189,17 +198,18 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
         inc[eu[e]].add(e)
         inc[ev[e]].add(e)
     heart = sum(ops)
-    by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
-             SampleableSet(v for v in range(n) if ops[v] == 1))
+    if same:
+        by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
+                 SampleableSet(v for v in range(n) if ops[v] == 1))
     disc_items, disc_pos = build(eu, ev, ops)
 
     adopt_p = beta / n
     t = 0.0
     events = 0
     rec = _Recorder()
-    maybe = rec.maybe
+    record = rec.record
     log = math.log
-    maybe(0.0, heart / n, len(disc_items) / m if m else 0.0)
+    kept = record(0.0, heart / n, len(disc_items) / m if m else 0.0)
     resolved = True
     while disc_items:
         if events >= max_events:
@@ -210,25 +220,29 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
         e = disc_items[int(rr() * nd)]
         u, v = eu[e], ev[e]
         if rr() < adopt_p:
-            flip, other = (u, v) if rr() < 0.5 else (v, u)
+            if rr() < 0.5:
+                flip, other = u, v
+            else:
+                flip, other = v, u
             old = ops[flip]
             ops[flip] = ops[other]
             heart += 1 if ops[other] == 1 else -1
-            by_op[old].discard(flip)
-            by_op[1 - old].add(flip)
+            if same:
+                by_op[old].discard(flip)
+                by_op[1 - old].add(flip)
             toggle(inc[flip], disc_items, disc_pos, eu, ev)
         else:
-            keep, lose = (u, v) if rr() < 0.5 else (v, u)
-            if variant == TO_RANDOM:
+            if rr() < 0.5:
+                keep, lose = u, v
+            else:
+                keep, lose = v, u
+            if not same:
                 w = int(rr() * n)
             else:
                 cand = by_op[ops[keep]]
-                if len(cand) == 1:
-                    # keeper is the last of its opinion: nowhere to reattach
-                    events += 1
-                    maybe(t, heart / n, len(disc_items) / m)
-                    continue
-                w = keep
+                # a keeper that is the last of its opinion has nowhere to
+                # reattach: w = lose leaves e as it is
+                w = keep if len(cand) > 1 else lose
                 while w == keep:
                     w = cand.pick(rnd)
             if w != lose:
@@ -237,9 +251,15 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
                 eu[e] = keep
                 ev[e] = w
             if ops[keep] == ops[w]:  # else e is still the discordant slot it was
-                drop((e,), disc_items, disc_pos)
+                i = disc_pos[e]
+                disc_pos[e] = -1
+                last = disc_items.pop()
+                if last != e:
+                    disc_items[i] = last
+                    disc_pos[last] = i
         events += 1
-        maybe(t, heart / n, len(disc_items) / m)
+        if events == kept:
+            kept = record(t, heart / n, len(disc_items) / m)
 
     return rec.finish(t, ops, heart, len(disc_items), m, events, resolved)
 
@@ -272,8 +292,8 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
 
     steps = 0
     rec = _Recorder()
-    maybe = rec.maybe
-    maybe(0.0, heart / n, nd / m if m else 0.0)
+    record = rec.record
+    kept = record(0.0, heart / n, nd / m if m else 0.0)
     resolved = True
     while nd:
         if steps >= max_steps:
@@ -282,35 +302,34 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
         steps += 1
         v = int(rr() * n)
         dv = len(inc[v])
-        if dv == 0:
-            maybe(float(steps), heart / n, nd / m)
-            continue
-        e = inc[v][int(rr() * dv)]
-        other = ev[e] if eu[e] == v else eu[e]
-        if rr() < beta:
-            cand = by_op[ops[v]]
-            if len(cand) > 1:
-                w = v
-                while w == v:
-                    w = cand.pick(rnd)
-                if w != other:
-                    inc[other].remove(e)
-                    inc[w].append(e)
-                    eu[e] = v
-                    ev[e] = w
-                if ops[v] != ops[other]:  # e was discordant
-                    nd -= 1
-        elif ops[v] != ops[other]:
-            old = ops[v]
-            # each edge at v that is not a self-loop changes discordance
-            for f in inc[v]:
-                if eu[f] != ev[f]:
-                    nd += 1 if ops[eu[f]] == ops[ev[f]] else -1
-            ops[v] = ops[other]
-            heart += 1 if ops[other] == 1 else -1
-            by_op[old].discard(v)
-            by_op[1 - old].add(v)
-        maybe(float(steps), heart / n, nd / m)
+        if dv:
+            e = inc[v][int(rr() * dv)]
+            other = ev[e] if eu[e] == v else eu[e]
+            if rr() < beta:
+                cand = by_op[ops[v]]
+                if len(cand) > 1:
+                    w = v
+                    while w == v:
+                        w = cand.pick(rnd)
+                    if w != other:
+                        inc[other].remove(e)
+                        inc[w].append(e)
+                        eu[e] = v
+                        ev[e] = w
+                    if ops[v] != ops[other]:  # e was discordant
+                        nd -= 1
+            elif ops[v] != ops[other]:
+                old = ops[v]
+                # each edge at v that is not a self-loop changes discordance
+                for f in inc[v]:
+                    if eu[f] != ev[f]:
+                        nd += 1 if ops[eu[f]] == ops[ev[f]] else -1
+                ops[v] = ops[other]
+                heart += 1 if ops[other] == 1 else -1
+                by_op[old].discard(v)
+                by_op[1 - old].add(v)
+        if steps == kept:
+            kept = record(float(steps), heart / n, nd / m)
 
     return rec.finish(float(steps), ops, heart, nd, m, steps, resolved)
 
@@ -455,17 +474,30 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     The run keeps the opinions and the adjacency matrix in bytearrays, with
     numpy views over the same bytes: a pair step reads and writes single
     bytes, and a flip counts the flipped vertex's row, its degree and its
-    heart neighbours, through the views.  ``check=True`` recounts the pair
-    classes from the views at every sample time; the draws are the same.
+    heart neighbours, through the views.
+
+    Once the opinions are unanimous every pair is concordant, and each
+    pair's connection is an independent two-state chain: it is added at
+    rate a = rho*s_c0 and removed at rate b = rho*s_c1.  The run then
+    leaves the event loop and carries the edge count E over each gap of
+    length d to the next sample time and to the horizon exactly, as
+    Bin(E, pi + (1-pi)e^(-lam d)) + Bin(C(n,2) - E, pi(1 - e^(-lam d)))
+    with lam = a + b and pi = a/lam (E stays put when lam = 0), drawn from
+    ``rng``.  ``n_events`` counts every proposal before consensus and only
+    the pair proposals after it, one Poisson(rho*C(n,2)*max_weight*d) draw
+    per gap; a gap that crosses ``max_events`` raises SimulationTimeout
+    with the samples before it.  ``check=True`` keeps the event loop to the
+    horizon and recounts the pair classes from the views at every sample
+    time.
     """
     if not (0 <= eta < math.inf and 0 <= rho < math.inf):
         raise InvalidParameterError("rates must be finite and >= 0")
     if state.n < 2:
         raise InvalidParameterError("need n >= 2")
-    if horizon is None:
-        raise InvalidParameterError("dense runs need a finite horizon")
     _check_cap(max_events)
     sched = _prepared_schedule(schedule, horizon)
+    if horizon is None or not 0.0 <= horizon < math.inf:
+        raise InvalidParameterError("dense runs need a finite horizon >= 0")
 
     st = state.copy()
     n = st.n
@@ -494,6 +526,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     cons_t = None
     if heart in (0, n):
         cons_t = 0.0
+    chain = cons_t is not None and not check
 
     def flush(limit):
         nonlocal si
@@ -512,7 +545,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
                                      f"{st.recount()} != {kept}")
             si += 1
 
-    while True:
+    while not chain:
         vertex_total = 2.0 * eta * ecount
         total = vertex_total + pair_total
         if total <= 0.0:
@@ -545,8 +578,9 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
                 econc += deg - 2 * (hn if oi else deg - hn)
                 opb[i] = oj
                 heart += 1 if oj == 1 else -1
-                if heart in (0, n) and cons_t is None:
+                if heart in (0, n):
                     cons_t = t
+                    chain = not check
         else:
             i = int(rr() * n)
             j = int(rr() * (n - 1))
@@ -571,6 +605,29 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
                     ecount += 1
                     econc += 1 if conc else 0
                     edges.add(key)
+
+    if chain:
+        a, b = rho * s.s_c0, rho * s.s_c1
+        lam = a + b
+        for u in sched[si:] + [horizon]:
+            gap = u - t
+            mu = pair_total * gap
+            # numpy draws a Poisson mean only up to about 9.2e18, and no
+            # run gets through that many events
+            k = int(rng.poisson(mu)) if mu < 1e18 else math.inf
+            if events + k > max_events:
+                raise SimulationTimeout(
+                    f"dense run exceeded max_events={max_events} after "
+                    f"t={t:.6g}",
+                    partial=_dense_traj(out, cons_t, max_events, ecount))
+            events += k
+            if lam > 0.0:
+                gone = -math.expm1(-lam * gap)
+                ecount = int(rng.binomial(ecount, 1.0 - b / lam * gone)) \
+                    + int(rng.binomial(npairs - ecount, a / lam * gone))
+            econc = ecount
+            t = u
+            flush(math.nextafter(u, math.inf))
 
     flush(math.inf)
     return _dense_traj(out, cons_t, events, ecount)

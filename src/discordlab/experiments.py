@@ -367,6 +367,9 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
         spec = dict(cfg.comparison)
         _check_keys(spec, {"tolerance": float}, "comparison")
         tol = spec.pop("tolerance")
+        if not 0.0 <= tol < math.inf:
+            raise InvalidParameterError(
+                "comparison tolerance must be finite and >= 0")
         observable = spec.pop("observable", "discordant_frac")
         if observable not in ("heart_frac", "discordant_frac"):
             raise InvalidParameterError(f"unknown observable {observable!r}")
@@ -400,6 +403,8 @@ def resolve_prediction(spec: dict, times) -> np.ndarray:
     name = spec.get("name")
     if name == "constant":
         _check_keys(spec, {"value": float}, "prediction 'constant'")
+        if not math.isfinite(spec["value"]):
+            raise InvalidParameterError("constant prediction must be finite")
         return np.full(len(times), float(spec["value"]))
     if name == "discordance":
         _check_keys(spec, {"u": float, "d": int, "n": int},

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -285,8 +286,21 @@ def test_coevolve_bad_input_exits_2(tmp_path, capsys, argv):
     {"comparison": {"name": "constant", "value": 0.5, "tolerance": 0.1,
                     "observable": "tau"}},
     {"max_events": -1},
+    # found by the contract sweep: each wrote NaN or Infinity to
+    # summary.json, with exit 3
+    {"comparison": {"name": "constant", "value": 0.5,
+                    "tolerance": math.nan}},
+    {"comparison": {"name": "constant", "value": 0.5,
+                    "tolerance": math.inf}},
+    {"comparison": {"name": "constant", "value": 0.5, "tolerance": -1.0}},
+    {"comparison": {"name": "constant", "value": -math.inf,
+                    "tolerance": 0.1}},
+    {"comparison": {"name": "constant", "value": math.nan,
+                    "tolerance": 0.1}},
 ], ids=["negative_seed", "no_tolerance", "constant_no_value",
-        "discordance_no_u", "unknown_observable", "negative_cap"])
+        "discordance_no_u", "unknown_observable", "negative_cap",
+        "nan_tolerance", "infinite_tolerance", "negative_tolerance",
+        "infinite_constant", "nan_constant"])
 def test_ensemble_bad_run_spec_exits_2(tmp_path, capsys, patch):
     cfg = experiments.ExperimentConfig(
         model={"family": "rrg", "n": 20, "d": 3}, u=0.5, replicas=2,
@@ -393,6 +407,27 @@ def test_coevolve_dense_without_samples_writes_strict_json(tmp_path):
     assert outcome["final_heart_fraction"] is None
 
 
+def test_ensemble_comparison_with_every_replica_timed_out_writes_strict_json(
+        tmp_path):
+    # the one replica times out before t = 2.5, so the ensemble mean there
+    # is NaN; the sup deviation was written as NaN, which is not JSON
+    cfg = experiments.ExperimentConfig(
+        model={"family": "rrg", "n": 10, "d": 3}, u=0.5, replicas=1,
+        master_seed=1, horizon=5.0, sample_times=[0.0, 2.5, 5.0],
+        max_events=3,
+        comparison={"name": "constant", "value": 0.3, "tolerance": 0.5})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    rc = dispatch(["ensemble", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "res"), "--quiet"])
+    assert rc == 3
+    text = (tmp_path / "res" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_no_constant)
+    assert summary["timed_out"] == [0]
+    assert summary["comparison"]["sup_deviation"] is None
+    assert summary["comparison"]["passed"] is False
+
+
 def test_coevolve_dense_honours_max_events(tmp_path):
     rc = dispatch(["coevolve", "--model", "dense", "--n", "20",
                    "--horizon", "2", "--max-events", "5", "--seed", "1",
@@ -428,6 +463,25 @@ def test_bad_input_file_exits_2(tmp_path, capsys, argv, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "rrg", "--n", "10", "--d", "3", "--u", "0.5"],
+    ["coevolve", "--model", "dense", "--n", "10"],
+], ids=["simulate", "coevolve-dense"])
+def test_non_finite_horizon_exits_2_under_warnings_as_errors(tmp_path, argv,
+                                                             value):
+    # an infinite horizon reached np.linspace, whose RuntimeWarning ended
+    # the call in a traceback (exit 1) under -W error
+    src = str(Path(discordlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "discordlab.cli", *argv,
+         f"--horizon={value}", "--out", str(tmp_path / "x.csv"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_leaves_process_pools_unloaded():
@@ -480,6 +534,60 @@ _GRAPHS = {"complete": [], "dcm": [("--d", 1, 4)], "er": [("--p", 0.0, 1.0)],
            "rrg": [("--d", 1, 4)]}
 _SIM = [("--u", 0.0, 1.0), ("--horizon", 1e-2, 5.0), ("--samples", 2, 50),
         ("--max-events", 0, 10_000), ("--seed", 0, 99)]
+# an ensemble config: small graphs, at most 4 replicas (below the lockstep
+# threshold) and a bounded cap, with one key of the config, its model or
+# its comparison spoiled
+_MODELS = st.one_of(
+    st.fixed_dictionaries({"family": st.just("complete"),
+                           "n": st.integers(2, 12)}),
+    *(st.fixed_dictionaries({"family": st.just(family),
+                             "n": st.integers(2, 12), "d": st.integers(1, 4)})
+      for family in ("rrg", "dcm")),
+    st.fixed_dictionaries({"family": st.just("er"), "n": st.integers(2, 12),
+                           "p": st.floats(0.0, 1.0)}))
+_COMPARISONS = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"name": st.just("constant"),
+                           "value": st.floats(0.0, 1.0),
+                           "tolerance": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({"name": st.just("discordance"),
+                           "u": st.floats(0.0, 1.0), "d": st.integers(1, 12),
+                           "n": st.integers(1, 1000),
+                           "tolerance": st.floats(0.0, 1.0)}))
+_SPOILS = st.one_of(st.floats(-1e3, 1e3),
+                    st.sampled_from([math.nan, math.inf, -math.inf, 0, -1]),
+                    st.none())  # None: the key left out
+
+
+@st.composite
+def _ensemble_configs(draw):
+    """The text of an ensemble config with one key spoiled."""
+    horizon = draw(st.none() | st.floats(1e-2, 5.0))
+    cfg = {
+        "model": draw(_MODELS),
+        "u": draw(st.floats(0.0, 1.0)),
+        "replicas": draw(st.integers(1, 4)),
+        "master_seed": draw(st.integers(0, 99)),
+        "horizon": horizon,
+        "sample_times": np.linspace(0.0, horizon or 5.0,
+                                    draw(st.integers(0, 4))).tolist(),
+        "nu": draw(st.floats(0.0, 10.0)),
+        "adopt_from": draw(st.sampled_from(["out", "in"])),
+        "max_events": draw(st.integers(0, 10_000)),
+        "comparison": draw(_COMPARISONS),
+    }
+    # the config, its model or its comparison first, then one of its keys
+    where = draw(st.sampled_from([cfg, cfg["model"], cfg["comparison"]]
+                                 if cfg["comparison"] else [cfg, cfg["model"]]))
+    key = draw(st.sampled_from(sorted(where)))
+    value = draw(_SPOILS)
+    if value is None:
+        del where[key]
+    else:
+        where[key] = value
+    return json.dumps(cfg)
+
+
 _SWEEP = {
     **{f"generate {model}": _flags(("--n", 2, 30), *flags, ("--seed", 0, 99))
        for model, flags in _GRAPHS.items()},
@@ -503,6 +611,7 @@ _SWEEP = {
     "coevolve rewire-same": _flags(*_RUN, ("--beta", 1e-2, 50.0)),
     "coevolve holme-newman": _flags(*_RUN, ("--m-edges", 0, 20),
                                     ("--beta", 0.0, 1.0)),
+    "ensemble": _ensemble_configs(),
     "coevolve dense": st.tuples(
         _flags(*_RUN, ("--horizon", 0.0, 2.0), ("--samples", 0, 5),
                *_RATES, *_DENSITIES),
@@ -517,18 +626,27 @@ def _no_constant(name):
 @pytest.mark.parametrize("command", sorted(_SWEEP))
 def test_dispatch_sweep_exits_cleanly(command):
     """Each ``oracle`` subcommand, each ``coevolve`` model and ``generate``
-    and ``simulate`` on each graph model, on drawn flags: exit 0 or 2 (4
-    for a run that hits its event cap) with no traceback.  An oracle's
-    exit-0 output, and every JSON file a command writes, is JSON with no
-    NaN or inf.  ``ensemble`` is not swept yet."""
-    codes = (0, 2) if command.split()[0] in ("oracle", "generate") \
-        else (0, 2, 4)
+    and ``simulate`` on each graph model, on drawn flags, and ``ensemble``
+    on drawn configs: exit 0 or 2 (3 for a failed comparison, 4 for a run
+    that hits its event cap) with no traceback.  An oracle's exit-0
+    output, and every JSON file a command writes, is JSON with no NaN or
+    inf."""
+    codes = {"oracle": (0, 2), "generate": (0, 2),
+             "ensemble": (0, 2, 3, 4)}.get(command.split()[0], (0, 2, 4))
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    # an ensemble config has twice the keys of the other commands' flags
+    @settings(max_examples=100 if command == "ensemble" else 40,
+              derandomize=True, deadline=None)
     @given(_SWEEP[command])
-    def sweep(flags):
-        argv = command.split() + flags
-        if argv[0] != "oracle":
+    def sweep(drawn):
+        if command == "ensemble":
+            with open(cfg_path, "w") as fh:
+                fh.write(drawn)
+            argv = ["ensemble", "--config", cfg_path, "--out-dir", out_dir,
+                    "--quiet"]
+        else:
+            argv = command.split() + drawn
+        if argv[0] not in ("oracle", "ensemble"):
             argv[1:1] = ["--model"]
             argv += ["--out", os.path.join(out_dir, "c.csv"), "--quiet"]
         out, err = io.StringIO(), io.StringIO()
@@ -550,5 +668,7 @@ def test_dispatch_sweep_exits_cleanly(command):
                     json.load(fh, parse_constant=_no_constant)
             os.remove(path)
 
-    with tempfile.TemporaryDirectory() as out_dir, deadline(60.0):
+    with tempfile.TemporaryDirectory() as out_dir, \
+            tempfile.TemporaryDirectory() as cfg_dir, deadline(60.0):
+        cfg_path = os.path.join(cfg_dir, "cfg.json")
         sweep()

@@ -278,6 +278,12 @@ def test_dense_validation(rng):
         coevolution.run_dense(st, -1.0, 1.0, FIG9, 1.0, [], rng)
     with pytest.raises(InvalidParameterError):
         coevolution.run_dense(st, 1.0, 1.0, FIG9, None, [], rng)
+    # the post-consensus chain cannot carry the edge count over a negative
+    # or infinite gap
+    for horizon in (-1.0, math.inf):
+        with pytest.raises(InvalidParameterError, match="finite horizon"):
+            coevolution.run_dense(st, 1.0, 1.0, FIG9, horizon, [], rng,
+                                  max_events=100)
     with pytest.raises(InvalidParameterError):
         SwitchProbs(s_c1=-0.1, s_c0=0, s_d1=0, s_d0=0)
 

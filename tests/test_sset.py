@@ -8,7 +8,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from discordlab._sset import SampleableSet, build, drop, toggle
+from discordlab._sset import SampleableSet, build, toggle
 from _oracles import (brute_discordant, refile, swap_endpoints,
                       weighted_build, weighted_toggle)
 
@@ -116,10 +116,7 @@ def test_build_toggle_drop_and_endpoint_edits_match_brute_force(case):
         else:
             slots = step[1]
             kept = set(items) - set(slots)
-            dropped = list(items), list(pos)
-            drop(slots, *dropped)
             w = _remove(slots, items, pos, us, vs, wa, w, plain)
-            assert dropped == (items, pos)
             _check(items, pos, us, wa, w, kept)
             w = _file(slots, items, pos, us, vs, ops, wa, w, plain)
         assert plain == (items, pos)
@@ -178,7 +175,8 @@ def test_count_only_mode_keeps_no_weight():
     # vertex 1 flips: its slots 0 and 1 change discordance
     assert toggle([0, 1], items, pos, us, vs) is None
     assert items == [2, 1] and pos == [-1, 1, 0]
-    drop((2,), items, pos)
+    # a toggle of one member removes it, as an endpoint edit does
+    toggle((2,), items, pos, us, vs)
     assert items == [1] and pos == [-1, 0, -1]
 
 

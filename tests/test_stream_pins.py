@@ -19,7 +19,12 @@ tests of ``test_directed_laws.py`` passed; their former digests are held by
 the reference directed engine of ``_oracles``.  The
 ``holme-newman-loops`` row was recorded before ``run_holme_newman`` moved
 from a discordant-slot set to a count of discordant edges, which keeps
-every digest.  No row covers the
+every digest.  The ``dense-unchecked`` row was recorded again when
+unchecked dense runs moved from the event loop to the exact edge-count
+chain once the opinions are unanimous, after the law tests of
+``test_dense_chain.py`` passed; its former digest is the one the same run
+gives with ``check=True``, which keeps the event loop to the horizon.
+No row covers the
 heart-count chain of an implicit K_n, whose law is tested in
 ``test_complete_chain.py``.  The consensus runs are time-bounded, so that
 a run that spins fails instead of hanging.
@@ -181,7 +186,7 @@ DIGESTS = {
     "dense-checked":
         "147592f6b8205a125be8a8f607b945c640c5e3a16395abf212f311494f6897c8",
     "dense-unchecked":
-        "dd2829206930686816e1bc20b6a3b75cbc4400fcc883dbdc93b28f6962bb33e9",
+        "0bb2bbc334ee5fc70297604d58af3d85c7ae71a2f4b27a55cb6bf0d58e06828f",
     "directed-mixed-in":
         "bc9a35d1fd1787498424e87e24c03189301c53b28e7fcffc3918968e663dc480",
     "directed-mixed-out":
@@ -219,6 +224,13 @@ DIGESTS = {
 def test_stream_pin(name):
     run, *args = CASES[name]
     assert run(*args) == DIGESTS[name]
+
+
+def test_checked_dense_run_keeps_the_former_unchecked_stream():
+    # the event loop is the same loop to the horizon under check=True, so
+    # the run gives the unchecked row's digest from before the chain
+    assert _dense(117, 60, check=True) == \
+        "dd2829206930686816e1bc20b6a3b75cbc4400fcc883dbdc93b28f6962bb33e9"
 
 
 # The static rows as ``run_voter`` produced them on the former event-driven
