@@ -33,6 +33,7 @@ import random
 
 import numpy as np
 
+from discordlab._lockstep import _BLOCK_STEPS
 from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
                                  _Samples, _check_classes, _closed_classes,
                                  _copy_arcs)
@@ -450,3 +451,103 @@ def weighted_toggle(slots, items, pos, us, vs, wa=None, w=0.0):
             if wa is not None:
                 w += wa[us[e]]
     return w
+
+
+# ----------------------------------------------------------------------
+# the lockstep ensemble engine, one step of one replica at a time
+# ----------------------------------------------------------------------
+
+def reference_lockstep(packed, sched, horizon, max_events, rng):
+    """``_lockstep.run`` played one step of one replica at a time, pass by
+    pass and, within a pass, replica by replica, on Python lists.
+
+    It draws the same numbers in the same order: the step counts of every
+    replica and gap, the moves of each block of passes from
+    ``packed.moves``, and after each block a Beta draw for each replica
+    that absorbed in it, in column order.  It stops a replica at the step
+    that absorbs it or at the cap flip that times it out, so it needs
+    neither opinion snapshots nor replays.  Returns what ``run`` returns.
+    """
+    n, R = packed.n, packed.R
+    ops, ends, ecut = (a.tolist() for a in (packed.ops, packed.ends,
+                                            packed.ecut))
+    T = len(sched)
+    bounds = [0.0, *sched, horizon]
+    steps = rng.poisson(n * np.maximum(np.diff(bounds), 0.0),
+                        size=(R, T + 1)).tolist()
+
+    def discordant(r):
+        return sum(ops[ends[2 * e]] != ops[ends[2 * e + 1]]
+                   for e in range(ecut[r], ecut[r + 1]))
+
+    heart_out = np.full((R, T), np.nan)
+    disc_out = np.full((R, T), np.nan)
+    tau = np.full(R, np.nan)
+    value = np.full(R, -1, dtype=np.int8)
+    timed_out = np.zeros(R, dtype=bool)
+    heart = [sum(ops[r * n:(r + 1) * n]) for r in range(R)]
+    live = [0 < h < n for h in heart]
+    for r in range(R):
+        if not live[r]:
+            value[r] = heart[r] == n
+            tau[r] = 0.0
+            heart_out[r] = value[r]
+            disc_out[r] = 0.0
+        elif max_events <= 0 and discordant(r) > 0:
+            timed_out[r] = True
+            live[r] = False
+    counting = max_events > 0 and any(
+        live[r] and sum(steps[r]) >= max_events for r in range(R))
+    flips = [0] * R
+    frozen = [False] * R  # reached the cap on a flip that froze it
+
+    for g in range(T + 1):
+        order = sorted((r for r in range(R) if live[r]),
+                       key=lambda r: -steps[r][g])
+        p0 = 0
+        while True:
+            rem = [steps[r][g] - p0 for r in order if steps[r][g] > p0]
+            k = len(rem)
+            if k == 0:
+                break
+            B = min(rem[0], max(1, _BLOCK_STEPS // k))
+            rows = order[:k]
+            V, W = (a.tolist() for a in packed.moves(
+                np.asarray(rows, dtype=np.intp), (B, k), rng))
+            absorbed = []  # (column, step of the gap, opinion)
+            for i in range(B):
+                for c, r in enumerate(rows):
+                    # an absorbed replica's steps change nothing
+                    if i >= rem[c] or not live[r]:
+                        continue
+                    v, w = V[i][c], W[i][c]
+                    if ops[v] == ops[w]:
+                        continue
+                    x = ops[v] = ops[w]
+                    heart[r] += 1 if x else -1
+                    flips[r] += 1
+                    if heart[r] == 0 or heart[r] == n:
+                        absorbed.append((r, c, p0 + i + 1, x))
+                    elif counting and not frozen[r] and \
+                            flips[r] == max_events:
+                        if discordant(r):
+                            timed_out[r] = True
+                            live[r] = False
+                        else:
+                            frozen[r] = True
+            for r, c, j, x in sorted(absorbed, key=lambda a: a[1]):
+                K = steps[r][g]
+                tau[r] = bounds[g] + (bounds[g + 1] - bounds[g]) * rng.beta(
+                    j, K - j + 1)
+                value[r] = x
+                heart_out[r, g:] = x
+                disc_out[r, g:] = 0.0
+                live[r] = False
+            p0 += B
+            order = [r for r in order if live[r]]
+        if g < T:
+            for r in order:
+                heart_out[r, g] = heart[r] / n
+                disc_out[r, g] = discordant(r) / (ecut[r + 1] - ecut[r])
+    return {"heart": heart_out, "disc": disc_out, "tau": tau,
+            "value": value, "timed_out": timed_out}

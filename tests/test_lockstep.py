@@ -12,13 +12,17 @@ was fixed before any case was run.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from discordlab import dynamics, experiments, graphs
+from discordlab import _lockstep, dynamics, experiments, graphs
 from discordlab.errors import InvalidParameterError
+
+from _oracles import reference_lockstep
 
 ALPHA = 0.01
 R = 200
@@ -318,3 +322,42 @@ def test_errors_match_the_event_engines():
         cfg = replace(cfg_of({"family": "rrg", "n": 30, "d": 3}), **over)
         assert experiments._takes_lockstep(cfg)
         assert message(cfg) == message(replace(cfg, replicas=1)), over
+
+
+# graphs of at most 8 vertices, where the steps of one pass often share a
+# vertex
+TINY_MODELS = [
+    {"family": "rrg", "n": 8, "d": 3},
+    {"family": "rrg", "n": 2, "d": 1},
+    {"family": "rrg", "n": 6, "d": 2, "policy": "allow"},
+    {"family": "er", "n": 8, "p": 0.4},
+    {"family": "dcm", "n": 6, "d": 2},
+    {"family": "dcm", "n": 6, "d_in": [3, 2, 2, 1, 1, 1],
+     "d_out": [1, 2, 3, 1, 2, 1]},
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       model=st.sampled_from(TINY_MODELS),
+       replicas=st.integers(1, 24),
+       horizon=st.floats(0.5, 12.0),
+       max_events=st.one_of(st.integers(0, 40),
+                            st.just(dynamics.DEFAULT_MAX_EVENTS)),
+       adopt_from=st.sampled_from(["out", "in"]))
+def test_lockstep_matches_the_pass_by_pass_reference(seed, model, replicas,
+                                                     horizon, max_events,
+                                                     adopt_from):
+    # a small cap is within reach of some replica, which turns on the flip
+    # count; the default cap never is
+    cfg = cfg_of(model, horizon=horizon, replicas=replicas, master_seed=seed,
+                 sample_times=[0.0, horizon / 3, 2 * horizon / 3, horizon],
+                 max_events=max_events, adopt_from=adopt_from)
+    got = experiments._lockstep_ensemble(cfg)
+    with mock.patch.object(_lockstep, "run", reference_lockstep):
+        want = experiments._lockstep_ensemble(cfg)
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b

@@ -24,6 +24,14 @@ unchecked dense runs moved from the event loop to the exact edge-count
 chain once the opinions are unanimous, after the law tests of
 ``test_dense_chain.py`` passed; its former digest is the one the same run
 gives with ``check=True``, which keeps the event loop to the horizon.
+The six ``lockstep-*`` rows are ``run_ensemble`` ensembles of 16 or more
+replicas, which step together in ``_lockstep``: regular moves, moves
+through the CSR of copying slots (with isolated vertices), self-loops and
+multi-edges, a directed graph of mixed degrees, an absorbing run (replays
+and the Beta placement of consensus times) and a reachable event cap with
+timeouts and freezes.  They were recorded while every pass of the engine
+was one gather and one scatter, before pairs of passes with no step in
+common were fused, which keeps every digest.
 No row covers the
 heart-count chain of an implicit K_n, whose law is tested in
 ``test_complete_chain.py``.  The consensus runs are time-bounded, so that
@@ -35,7 +43,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from discordlab import coevolution, dynamics, graphs
+from discordlab import coevolution, dynamics, experiments, graphs
 
 from _deadline import deadline
 from _oracles import reference_directed, reference_rewiring
@@ -149,6 +157,21 @@ def _dense(seed, n=30, check=True):
                    tr.n_events, tr.final_edge_count)
 
 
+def _lockstep(model, horizon=4.0, step=0.5, seed=4242, replicas=32,
+              over=None):
+    """A lockstep ensemble, with the config fields ``over`` set;
+    ``run_ensemble`` takes that path at 16 replicas or more."""
+    cfg = experiments.ExperimentConfig(**{
+        "model": model, "u": 0.5, "replicas": replicas, "master_seed": seed,
+        "horizon": horizon,
+        "sample_times": np.arange(0.0, horizon + step / 2, step).tolist(),
+        **(over or {})})
+    assert experiments._takes_lockstep(cfg)
+    res = experiments.run_ensemble(cfg)
+    return _digest(res.samples["heart_frac"], res.samples["discordant_frac"],
+                   res.taus, res.consensus_values, res.timed_out)
+
+
 CASES = {
     "voter-rrg": (_static, "rrg", 101),
     "voter-er": (_static, "er", 102),
@@ -176,6 +199,26 @@ CASES = {
                                            (u0, v0)]),
     "rewire-to-random-loops": (_rewire_model, coevolution.TO_RANDOM, 5.0, 119,
                                10),
+    # regular moves: a uniform half-edge
+    "lockstep-rrg": (_lockstep, {"family": "rrg", "n": 60, "d": 3}),
+    # moves through the CSR of copying slots; about a fifth of the vertices
+    # are isolated
+    "lockstep-er-isolated": (_lockstep, {"family": "er", "n": 100,
+                                         "p": 1.5 / 99}, 4.0, 0.5, 4243, 32,
+                             {"u": 0.3}),
+    "lockstep-rrg-allow": (_lockstep, {"family": "rrg", "n": 60, "d": 3,
+                                       "policy": "allow"}, 4.0, 0.5, 4244),
+    "lockstep-dcm-mixed": (_lockstep, {"family": "dcm", "n": 60,
+                                       "d_in": [20] * 6 + [1] * 30 + [0] * 24,
+                                       "d_out": [1, 2, 3, 4] * 15},
+                           4.0, 0.5, 4245),
+    # most replicas absorb: replays and the Beta placement of tau
+    "lockstep-absorbing": (_lockstep, {"family": "rrg", "n": 20, "d": 3},
+                           120.0, 10.0, 4246),
+    # the cap of 12 flips is within reach: replicas 3, 5, 6, 9 and 13 time
+    # out, and 10 and 11 freeze on their cap flip
+    "lockstep-cap": (_lockstep, {"family": "er", "n": 10, "p": 0.2}, 10.0,
+                     2.5, 3, 16, {"max_events": 12}),
 }
 
 DIGESTS = {
@@ -201,6 +244,18 @@ DIGESTS = {
         "4ba192291d57511f442df2bb74ebccff1258e0f75df2ba8b2e52715ce6c4373d",
     "holme-newman-loops":
         "5b3a8ee8a38092c9594029632d1e498c22609be4b4c25a868cecca0709f12970",
+    "lockstep-absorbing":
+        "f8ec8162c5783901d1232b6a54f8aa7ce2241ea81d9172c4e31c7b5de0848626",
+    "lockstep-cap":
+        "5d1a962320f8a516311d80fbe0863555443145a324585c4e1de95cf44f52b094",
+    "lockstep-dcm-mixed":
+        "51e496fe6d01089656292fcb0422dbb65d7638a6db76fba5ff5aae64a0e33332",
+    "lockstep-er-isolated":
+        "d0d5dfabe524109388d7b0ec78e3a80499e2a4a607da4be54485dfb5ad448888",
+    "lockstep-rrg":
+        "896799a47d47e9f9f8b76d0fd4011efc709a749db2676948ffa5b10c13d8052e",
+    "lockstep-rrg-allow":
+        "a8706aec13594c7b07fe1f9ee77fccfc2eb1b43b17774bc2a9015eeab3dcff3b",
     "rewire-to-random":
         "60171ff1c033e3ec1ac406979f0a1dd49b9f70fda3487f92ac575b28f7045469",
     "rewire-to-random-loops":
