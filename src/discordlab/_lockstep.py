@@ -23,8 +23,10 @@ the copying slots.
 A pass does one step for every replica that has steps left in the current
 gap.  Within a gap the replicas are ordered by step count, so the replicas
 of a pass are a prefix, and the moves of a block of passes are drawn and
-resolved to vertex indices in bulk; the pass itself is one gather and one
-scatter.  Heart counts are recounted at the end of each block.  A replica
+resolved to vertex indices in bulk.  A pass is one gather and one scatter,
+and so is a pair of passes that every replica of the block takes, unless
+a replica's second step in it reads or writes the vertex its first step
+wrote; such a pair is played pass by pass (see ``_passes``).  Heart counts are recounted at the end of each block.  A replica
 whose heart count is within reach of 0 or N in a block (or, when the event
 cap is within reach, of its cap) has its opinions copied first; if the
 block ends with it absorbed (or past its cap) the block is replayed for it
@@ -38,6 +40,9 @@ import numpy as np
 # moves drawn per block and endpoints gathered per recount chunk: bound the
 # temporary index arrays (8 bytes an entry)
 _BLOCK_STEPS = 1 << 15
+# passes played by one gather and one scatter where no replica's steps in
+# them conflict
+_FUSED = 2
 
 
 class Packed:
@@ -209,28 +214,24 @@ def run(packed: Packed, sched, horizon, max_events, rng) -> dict:
             rows, rem = order[:k], K[:k] - p0
             B = int(min(rem[0], max(1, _BLOCK_STEPS // k)))
             rem = np.minimum(rem, B)
-            # replicas in this pass: those with more than i steps left
-            widths = (k - np.searchsorted(rem[::-1], np.arange(B),
-                                          side="right")).tolist()
             V, W = packed.moves(rows, (B, k), rng)
             h0 = heart[rows]
             near = np.minimum(h0, n - h0) <= rem
             if counting:
                 f0 = flips[rows]
                 near |= f0 + rem >= max_events
-                fl = np.zeros(k, dtype=np.int64)
+                fl = np.zeros(_FUSED * k, dtype=np.int64)
             near = np.flatnonzero(near)
             snaps = ops2d[rows[near]]
             if counting:
-                for i, w in enumerate(widths):
-                    v = V[i, :w]
-                    new = ops[W[i, :w]]
-                    fl[:w] += new != ops[v]
+                for v, w in _passes(V, W, rem):
+                    new = ops[w]
+                    fl[:len(v)] += new != ops[v]
                     ops[v] = new
-                flips[rows] += fl
+                flips[rows] += fl.reshape(_FUSED, k).sum(axis=0)
             else:
-                for i, w in enumerate(widths):
-                    ops[V[i, :w]] = ops[W[i, :w]]
+                for v, w in _passes(V, W, rem):
+                    ops[v] = ops[w]
             heart[rows] = packed.hearts(rows)
             for c, snap in zip(near, snaps):
                 r = rows[c]
@@ -248,3 +249,37 @@ def run(packed: Packed, sched, horizon, max_events, rng) -> dict:
             disc_out[live, g] = disc[live] / m[live]
     return {"heart": heart_out, "disc": disc_out, "tau": tau,
             "value": value, "timed_out": timed_out}
+
+
+def _passes(V, W, rem):
+    """The (copying, copied) vertices of the passes of a block, in order,
+    for replicas with ``rem`` steps in it, in decreasing order.
+
+    The first ``rem[-1]`` passes, which every replica takes, go
+    in groups of ``_FUSED``, each group as one pair of arrays of all its
+    steps, unless two steps of one replica in it conflict: a later step
+    writes or reads the vertex an earlier one wrote.  A conflicting group,
+    the full passes left over and the narrower tail passes go one pass at
+    a time.  A later step may write a vertex an earlier one read, since
+    the gather comes before the scatter; and the replicas hold disjoint
+    vertices, so a fused group writes no vertex twice."""
+    B, k = V.shape
+    full = int(rem[-1])
+    G = full // _FUSED
+    Vg = V[:G * _FUSED].reshape(G, _FUSED, k)
+    Wg = W[:G * _FUSED].reshape(G, _FUSED, k)
+    clash = np.zeros((G, k), dtype=bool)
+    for j in range(1, _FUSED):
+        for i in range(j):
+            clash |= (Vg[:, j] == Vg[:, i]) | (Wg[:, j] == Vg[:, i])
+    for v, w, c in zip(Vg.reshape(G, _FUSED * k), Wg.reshape(G, _FUSED * k),
+                       clash.any(axis=1).tolist()):
+        if c:
+            yield from zip(v.reshape(_FUSED, k), w.reshape(_FUSED, k))
+        else:
+            yield v, w
+    yield from zip(V[G * _FUSED:full], W[G * _FUSED:full])
+    # replicas in pass i: those with more than i steps left
+    widths = k - np.searchsorted(rem[::-1], np.arange(full, B), side="right")
+    for i, w in enumerate(widths.tolist(), full):
+        yield V[i, :w], W[i, :w]
