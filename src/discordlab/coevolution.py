@@ -19,7 +19,8 @@ import numpy as np
 from ._sset import SampleableSet, build, toggle
 from .dynamics import _check_cap, _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import count_discordant, generate_erdos_renyi, generate_gnm
+from .graphs import (_size, count_discordant, generate_erdos_renyi,
+                     generate_gnm)
 from .limits import SwitchProbs
 
 __all__ = [
@@ -169,6 +170,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     """
     if not beta > 0:
         raise InvalidParameterError("beta must be > 0")
+    n = _size(n, "vertex count")
     if n < 2:
         raise InvalidParameterError("need n >= 2")
     _check_cap(max_events)
@@ -439,6 +441,7 @@ def init_positional(n, concordant_profile=None, discordant_profile=None,
     """
     if rng is None:
         raise InvalidParameterError("rng is required")
+    n = _size(n, "vertex count")
     if n < 2:
         raise InvalidParameterError("need n >= 2")
     cprof = concordant_profile or conflict_concordant_profile

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import DirectedGraph, Graph, count_discordant
+from .graphs import DirectedGraph, Graph, _size, count_discordant
 
 __all__ = [
     "OpinionState",
@@ -79,6 +79,7 @@ def init_opinions_iid(n, u, rng) -> OpinionState:
     """i.i.d. Bernoulli(u) hearts."""
     if not 0.0 <= u <= 1.0:
         raise InvalidParameterError("u must be in [0,1]")
+    n = _size(n, "vertex count")
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     ops = (rng.random(n) < u).astype(np.int8).tolist()

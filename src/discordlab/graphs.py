@@ -225,9 +225,21 @@ def _grouped(n, keys, ids) -> list[list[int]]:
 # generators
 # ----------------------------------------------------------------------
 
+def _size(x, what) -> int:
+    """``x`` as an int, for a vertex count or a degree: NaN, an infinity, a
+    fraction or a non-number raises InvalidParameterError."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
+
+
 def generate_complete(n) -> Graph:
     """Simple graph on n >= 2 vertices with all C(n,2) edges, held as n
     alone: its endpoint arrays are built on each read."""
+    n = _size(n, "vertex count")
     if n < 2:
         raise InvalidParameterError("complete graph needs n >= 2")
     g = Graph(n)
@@ -268,13 +280,15 @@ def generate_random_regular(n, d, rng, policy="reject") -> Graph:
 
 def generate_directed_configuration(d_in, d_out, rng) -> DirectedGraph:
     """Directed configuration model: uniform pairing of out-stubs to in-stubs."""
-    d_in = list(d_in)
-    d_out = list(d_out)
+    d_in, d_out = (np.asarray(list(d)) for d in (d_in, d_out))
     if len(d_in) != len(d_out):
         raise InvalidParameterError("in/out degree sequences differ in length")
-    if any(x < 0 for x in d_in) or any(x < 0 for x in d_out):
+    if d_in.dtype.kind not in "iu" or d_out.dtype.kind not in "iu":
+        d_in, d_out = (np.array([_size(x, "degree") for x in d], dtype=np.int64)
+                       for d in (d_in, d_out))
+    if np.any(d_in < 0) or np.any(d_out < 0):
         raise InvalidParameterError("degrees must be >= 0")
-    if sum(d_in) != sum(d_out):
+    if d_in.sum() != d_out.sum():
         raise InvalidParameterError("sum(d_in) must equal sum(d_out)")
     n = len(d_in)
     tails = np.repeat(np.arange(n), d_out)
@@ -310,6 +324,7 @@ def generate_erdos_renyi(n, p, rng) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("edge probability must be in [0,1]")
+    n = _size(n, "vertex count")
     if n < 0:
         raise InvalidParameterError("vertex count must be >= 0")
     if n < 2 or p == 0.0:

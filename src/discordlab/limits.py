@@ -38,8 +38,8 @@ __all__ = [
 def theta_regular(d) -> float:
     """Diffusion constant (d-2)/(d-1) of the voter model on the random
     d-regular graph."""
-    if d < 3:
-        raise InvalidParameterError("need degree d >= 3")
+    if not 3 <= d < math.inf:
+        raise InvalidParameterError("need finite degree d >= 3")
     return (d - 2) / (d - 1)
 
 
@@ -95,8 +95,8 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
     -------
     MeetingProfile
     """
-    if d < 3:
-        raise InvalidParameterError("need degree d >= 3")
+    if not 3 <= d < math.inf:
+        raise InvalidParameterError("need finite degree d >= 3")
     if not 0 < tolerance < math.inf:
         raise InvalidParameterError("tolerance must be finite and > 0")
     if times is None:
@@ -353,7 +353,7 @@ def fw_absorption_time(theta, u) -> float:
     """Expected absorption time -(u ln u + (1-u) ln(1-u)) / theta of the
     Fisher-Wright diffusion started at u (Green-function solution of
     theta x(1-x) T''(x) = -1 with T(0)=T(1)=0)."""
-    if theta <= 0:
+    if not theta > 0:
         raise InvalidParameterError("theta must be > 0")
     if not 0.0 <= u <= 1.0:
         raise InvalidParameterError("u must be in [0,1]")
@@ -371,7 +371,7 @@ def discordance_prediction(u, d, t, n_vertices, tolerance=1e-6, profile=None):
     on the random d-regular graph with N vertices; t may be an array."""
     if not 0.0 <= u <= 1.0:
         raise InvalidParameterError("u must be in [0,1]")
-    if n_vertices < 1:
+    if not n_vertices >= 1:
         raise InvalidParameterError("need n_vertices >= 1")
     th = theta_regular(d)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))

@@ -116,6 +116,16 @@ def test_rewire_model_validation(rng):
         coevolution.run_rewire_model(5, 1.0, "TO_RANDOM", rng, max_events=-1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5])
+def test_size_that_is_no_integer_is_refused(rng, bad):
+    # each leaked a ValueError, TypeError or OverflowError
+    with pytest.raises(InvalidParameterError):
+        coevolution.run_rewire_model(bad, 1.0, coevolution.TO_RANDOM, rng)
+    with pytest.raises(InvalidParameterError):
+        coevolution.init_positional(bad, rng=rng)
+    assert coevolution.init_positional(np.int64(6), rng=rng).n == 6
+
+
 # ----------------------------------------------------------------------
 # Holme-Newman
 # ----------------------------------------------------------------------

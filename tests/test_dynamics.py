@@ -26,6 +26,14 @@ def test_init_extremes(rng):
         dynamics.init_opinions_iid(10, 1.5, rng)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5])
+def test_init_refuses_a_size_that_is_no_integer(rng, bad):
+    # NaN leaked a ValueError and inf an OverflowError from numpy
+    with pytest.raises(InvalidParameterError):
+        dynamics.init_opinions_iid(bad, 0.5, rng)
+    assert dynamics.init_opinions_iid(np.int64(4), 1.0, rng).heart_count == 4
+
+
 def test_init_complete_graph_mean_discordance():
     # iid Bernoulli(u): E[#discordant] = C(n,2) * 2u(1-u) exactly
     n, u, draws = 100, 0.5, 1000

@@ -42,6 +42,30 @@ def test_complete_rejects_small():
         graphs.generate_complete(1)
 
 
+# each leaked a ValueError, TypeError or OverflowError
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5, "6"])
+def test_size_that_is_no_integer_is_refused(rng, bad):
+    with pytest.raises(InvalidParameterError):
+        graphs.generate_complete(bad)
+    with pytest.raises(InvalidParameterError):
+        graphs.generate_erdos_renyi(bad, 0.5, rng)
+    with pytest.raises(InvalidParameterError):
+        graphs.generate_directed_configuration([bad, 1], [bad, 1], rng)
+
+
+def test_integral_sizes_of_any_type_are_taken(rng):
+    assert graphs.generate_complete(np.int64(5)).m == 10
+    assert graphs.generate_complete(5.0).n == 5
+    a = graphs.generate_erdos_renyi(np.int32(30), 0.2,
+                                    np.random.default_rng(1))
+    b = graphs.generate_erdos_renyi(30, 0.2, np.random.default_rng(1))
+    assert np.array_equal(a.endpoint_arrays(), b.endpoint_arrays())
+    for d in ([2, 1, 1], np.array([2, 1, 1], dtype=np.uint8), [2.0, 1, 1]):
+        g = graphs.generate_directed_configuration(d, d,
+                                                   np.random.default_rng(2))
+        assert g.n == 3 and g.m == 4
+
+
 def test_random_regular_counts(rng):
     g = graphs.generate_random_regular(8, 3, rng)
     assert g.m == 12

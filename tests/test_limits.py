@@ -332,3 +332,17 @@ def test_non_finite_t_max_is_rejected(rng, bad):
             limits.fisher_wright_path(theta, 0.5, dt, t_max, rng)
         with pytest.raises(InvalidParameterError):
             limits.fisher_wright_ensemble(theta, 0.5, dt, t_max, 4, rng)
+
+
+# each call returned NaN, or raised a bare ValueError, on its bad argument
+@pytest.mark.parametrize("call", [
+    lambda: limits.theta_regular(math.nan),
+    lambda: limits.theta_regular(math.inf),
+    lambda: limits.fw_absorption_time(math.nan, 0.5),
+    lambda: limits.discordance_prediction(0.5, 3, 1.0, n_vertices=math.nan),
+    lambda: limits.meeting_profile(math.nan, 10),
+], ids=["theta_regular-nan", "theta_regular-inf", "fw_absorption_time-nan",
+        "discordance_prediction-n_vertices-nan", "meeting_profile-d-nan"])
+def test_nan_or_infinite_argument_is_refused(call):
+    with pytest.raises(InvalidParameterError):
+        call()
