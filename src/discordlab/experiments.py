@@ -48,20 +48,20 @@ Z95 = 1.96
 # ``run_voter_rewiring`` (``run_voter`` at nu = 0) or ``run_voter_directed``
 # on ``spawn_rng(master_seed, r)``, seed for seed.
 # Single-run engine time over lockstep time, in-process CPU on a 2-core VM
-# (Python 3.11, numpy 2.4), median of 3 master seeds, against the
-# literal-clock engine; the long shapes have 11 sample times:
+# (Python 3.11, numpy 2.4), median of master seeds 1-3, with two passes
+# fused per gather and scatter in lockstep; every shape has 11 sample times:
 #
 #   shape                            R=1   R=2   R=4   R=8   R=16
-#   rrg N=500, d=3, to t=650         0.17  0.36  0.63  0.97  1.73
-#   dcm N=500, d=3, to t=650         0.11  0.17  0.28  0.55  1.23
-#   ER N=4000, mean degree 3, t=5    0.74  1.17  1.98  3.00  3.78
-#   rrg N=1000, d=3, to t=5          0.56  0.98  1.55  2.24  3.05
+#   rrg N=500, d=3, to t=650         0.61  0.93  1.27  1.72  2.62
+#   dcm N=500, d=3, to t=650         0.21  0.44  0.72  1.39  2.67
+#   ER N=4000, mean degree 3, t=5    0.97  1.34  1.86  2.37  2.50
+#   rrg N=1000, d=3, to t=5          0.80  1.08  1.51  2.00  2.36
 #
-# Lockstep is faster on every shape at 16 replicas, 1.2x or more, and at 8
-# on the short shapes only: on the long rrg shape the two are even, and on
-# the long dcm shape the single-run engine is faster.  The threshold is
-# 16, not 8, so that the benchmark has an eligible ensemble on each side of
-# it: the ``diffusive`` dcm ensemble (8 replicas) below, its rrg ensemble
+# Lockstep is faster on every shape at 8 replicas or more, 1.4x or more,
+# and at 4 on every shape but the long dcm one.  The threshold is 16, not
+# 8, so that the benchmark has an eligible ensemble on each side of it:
+# the ``diffusive`` dcm ensemble (8 replicas) below, the benchmark's only
+# run of the single-run engine's static-slot loop, and its rrg ensemble
 # and the ``short_time`` ensembles (16 and 200) at or above.
 LOCKSTEP_MIN_REPLICAS = 16
 
