@@ -26,11 +26,12 @@ of a pass are a prefix, and the moves of a block of passes are drawn and
 resolved to vertex indices in bulk.  A pass is one gather and one scatter,
 and so is a pair of passes that every replica of the block takes, unless
 a replica's second step in it reads or writes the vertex its first step
-wrote; such a pair is played pass by pass (see ``_passes``).  Heart counts are recounted at the end of each block.  A replica
-whose heart count is within reach of 0 or N in a block (or, when the event
-cap is within reach, of its cap) has its opinions copied first; if the
-block ends with it absorbed (or past its cap) the block is replayed for it
-alone, which finds the exact step.
+wrote; such a pair is played pass by pass (see ``_passes``).  Heart counts
+are recounted at the end of each block.  A replica whose heart count is
+within reach of 0 or N in a block (or, when the event cap is within reach,
+of its cap) has its opinions copied first; if the block ends with it
+absorbed (or past its cap) the block is replayed for it alone, which finds
+the exact step.
 """
 
 from __future__ import annotations
@@ -255,10 +256,10 @@ def _passes(V, W, rem):
     """The (copying, copied) vertices of the passes of a block, in order,
     for replicas with ``rem`` steps in it, in decreasing order.
 
-    The first ``rem[-1]`` passes, which every replica takes, go
-    in groups of ``_FUSED``, each group as one pair of arrays of all its
-    steps, unless two steps of one replica in it conflict: a later step
-    writes or reads the vertex an earlier one wrote.  A conflicting group,
+    The first ``rem[-1]`` passes, which every replica takes, go in groups
+    of ``_FUSED``, each group as one pair of arrays of all its steps,
+    unless two steps of one replica in it conflict: a later step writes or
+    reads the vertex an earlier one wrote.  A conflicting group,
     the full passes left over and the narrower tail passes go one pass at
     a time.  A later step may write a vertex an earlier one read, since
     the gather comes before the scatter; and the replicas hold disjoint
