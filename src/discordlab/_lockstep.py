@@ -18,7 +18,7 @@ one proposal at a time; the random stream differs.
 When every copying degree is equal, a move is a uniform copying slot: a
 uniform half-edge, or a uniform arc read in its copying direction.
 Otherwise it is a uniform vertex and a uniform slot of it, through a CSR of
-the copying slots.
+the copying slots, sorted stably by owner one chunk of replicas at a time.
 
 A pass does one step for every replica that has steps left in the current
 gap.  Within a gap the replicas are ordered by step count, so the replicas
@@ -31,15 +31,18 @@ are recounted at the end of each block.  A replica whose heart count is
 within reach of 0 or N in a block (or, when the event cap is within reach,
 of its cap) has its opinions copied first; if the block ends with it
 absorbed (or past its cap) the block is replayed for it alone, which finds
-the exact step.
+the exact step.  Discordant edges are recounted at each sample time, one
+chunk of whole replicas at a time: one ``take`` of the opinions at the
+chunk's endpoints, whose two bytes per edge are read as one 16-bit word.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# moves drawn per block and endpoints gathered per recount chunk: bound the
-# temporary index arrays (8 bytes an entry)
+# moves drawn per block, and endpoints per chunk of replicas for the recount
+# (one ``take``, which copies the int32 ids to intp indices) and the CSR
+# sort: bound the temporary index arrays (8 bytes an entry)
 _BLOCK_STEPS = 1 << 15
 # passes played by one gather and one scatter where no replica's steps in
 # them conflict
@@ -62,44 +65,57 @@ class Packed:
         self.ops = ops        # int8, R * n opinions
         # copying ends are every ``step``-th entry of ``ends``
         self.step = 2 if directed else 1
+        # ranges r:s of replicas, each one replica or as many whole replicas
+        # as have ``_BLOCK_STEPS`` endpoints between them
+        self.chunks, r = [], 0
+        while r < self.R:
+            s = max(r + 1, int(np.searchsorted(
+                ecut, ecut[r] + _BLOCK_STEPS // 2, side="right")) - 1)
+            self.chunks.append((r, s))
+            r = s
         deg = np.empty(self.R * n, dtype=np.int32)
-        for r, s in self._chunks():
+        for r, s in self.chunks:
             deg[r * n:s * n] = np.bincount(
                 ends[2 * ecut[r]:2 * ecut[s]:self.step] - r * n,
                 minlength=(s - r) * n)
         self.regular = bool(deg.min() == deg.max())
         if not self.regular:
-            # CSR of the copying slots of each vertex; an isolated vertex
-            # gets one slot to itself, so that its steps are no-ops like a
-            # self-loop's
-            iso = np.flatnonzero(deg == 0).astype(np.int32)
-            if directed:
-                owner, other = ends[0::2], ends[1::2]
-            else:
-                owner, other = ends, ends.reshape(-1, 2)[:, ::-1].ravel()
-            owner = np.concatenate([owner, iso])
-            other = np.concatenate([other, iso])
-            self.nbr = other[np.argsort(owner, kind="stable")]
+            # CSR of the copying slots of each vertex, in the order of
+            # ``ends``; an isolated vertex gets one slot to itself, so that
+            # its steps are no-ops like a self-loop's.  Chunks hold disjoint
+            # ranges of ids, so a stable sort by owner within each chunk
+            # gives the order of one over the whole pack
             self.deg = np.maximum(deg, 1)
             self.off = np.concatenate([[0], np.cumsum(self.deg)[:-1]])
-
-    def _chunks(self):
-        """Ranges r:s of replicas, each one replica or as many whole
-        replicas as have ``_BLOCK_STEPS`` endpoints between them."""
-        ecut, r = self.ecut, 0
-        while r < self.R:
-            s = max(r + 1, int(np.searchsorted(
-                ecut, ecut[r] + _BLOCK_STEPS // 2, side="right")) - 1)
-            yield r, s
-            r = s
+            self.nbr = np.empty(self.off[-1] + self.deg[-1], dtype=np.int32)
+            iso = np.flatnonzero(deg == 0).astype(np.int32)
+            for r, s in self.chunks:
+                lo, hi = 2 * ecut[r], 2 * ecut[s]
+                if directed:
+                    owner, other = ends[lo:hi:2], ends[lo + 1:hi:2]
+                else:
+                    owner = ends[lo:hi]
+                    other = owner.reshape(-1, 2)[:, ::-1].ravel()
+                i, j = np.searchsorted(iso, (r * n, s * n))
+                owner = np.concatenate([owner, iso[i:j]]) - r * n
+                if (s - r) * n <= 1 << 16:
+                    # numpy sorts 16-bit keys stably by radix
+                    owner = owner.astype(np.uint16)
+                at = self.off[r * n]
+                self.nbr[at:at + len(owner)] = np.concatenate(
+                    [other, iso[i:j]])[np.argsort(owner, kind="stable")]
 
     def discordant(self) -> np.ndarray:
         """Discordant edges of every replica (self-loops never are)."""
         out = np.empty(self.R, dtype=np.int64)
         ecut = self.ecut
-        for r, s in self._chunks():
-            pair = self.ops[self.ends[2 * ecut[r]:2 * ecut[s]]]
-            out[r:s] = np.add.reduceat(pair[0::2] != pair[1::2],
+        for r, s in self.chunks:
+            # the opinions of an edge's ends, 0/1 bytes side by side, read
+            # as one 16-bit word: 1 or 256 (in either byte order) when they
+            # differ
+            pair = self.ops.take(
+                self.ends[2 * ecut[r]:2 * ecut[s]]).view(np.uint16)
+            out[r:s] = np.add.reduceat((pair == 1) | (pair == 256),
                                        ecut[r:s] - ecut[r], dtype=np.int64)
         return out
 
@@ -118,14 +134,14 @@ class Packed:
             if self.step > 1:
                 half *= self.step
             half += 2 * self.ecut[rows]
-            copying = self.ends[half].astype(np.intp)
+            copying = self.ends.take(half).astype(np.intp)
             half ^= 1
-            return copying, self.ends[half].astype(np.intp)
+            return copying, self.ends.take(half).astype(np.intp)
         v = rng.integers(0, n, shape)
         v += rows * n
-        slot = (rng.random(shape) * self.deg[v]).astype(np.intp)
-        slot += self.off[v]
-        return v, self.nbr[slot].astype(np.intp)
+        slot = (rng.random(shape) * self.deg.take(v)).astype(np.intp)
+        slot += self.off.take(v)
+        return v, self.nbr.take(slot).astype(np.intp)
 
 
 def run(packed: Packed, sched, horizon, max_events, rng) -> dict:

@@ -283,7 +283,7 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
     R = cfg.replicas
     directed = cfg.model.get("family") == "dcm"
     sched = dynamics._prepared_schedule(cfg.sample_times, cfg.horizon)
-    ends, ecut, ops = np.empty(0, dtype=np.int32), [0], []
+    ends, ecut, ops = np.empty(0, dtype=np.int32), [0], bytearray()
     for r in range(R):
         rng = spawn_rng(cfg.master_seed, r)
         g = build_graph(cfg.model, rng)
@@ -300,10 +300,10 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
         ends[lo:hi:2], ends[lo + 1:hi:2] = us, vs
         ends[lo:hi] += r * g.n
         ecut.append(ecut[-1] + g.m)
-        ops.append(np.array(state.opinions, dtype=np.int8))
+        ops.extend(state.opinions)  # 0/1 ints, one byte each
     packed = _lockstep.Packed(g.n, ends[:2 * ecut[-1]],
                               np.asarray(ecut, dtype=np.int64),
-                              np.concatenate(ops), directed)
+                              np.frombuffer(ops, dtype=np.int8), directed)
     stream = np.random.default_rng(np.random.SeedSequence(
         entropy=int(cfg.master_seed), spawn_key=(R,)))
     out = _lockstep.run(packed, sched, float(cfg.horizon), cfg.max_events,

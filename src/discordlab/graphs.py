@@ -225,6 +225,10 @@ def _grouped(n, keys, ids) -> list[list[int]]:
 # generators
 # ----------------------------------------------------------------------
 
+# the largest count or index the generators' int64 arrays hold
+_INT64_MAX = 2**63 - 1
+
+
 def _size(x, what) -> int:
     """``x`` as an int, for a vertex count or a degree: NaN, an infinity, a
     fraction or a non-number raises InvalidParameterError."""
@@ -262,18 +266,22 @@ def generate_random_regular(n, d, rng, policy="reject") -> Graph:
         raise InvalidParameterError("n*d must be even")
     if policy not in ("reject", "allow"):
         raise InvalidParameterError(f"unknown policy {policy!r}")
+    if n * d > _INT64_MAX:
+        raise InvalidParameterError("n*d must be below 2**63")
 
-    owner = np.repeat(np.arange(n), d)
+    owner = np.repeat(np.arange(n, dtype=np.int64), d)
     while True:
-        stubs = owner[rng.permutation(n * d)]
+        # the same array and draws as owner[rng.permutation(n * d)]
+        stubs = rng.permutation(owner)
         us = stubs[0::2]
         vs = stubs[1::2]
         if policy == "reject":
-            if np.any(us == vs):
+            if (us == vs).any():
                 continue
-            key = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
+            key = np.minimum(us, vs) * n
+            key += np.maximum(us, vs)
             key.sort()
-            if np.any(key[1:] == key[:-1]):
+            if (key[1:] == key[:-1]).any():
                 continue
         return Graph(n, us, vs)
 
@@ -284,13 +292,19 @@ def generate_directed_configuration(d_in, d_out, rng) -> DirectedGraph:
     if len(d_in) != len(d_out):
         raise InvalidParameterError("in/out degree sequences differ in length")
     if d_in.dtype.kind not in "iu" or d_out.dtype.kind not in "iu":
-        d_in, d_out = (np.array([_size(x, "degree") for x in d], dtype=np.int64)
-                       for d in (d_in, d_out))
+        d_in, d_out = ([_size(x, "degree") for x in d] for d in (d_in, d_out))
+        if max(d_in + d_out, default=0) > _INT64_MAX:
+            raise InvalidParameterError("degrees must be below 2**63")
+        d_in, d_out = (np.array(d, dtype=np.int64) for d in (d_in, d_out))
     if np.any(d_in < 0) or np.any(d_out < 0):
         raise InvalidParameterError("degrees must be >= 0")
+    n = len(d_in)
+    # int64 sums can wrap only if some degree exceeds 2**63 / n
+    if n and max(d_in.max(), d_out.max()) > _INT64_MAX // n and max(
+            sum(d_in.tolist()), sum(d_out.tolist())) > _INT64_MAX:
+        raise InvalidParameterError("degrees must sum to below 2**63")
     if d_in.sum() != d_out.sum():
         raise InvalidParameterError("sum(d_in) must equal sum(d_out)")
-    n = len(d_in)
     tails = np.repeat(np.arange(n), d_out)
     heads = np.repeat(np.arange(n), d_in)
     heads = heads[rng.permutation(len(heads))]
@@ -329,7 +343,11 @@ def generate_erdos_renyi(n, p, rng) -> Graph:
         raise InvalidParameterError("vertex count must be >= 0")
     if n < 2 or p == 0.0:
         return Graph(n)
-    idx = _bernoulli_indices(n * (n - 1) // 2, p, rng)
+    total = n * (n - 1) // 2
+    if total > _INT64_MAX:  # the pair indices are int64
+        raise InvalidParameterError(
+            "n must be at most 2**32 for p > 0: C(n,2) is past int64")
+    idx = _bernoulli_indices(total, p, rng)
     # row u holds the pairs (u, u+1), ..., (u, n-1) from index start[u] on
     rows = np.arange(n, dtype=np.int64)
     start = rows * (2 * n - rows - 1) // 2

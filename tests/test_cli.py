@@ -212,6 +212,23 @@ def test_exit_code_param_errors(tmp_path, capsys):
         assert "error: " in err and "Traceback" not in err
 
 
+# the er sizes put C(n,2) past int64: p = 1e-30 spun forever, p = 1e-9
+# leaked numpy's MemoryError ("3.55 PiB"); the dcm degree leaked
+# OverflowError
+@pytest.mark.parametrize("model", [
+    ["er", "--n", "1000000000000", "--p", "1e-30"],
+    ["er", "--n", "1000000000000", "--p", "1e-9"],
+    ["dcm", "--n", "2", "--d", "1180591620717411303424"],
+], ids=["er-p-1e-30", "er-p-1e-9", "dcm-d-2-70"])
+def test_generate_huge_sizes_exit_2(tmp_path, capsys, model):
+    with deadline(20.0):
+        rc = dispatch(["generate", "--model", *model, "--seed", "1",
+                       "--out", str(tmp_path / "g.edges"), "--quiet"])
+    assert rc == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "g.edges").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["theta-regular"],
     ["theta-rewiring", "--d", "3"],

@@ -53,6 +53,18 @@ def test_size_that_is_no_integer_is_refused(rng, bad):
         graphs.generate_directed_configuration([bad, 1], [bad, 1], rng)
 
 
+# each leaked ValueError: "Maximum allowed size exceeded" or, where int64
+# sums of degrees wrapped, "negative dimensions are not allowed"
+def test_sizes_past_int64_are_refused(rng):
+    with pytest.raises(InvalidParameterError):
+        graphs.generate_random_regular(2**70, 2, rng)
+    for d in ([2**62] * 2, np.array([2**62] * 2)):
+        with pytest.raises(InvalidParameterError):
+            graphs.generate_directed_configuration(d, d, rng)
+    # with p = 0 no pair index is drawn, so any n gives the empty graph
+    assert graphs.generate_erdos_renyi(2**40, 0.0, rng).m == 0
+
+
 def test_integral_sizes_of_any_type_are_taken(rng):
     assert graphs.generate_complete(np.int64(5)).m == 10
     assert graphs.generate_complete(5.0).n == 5

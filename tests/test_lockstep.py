@@ -361,3 +361,77 @@ def test_lockstep_matches_the_pass_by_pass_reference(seed, model, replicas,
             assert a.tobytes() == b.tobytes()
         else:
             assert a == b
+
+
+class _Grabbed(Exception):
+    pass
+
+
+def packed_of(cfg):
+    """The ``Packed`` that the lockstep path builds for ``cfg``, before any
+    step, and each replica's graph, built again from its stream."""
+    def grab(packed, *args):
+        raise _Grabbed(packed)
+
+    with mock.patch.object(_lockstep, "run", grab), \
+            pytest.raises(_Grabbed) as got:
+        experiments._lockstep_ensemble(cfg)
+    gs = [experiments.build_graph(cfg.model,
+                                  experiments.spawn_rng(cfg.master_seed, r))
+          for r in range(cfg.replicas)]
+    return got.value.args[0], gs
+
+
+PACKS = {
+    "rrg": cfg_of({"family": "rrg", "n": 40, "d": 3}, replicas=16),
+    "er_isolated": CASES["er_isolated"],
+    "rrg_allow": CASES["rrg_allow"],
+    "dcm_mixed_out": CASES["dcm_mixed"],
+    # the same degrees swapped, so that every vertex copies along an arc
+    "dcm_mixed_in": cfg_of({"family": "dcm", "n": 60,
+                            "d_in": [1, 2, 3, 4] * 15,
+                            "d_out": [20] * 6 + [1] * 30 + [0] * 24},
+                           adopt_from="in"),
+    # about 4,500 edges a replica: three replicas to a recount chunk
+    "er_chunks": cfg_of({"family": "er", "n": 3000, "p": 3.0 / 2999},
+                        replicas=16),
+    # one replica to a chunk, each with more than 2**16 vertices
+    "er_wide": cfg_of({"family": "er", "n": 70_000, "p": 0.6 / 69_999},
+                      replicas=16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKS))
+def test_recount_and_copying_slots_match_brute_force(case):
+    packed, gs = packed_of(PACKS[case])
+    n, R = packed.n, packed.R
+    if case == "er_isolated":
+        assert not all(min(g.degrees()) for g in gs)
+    if case == "rrg_allow":
+        assert any(g.has_self_loop() for g in gs)
+        assert any(g.has_multi_edge() for g in gs)
+    if case.startswith("er_") and case != "er_isolated":
+        assert len(packed.chunks) > 1
+    rng = np.random.default_rng(8)
+    for ops in (packed.ops.copy(), rng.integers(0, 2, R * n),
+                np.repeat(rng.integers(0, 2, R), n)):
+        packed.ops[:] = ops
+        rows = ops.reshape(R, n)
+        assert packed.discordant().tolist() == [
+            graphs.count_discordant(g, row.tolist())
+            for g, row in zip(gs, rows)]
+        back = np.arange(R)[::-1]
+        assert packed.hearts(back).tolist() == rows[back].sum(axis=1).tolist()
+    if packed.regular:
+        return
+    # the copying slots of each vertex, in the order of ``ends``, then an
+    # isolated vertex's one slot to itself
+    ends = packed.ends
+    if packed.step == 2:
+        owner, other = ends[0::2], ends[1::2]
+    else:
+        owner, other = ends, ends.reshape(-1, 2)[:, ::-1].ravel()
+    iso = np.flatnonzero(np.bincount(owner, minlength=R * n) == 0)
+    owner = np.concatenate([owner, iso])
+    other = np.concatenate([other, iso])
+    assert np.array_equal(packed.nbr, other[np.argsort(owner, kind="stable")])

@@ -32,6 +32,10 @@ and the Beta placement of consensus times) and a reachable event cap with
 timeouts and freezes.  They were recorded while every pass of the engine
 was one gather and one scatter, before pairs of passes with no step in
 common were fused, which keeps every digest.
+The two ``rrg-edges-*`` rows pin ``generate_random_regular`` alone, under
+each policy; they were recorded while it shuffled the stubs as
+``owner[rng.permutation(n * d)]``, before ``rng.permutation(owner)``,
+which gives the same array and leaves the generator in the same state.
 No row covers the
 heart-count chain of an implicit K_n, whose law is tested in
 ``test_complete_chain.py``.  The consensus runs are time-bounded, so that
@@ -172,6 +176,16 @@ def _lockstep(model, horizon=4.0, step=0.5, seed=4242, replicas=32,
                    res.taus, res.consensus_values, res.timed_out)
 
 
+def _rrg_edges(policy, seed):
+    """Edges of random regular graphs drawn one after another from one
+    stream, and the draw that follows them."""
+    rng = np.random.default_rng(seed)
+    gs = [graphs.generate_random_regular(n, d, rng, policy=policy)
+          for n, d in ((200, 3), (60, 4), (12, 5), (2, 1))]
+    return _digest(*(x for g in gs for x in g.endpoint_arrays()),
+                   rng.random())
+
+
 CASES = {
     "voter-rrg": (_static, "rrg", 101),
     "voter-er": (_static, "er", 102),
@@ -199,6 +213,9 @@ CASES = {
                                            (u0, v0)]),
     "rewire-to-random-loops": (_rewire_model, coevolution.TO_RANDOM, 5.0, 119,
                                10),
+    # the pairing attempts, rejected ones included, and the pairings kept
+    "rrg-edges-reject": (_rrg_edges, "reject", 120),
+    "rrg-edges-allow": (_rrg_edges, "allow", 121),
     # regular moves: a uniform half-edge
     "lockstep-rrg": (_lockstep, {"family": "rrg", "n": 60, "d": 3}),
     # moves through the CSR of copying slots; about a fifth of the vertices
@@ -260,6 +277,10 @@ DIGESTS = {
         "60171ff1c033e3ec1ac406979f0a1dd49b9f70fda3487f92ac575b28f7045469",
     "rewire-to-random-loops":
         "e2514bcdab3c0e6c8b7ea992865359a4da781398f0d4cbdcca9a89b554ef3288",
+    "rrg-edges-allow":
+        "9f829d4da186f57a602835285380a5abee65b101bd65bff410c5d46b99ce1ef1",
+    "rrg-edges-reject":
+        "53e93f25439b355ba4d4e0235b3bb7e6f41499bcd3eac6537310bd7c24581bb4",
     "rewire-to-same":
         "7ef447b4ccce35d614a54a3bf17c17bb943a41b901e68a8fd72c02355ed38cf8",
     "rewiring-er":
