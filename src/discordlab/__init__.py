@@ -10,7 +10,6 @@ from .errors import (  # noqa: F401
     DiscordlabError,
     InvalidParameterError,
     SimulationTimeout,
-    TruncationError,
     NumericError,
     InsufficientDataError,
 )

@@ -626,8 +626,12 @@ def consensus_time(g, state: OpinionState, rng, *,
 
     A state from which consensus is out of reach (possible on disconnected
     graphs) raises :class:`SimulationTimeout` rather than spinning.
+    Rewiring (``nu != 0``) applies to undirected graphs only.
     """
     if isinstance(g, DirectedGraph):
+        if nu != 0.0:
+            raise InvalidParameterError(
+                "rewiring applies to undirected graphs only")
         traj = run_voter_directed(g, state, None, [], rng, max_events=max_events)
     else:
         traj = run_voter_rewiring(g, state, nu, None, [], rng,

@@ -20,10 +20,6 @@ class SimulationTimeout(DiscordlabError, RuntimeError):
         self.partial = partial
 
 
-class TruncationError(DiscordlabError, RuntimeError):
-    """A certified truncation level cannot meet the requested tolerance."""
-
-
 class NumericError(DiscordlabError, RuntimeError):
     """A numerical scheme failed to converge within its configured depth."""
 

@@ -37,7 +37,6 @@ __all__ = [
     "resolve_prediction",
     "estimate_theta",
     "homogenisation_check",
-    "ensemble_from_samples",
 ]
 
 Z95 = 1.96
@@ -81,7 +80,7 @@ class ExperimentConfig:
     replicas: int
     master_seed: int
     horizon: float | None
-    sample_times: list = field(default_factory=list)
+    sample_times: list[float] = field(default_factory=list)
     nu: float = 0.0
     adopt_from: str = "out"
     max_events: int = dynamics.DEFAULT_MAX_EVENTS
@@ -358,10 +357,11 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     if cfg.master_seed < 0:
         raise InvalidParameterError("master_seed must be >= 0")
     dynamics._check_cap(cfg.max_events)
-    if cfg.horizon is not None and any(
-            t > cfg.horizon for t in cfg.sample_times):
-        raise InvalidParameterError("sample grid must lie within the horizon")
-    times = np.asarray(cfg.sample_times, dtype=float)
+    if cfg.model.get("family") == "dcm" and cfg.nu != 0.0:
+        raise InvalidParameterError(
+            "rewiring applies to undirected graphs only")
+    times = np.asarray(dynamics._prepared_schedule(cfg.sample_times,
+                                                   cfg.horizon))
     if cfg.comparison:
         # resolved before the runs, so that a bad spec costs none
         spec = dict(cfg.comparison)
@@ -496,26 +496,6 @@ def homogenisation_check(result: EnsembleResult, coefficient=2.0,
         mean_abs_residual=np.nanmean(np.abs(resid), axis=0),
         rms_residual=np.sqrt(np.nanmean(resid ** 2, axis=0)),
     )
-
-
-def ensemble_from_samples(times, heart, disc=None,
-                          config=None) -> EnsembleResult:
-    """Wrap externally produced per-replica sample arrays (R, T) as an
-    EnsembleResult, for feeding synthetic paths to the estimators."""
-    heart = np.asarray(heart, dtype=float)
-    if heart.ndim != 2:
-        raise InvalidParameterError("heart samples must be (R, T)")
-    times = np.asarray(times, dtype=float)
-    if heart.shape[1] != len(times):
-        raise InvalidParameterError("sample width does not match grid")
-    if disc is None:
-        disc = np.zeros_like(heart)
-    R = heart.shape[0]
-    samples = {"heart_frac": heart, "discordant_frac": np.asarray(disc, float)}
-    return EnsembleResult(times=times, samples=samples,
-                          **_aggregate(samples, R), replicas=R,
-                          taus=np.full(R, np.nan), consensus_values=[None] * R,
-                          timed_out=[], config=config)
 
 
 def _aggregate(samples, R) -> dict:

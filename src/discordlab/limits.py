@@ -1,20 +1,20 @@
 """Large-N oracles: diffusion constants, the tree meeting-time profile, the
-rewiring continued fraction, Fisher-Wright integrators, the short-time
+rewiring continued fraction, Fisher-Wright absorption times, the short-time
 discordance prediction, and the coupled dense-limit system.
 
-Everything here is a pure function of its arguments (stochastic integrators
-take an explicit rng), so concurrent use is safe by construction.
+Everything here is a pure function of its arguments (the dense-limit
+integrator takes an explicit rng), so concurrent use is safe by
+construction.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, NumericError, TruncationError)
+from .errors import InvalidParameterError, NumericError
 
 __all__ = [
     "MeetingProfile",
@@ -22,11 +22,8 @@ __all__ = [
     "DenseLimitParams",
     "theta_regular",
     "meeting_profile",
-    "meeting_time_tree_mc",
     "theta_directed_eulerian",
     "theta_rewiring",
-    "fisher_wright_path",
-    "fisher_wright_ensemble",
     "fw_absorption_time",
     "discordance_prediction",
     "drift_b",
@@ -63,15 +60,8 @@ class MeetingProfile:
     truncation_level: int
     tolerance: float
 
-    def value_at(self, t) -> float:
-        idx = np.nonzero(np.isclose(self.grid, t))[0]
-        if len(idx) == 0:
-            raise InvalidParameterError(f"t={t} is not on the profile grid")
-        return float(self.values[idx[0]])
 
-
-def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
-                    max_level=100_000) -> MeetingProfile:
+def meeting_profile(d, t_max=None, tolerance=1e-6, times=None) -> MeetingProfile:
     """Certified meeting-time profile via the inter-walker distance chain.
 
     The distance between the walkers is a birth-death chain on {0,1,2,...}:
@@ -82,7 +72,10 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
     (d-1)^-(K+1) (gambler's ruin), so that choice of K certifies the
     truncation error.  Time evolution uses uniformization at rate 2 (the
     exact total jump rate), whose Poisson tails provide the remaining,
-    equally certified, error term.
+    equally certified, error term.  Once the mass still on levels 1..K is
+    within the Poisson budget of the substeps not yet taken, every later
+    value is set to the midpoint of the interval that holds them, so the
+    cost stops growing with the grid's end.
 
     Parameters
     ----------
@@ -112,19 +105,18 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
         raise InvalidParameterError(
             "times must be finite, >= 0 and strictly increasing")
 
-    # escape bound (d-1)^-(K+1) <= tolerance/2
-    K = max(8, math.ceil(math.log(2.0 / tolerance) / math.log(d - 1)))
-    if K > max_level:
-        raise TruncationError(
-            f"required truncation level {K} exceeds max_level={max_level}")
+    # escape bound (d-1)^-(K+1) <= tolerance/2; 2/tolerance can overflow
+    K = max(8, math.ceil((math.log(2.0) - math.log(tolerance))
+                         / math.log(d - 1)))
 
     lam = 2.0
     pu = (d - 1) / d
     pd_ = 1.0 / d
-    # substeps keep each uniformization mean small enough for stable weights
-    sub_mu = 64.0
+    # substeps keep each uniformization mean lam * dt at most 64, for stable
+    # weights; lam * dt itself overflows for dt near the largest double
+    sub_dt = 64.0 / lam
     widths = np.diff(np.concatenate(([0.0], grid)))
-    n_substeps = int(sum(max(1, math.ceil(lam * w / sub_mu)) for w in widths
+    n_substeps = int(sum(max(1, math.ceil(w / sub_dt)) for w in widths
                          if w > 0)) or 1
     eps_step = tolerance / (2.0 * n_substeps)
 
@@ -141,7 +133,9 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
         cum = weight
         k = 1
         cap = mu + 200.0 * math.sqrt(mu + 1.0) + 200.0
-        while cum < 1.0 - eps_step:
+        # below about 1e-16 per substep, 1 - cum is lost to rounding; a tail
+        # whose terms underflow to zero adds nothing more
+        while cum < 1.0 - eps_step and weight > 0.0:
             if k > cap:
                 raise NumericError("uniformization failed to converge")
             new_esc = escaped + pu * p[-1]
@@ -156,75 +150,26 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None,
             k += 1
         p, escaped = acc_p, acc_esc
 
-    t_prev = 0.0
+    t_prev, left = 0.0, n_substeps
     for i, t in enumerate(grid):
         dt = t - t_prev
-        if dt > 0:
-            n_sub = max(1, math.ceil(lam * dt / sub_mu))
-            for _ in range(n_sub):
-                advance(lam * dt / n_sub)
+        n_sub = max(1, math.ceil(dt / sub_dt)) if dt > 0 else 0
+        for _ in range(n_sub):
+            advance(lam * (dt / n_sub))
+            left -= 1
+            alive = p.sum()
+            if alive <= left * eps_step:
+                # every later survival lies in [escaped, escaped + alive],
+                # so the midpoint spends at most alive/2 of the budget that
+                # the skipped substeps would have spent on Poisson tails
+                values[i:] = escaped + alive / 2
+                return MeetingProfile(d=d, grid=grid, values=values,
+                                      truncation_level=K, tolerance=tolerance)
         values[i] = p.sum() + escaped
         t_prev = t
 
     return MeetingProfile(d=d, grid=grid, values=values,
                           truncation_level=K, tolerance=tolerance)
-
-
-def meeting_time_tree_mc(d, times, n_pairs, rng, depth_cap=30):
-    """Monte Carlo cross-check of the profile on an explicit truncated tree.
-
-    Two rate-1 walkers start on the endpoints of an edge of a lazily built
-    d-regular tree (vertices materialize their neighbours on first visit;
-    beyond depth_cap no children are added, which is unreachable for the
-    horizons used here).  Returns (survival estimates, standard errors) on
-    the given time grid.  This is a deliberately independent route from
-    :func:`meeting_profile` and shares none of its machinery.
-    """
-    if d < 3:
-        raise InvalidParameterError("need degree d >= 3")
-    grid = [float(t) for t in times]
-    if any(t < 0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidParameterError("times must be >= 0, strictly increasing")
-    nt = len(grid)
-    rnd = random.Random(int(rng.integers(1 << 63)))
-    rr = rnd.random
-    log = math.log
-    survived = [0] * nt
-
-    for _ in range(n_pairs):
-        adj = [[1], [0]]
-        depth = [0, 1]
-        pa, pb = 0, 1
-        t = 0.0
-        ti = 0
-        while True:
-            t -= log(1.0 - rr()) * 0.5  # two rate-1 walkers: total rate 2
-            while ti < nt and grid[ti] < t:
-                survived[ti] += 1
-                ti += 1
-            if ti == nt:
-                break
-            move_a = rr() < 0.5
-            pos = pa if move_a else pb
-            other = pb if move_a else pa
-            nbrs = adj[pos]
-            if len(nbrs) < d and depth[pos] < depth_cap:
-                dep = depth[pos] + 1
-                while len(nbrs) < d:
-                    nbrs.append(len(adj))
-                    adj.append([pos])
-                    depth.append(dep)
-            new = nbrs[int(rr() * len(nbrs))]
-            if new == other:
-                break  # met; times >= t stay uncredited
-            if move_a:
-                pa = new
-            else:
-                pb = new
-
-    surv = np.array(survived, dtype=float) / n_pairs
-    se = np.sqrt(np.maximum(surv * (1.0 - surv), 1e-300) / n_pairs)
-    return surv, se
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +190,11 @@ def theta_directed_eulerian(m1, m2) -> float:
     return 1.0 / denom
 
 
-def theta_rewiring(d, nu, tolerance=1e-10, max_depth=1 << 22) -> float:
+# the deepest backward recurrence theta_rewiring tries before giving up
+_MAX_DEPTH = 1 << 22
+
+
+def theta_rewiring(d, nu, tolerance=1e-10) -> float:
     """Diffusion constant theta_{d,nu} = 1 - Delta/sqrt(d-1) under edge
     rewiring at rate nu, with Delta the continued fraction
 
@@ -276,78 +225,19 @@ def theta_rewiring(d, nu, tolerance=1e-10, max_depth=1 << 22) -> float:
 
     depth = 64
     prev = backward(depth)
-    while depth <= max_depth:
+    while depth <= _MAX_DEPTH:
         depth *= 2
         cur = backward(depth)
         if abs(cur - prev) < tolerance:
             return 1.0 - cur / beta
         prev = cur
     raise NumericError(
-        f"continued fraction did not stabilize within depth {max_depth}")
+        f"continued fraction did not stabilize within depth {_MAX_DEPTH}")
 
 
 # ----------------------------------------------------------------------
-# Fisher-Wright integrators and absorption
+# Fisher-Wright absorption
 # ----------------------------------------------------------------------
-
-def fisher_wright_path(theta, chi0, dt, t_max, rng):
-    """One Euler-Maruyama path of d(chi) = sqrt(2 theta chi(1-chi)) dW with
-    clamping to [0,1] and absorption at the boundary.  Returns (times, path).
-    """
-    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
-        raise InvalidParameterError("need finite dt > 0 and t_max >= 0")
-    if not 0 <= theta < math.inf:
-        raise InvalidParameterError("theta must be finite and >= 0")
-    if not 0.0 <= chi0 <= 1.0:
-        raise InvalidParameterError("chi0 must be in [0,1]")
-    nsteps = int(round(t_max / dt))
-    times = np.arange(nsteps + 1) * dt
-    vals = np.empty(nsteps + 1)
-    x = float(chi0)
-    vals[0] = x
-    noise = rng.standard_normal(nsteps)
-    scale = math.sqrt(2.0 * theta * dt)
-    for i in range(nsteps):
-        if 0.0 < x < 1.0:
-            x += scale * math.sqrt(x * (1.0 - x)) * noise[i]
-            x = 0.0 if x <= 0.0 else (1.0 if x >= 1.0 else x)
-        vals[i + 1] = x
-    return times, vals
-
-
-def fisher_wright_ensemble(theta, chi0, dt, t_max, n_paths, rng,
-                           record_times=None):
-    """Vectorized ensemble of Fisher-Wright paths.
-
-    Returns (record_times, paths, absorption_times) where paths has shape
-    (n_paths, len(record_times)) and absorption times are NaN for paths
-    still in (0,1) at t_max.  Record times snap to the dt grid.
-    """
-    if not (0 < dt < math.inf and 0 < t_max < math.inf):
-        raise InvalidParameterError("need finite dt > 0 and t_max > 0")
-    if not (0 <= theta < math.inf and 0.0 <= chi0 <= 1.0):
-        raise InvalidParameterError("need finite theta >= 0, chi0 in [0,1]")
-    nsteps = int(round(t_max / dt))
-    if record_times is None:
-        record_times = np.linspace(0.0, nsteps * dt, 51)
-    rec_steps = np.unique(np.clip(np.round(np.asarray(record_times) / dt),
-                                  0, nsteps).astype(int))
-    rec_of = {s: i for i, s in enumerate(rec_steps)}
-    x = np.full(n_paths, float(chi0))
-    tau = np.full(n_paths, np.nan)
-    out = np.empty((n_paths, len(rec_steps)))
-    if 0 in rec_of:
-        out[:, rec_of[0]] = x
-    c = 2.0 * theta * dt
-    for step in range(1, nsteps + 1):
-        z = rng.standard_normal(n_paths)
-        x = np.clip(x + np.sqrt(c * x * (1.0 - x)) * z, 0.0, 1.0)
-        newly = np.isnan(tau) & ((x == 0.0) | (x == 1.0))
-        tau[newly] = step * dt
-        if step in rec_of:
-            out[:, rec_of[step]] = x
-    return rec_steps * dt, out, tau
-
 
 def fw_absorption_time(theta, u) -> float:
     """Expected absorption time -(u ln u + (1-u) ln(1-u)) / theta of the
@@ -366,7 +256,7 @@ def fw_absorption_time(theta, u) -> float:
 # short-time discordance prediction
 # ----------------------------------------------------------------------
 
-def discordance_prediction(u, d, t, n_vertices, tolerance=1e-6, profile=None):
+def discordance_prediction(u, d, t, n_vertices, tolerance=1e-6):
     """Expected discordant-edge fraction 2u(1-u) f_d(t) exp(-2 theta_d t/N)
     on the random d-regular graph with N vertices; t may be an array."""
     if not 0.0 <= u <= 1.0:
@@ -378,14 +268,8 @@ def discordance_prediction(u, d, t, n_vertices, tolerance=1e-6, profile=None):
     if np.any(t_arr < 0):
         raise InvalidParameterError("times must be >= 0")
     sorted_unique, inverse = np.unique(t_arr, return_inverse=True)
-    if profile is None:
-        profile = meeting_profile(d, times=sorted_unique, tolerance=tolerance)
-        fvals = profile.values
-    else:
-        if profile.d != d:
-            raise InvalidParameterError("profile degree mismatch")
-        fvals = np.array([profile.value_at(x) for x in sorted_unique])
-    f = fvals[inverse]
+    f = meeting_profile(d, times=sorted_unique,
+                        tolerance=tolerance).values[inverse]
     out = 2.0 * u * (1.0 - u) * f * np.exp(-2.0 * th * t_arr / n_vertices)
     return out if np.ndim(t) else float(out[0])
 

@@ -1,7 +1,9 @@
-"""Independent test oracles: exact birth-death absorption times and small
-brute-force recounts, which avoid the package's own event engines and
-bookkeeping; plus three former engines, kept verbatim as the references for
-the two-sample law tests: the scalar heart-count chain that ran on an
+"""Independent test oracles: exact birth-death absorption times, small
+brute-force recounts, and the Monte Carlo runs on an explicit tree and of
+Fisher-Wright paths that cross-check ``limits`` (both were ``limits``
+functions), which avoid the package's own event engines and bookkeeping;
+plus three former engines, kept verbatim as the references for the
+two-sample law tests: the scalar heart-count chain that ran on an
 implicit K_n before its jumps were drawn in numpy blocks, the event-driven
 engine that ran every other undirected run before the literal-clock engine
 replaced it (every ``nu > 0`` run first, then every ``nu = 0`` run), and
@@ -38,6 +40,7 @@ from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
                                  _Samples, _check_classes, _closed_classes,
                                  _copy_arcs)
 from discordlab.errors import InvalidParameterError, SimulationTimeout
+from discordlab.experiments import EnsembleResult, _aggregate
 from discordlab.graphs import DirectedGraph, Graph, count_discordant
 
 
@@ -71,6 +74,115 @@ def complete_voter_mean_tau(N):
 
 def brute_discordant(edge_pairs, opinions):
     return sum(1 for u, v in edge_pairs if opinions[u] != opinions[v])
+
+
+# ----------------------------------------------------------------------
+# Monte Carlo cross-checks of the limits oracles
+# ----------------------------------------------------------------------
+
+def meeting_time_tree_mc(d, times, n_pairs, rng, depth_cap=30):
+    """Monte Carlo cross-check of the profile on an explicit truncated tree.
+
+    Two rate-1 walkers start on the endpoints of an edge of a lazily built
+    d-regular tree (vertices materialize their neighbours on first visit;
+    beyond depth_cap no children are added, which is unreachable for the
+    horizons used here).  Returns (survival estimates, standard errors) on
+    the given time grid.  This is a deliberately independent route from
+    ``limits.meeting_profile`` and shares none of its machinery.
+    """
+    if d < 3:
+        raise InvalidParameterError("need degree d >= 3")
+    grid = [float(t) for t in times]
+    if any(t < 0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidParameterError("times must be >= 0, strictly increasing")
+    nt = len(grid)
+    rnd = random.Random(int(rng.integers(1 << 63)))
+    rr = rnd.random
+    log = math.log
+    survived = [0] * nt
+
+    for _ in range(n_pairs):
+        adj = [[1], [0]]
+        depth = [0, 1]
+        pa, pb = 0, 1
+        t = 0.0
+        ti = 0
+        while True:
+            t -= log(1.0 - rr()) * 0.5  # two rate-1 walkers: total rate 2
+            while ti < nt and grid[ti] < t:
+                survived[ti] += 1
+                ti += 1
+            if ti == nt:
+                break
+            move_a = rr() < 0.5
+            pos = pa if move_a else pb
+            other = pb if move_a else pa
+            nbrs = adj[pos]
+            if len(nbrs) < d and depth[pos] < depth_cap:
+                dep = depth[pos] + 1
+                while len(nbrs) < d:
+                    nbrs.append(len(adj))
+                    adj.append([pos])
+                    depth.append(dep)
+            new = nbrs[int(rr() * len(nbrs))]
+            if new == other:
+                break  # met; times >= t stay uncredited
+            if move_a:
+                pa = new
+            else:
+                pb = new
+
+    surv = np.array(survived, dtype=float) / n_pairs
+    se = np.sqrt(np.maximum(surv * (1.0 - surv), 1e-300) / n_pairs)
+    return surv, se
+
+
+def fisher_wright_ensemble(theta, chi0, dt, t_max, n_paths, rng,
+                           record_times=None):
+    """Vectorized ensemble of Fisher-Wright paths.
+
+    Returns (record_times, paths, absorption_times) where paths has shape
+    (n_paths, len(record_times)) and absorption times are NaN for paths
+    still in (0,1) at t_max.  Record times snap to the dt grid.
+    """
+    if not (0 < dt < math.inf and 0 < t_max < math.inf):
+        raise InvalidParameterError("need finite dt > 0 and t_max > 0")
+    if not (0 <= theta < math.inf and 0.0 <= chi0 <= 1.0):
+        raise InvalidParameterError("need finite theta >= 0, chi0 in [0,1]")
+    nsteps = int(round(t_max / dt))
+    if record_times is None:
+        record_times = np.linspace(0.0, nsteps * dt, 51)
+    rec_steps = np.unique(np.clip(np.round(np.asarray(record_times) / dt),
+                                  0, nsteps).astype(int))
+    rec_of = {s: i for i, s in enumerate(rec_steps)}
+    x = np.full(n_paths, float(chi0))
+    tau = np.full(n_paths, np.nan)
+    out = np.empty((n_paths, len(rec_steps)))
+    if 0 in rec_of:
+        out[:, rec_of[0]] = x
+    c = 2.0 * theta * dt
+    for step in range(1, nsteps + 1):
+        z = rng.standard_normal(n_paths)
+        x = np.clip(x + np.sqrt(c * x * (1.0 - x)) * z, 0.0, 1.0)
+        newly = np.isnan(tau) & ((x == 0.0) | (x == 1.0))
+        tau[newly] = step * dt
+        if step in rec_of:
+            out[:, rec_of[step]] = x
+    return rec_steps * dt, out, tau
+
+
+def ensemble_from_samples(times, heart, disc=None) -> EnsembleResult:
+    """Per-replica sample arrays (R, T) wrapped as an EnsembleResult by the
+    package's own aggregation, for feeding synthetic paths to the
+    estimators."""
+    heart = np.asarray(heart, dtype=float)
+    disc = np.zeros_like(heart) if disc is None else np.asarray(disc, float)
+    R = len(heart)
+    samples = {"heart_frac": heart, "discordant_frac": disc}
+    return EnsembleResult(times=np.asarray(times, dtype=float),
+                          samples=samples, **_aggregate(samples, R),
+                          replicas=R, taus=np.full(R, np.nan),
+                          consensus_values=[None] * R, timed_out=[])
 
 
 def directed_lists(g: DirectedGraph):

@@ -10,6 +10,8 @@ from scipy import stats
 from discordlab import coevolution, dynamics, experiments, graphs, limits
 from discordlab.coevolution import DenseState, SwitchProbs
 
+from _oracles import meeting_time_tree_mc
+
 pytestmark = pytest.mark.acceptance
 
 FIG9 = SwitchProbs(s_c1=0.5, s_c0=1.5, s_d1=2.0, s_d0=0.7)
@@ -60,8 +62,8 @@ def test_criterion_03_meeting_profile():
     assert abs(tail.values[0] - 0.5) <= 2e-3
     times = [0.5, 1.0, 2.0]
     prof3 = limits.meeting_profile(3, times=np.array(times))
-    surv, se = limits.meeting_time_tree_mc(3, times, 1_000_000,
-                                           np.random.default_rng(303))
+    surv, se = meeting_time_tree_mc(3, times, 1_000_000,
+                                    np.random.default_rng(303))
     zs = [(s - f) / e for f, s, e in zip(prof3.values, surv, se)]
     for f, s, e in zip(prof3.values, surv, se):
         assert abs(s - f) <= 3 * e + prof3.tolerance

@@ -369,6 +369,8 @@ def test_coevolve_dense_writes_final_edge_count(tmp_path):
     {"model": ["rrg"]},            # list for a dict
     {"horizon": "never"},          # string for a float or null
     {"rate_convention": "pair"},   # a key of former configs
+    {"sample_times": ["x"]},       # a string for a sample time
+    {"sample_times": [None]},      # null for a sample time
 ])
 def test_ensemble_bad_config_exits_2(tmp_path, capsys, patch):
     cfg = experiments.ExperimentConfig(

@@ -172,6 +172,13 @@ def test_frozen_disconnected_graph_reports_timeout(rng):
         dynamics.consensus_time(g, st, rng)
 
 
+def test_consensus_time_refuses_rewiring_on_a_directed_graph(rng):
+    g = graphs.DirectedGraph(2, [0, 1], [1, 0])
+    st = dynamics.OpinionState([1, 0], 1)
+    with pytest.raises(InvalidParameterError):
+        dynamics.consensus_time(g, st, rng, nu=4.0)
+
+
 def test_sparse_er_frozen_runs_time_out_instead_of_crashing():
     # ER(60, 1.5/60) is disconnected and non-regular: most runs freeze with
     # both opinions alive.  The float flip rate W can keep a rounding

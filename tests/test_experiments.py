@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from discordlab import dynamics, experiments, graphs, limits
+from discordlab import dynamics, experiments, graphs
 from discordlab.errors import InsufficientDataError, InvalidParameterError
+
+from _oracles import ensemble_from_samples, fisher_wright_ensemble
 
 
 def small_cfg(**over):
@@ -55,6 +57,22 @@ def test_replica_timeout_flagged_not_fatal():
     res = experiments.run_ensemble(cfg)
     assert res.timed_out == list(range(cfg.replicas))
     assert np.isnan(res.samples["heart_frac"][:, -1]).all()
+
+
+def test_bad_sample_grid_is_refused_before_any_replica_runs(monkeypatch):
+    def no_graph(model, rng):
+        raise AssertionError("a replica ran")
+    monkeypatch.setattr(experiments, "build_graph", no_graph)
+    for grid in ([1.0, 0.5], [0.0, float("nan")], [-1.0], [4.0]):
+        with pytest.raises(InvalidParameterError):
+            experiments.run_ensemble(small_cfg(sample_times=grid))
+
+
+def test_rewiring_rate_on_a_directed_model_is_refused():
+    # the directed engine has no rewiring: nu used to be dropped silently
+    cfg = small_cfg(model={"family": "dcm", "n": 30, "d": 2}, nu=4.0)
+    with pytest.raises(InvalidParameterError):
+        experiments.run_ensemble(cfg)
 
 
 def test_build_graph_families(rng):
@@ -128,28 +146,28 @@ def test_resolve_prediction_validation():
 
 def test_estimate_theta_synthetic_fisher_wright():
     tg = np.linspace(0.1, 1.5, 15)
-    _, paths, _ = limits.fisher_wright_ensemble(
+    _, paths, _ = fisher_wright_ensemble(
         0.5, 0.5, 1e-3, 1.5, 3000, np.random.default_rng(44), record_times=tg)
-    res = experiments.ensemble_from_samples(tg, paths)
+    res = ensemble_from_samples(tg, paths)
     est = experiments.estimate_theta(res, n_vertices=1)
     assert abs(est.theta - 0.5) < 0.05
 
 
 def test_estimate_theta_subsampling_invariance():
     tg = np.linspace(0.1, 1.5, 15)
-    _, paths, _ = limits.fisher_wright_ensemble(
+    _, paths, _ = fisher_wright_ensemble(
         0.5, 0.5, 1e-3, 1.5, 3000, np.random.default_rng(44), record_times=tg)
     full = experiments.estimate_theta(
-        experiments.ensemble_from_samples(tg, paths), n_vertices=1)
+        ensemble_from_samples(tg, paths), n_vertices=1)
     sub = experiments.estimate_theta(
-        experiments.ensemble_from_samples(tg[::2], paths[:, ::2]), n_vertices=1)
+        ensemble_from_samples(tg[::2], paths[:, ::2]), n_vertices=1)
     assert abs(full.theta - sub.theta) <= full.stderr + sub.stderr
 
 
 def test_estimate_theta_insufficient_data():
     tg = np.array([1.0, 2.0, 3.0])
     absorbed = np.zeros((50, 3))  # consensus everywhere: product moment 0
-    res = experiments.ensemble_from_samples(tg, absorbed)
+    res = ensemble_from_samples(tg, absorbed)
     with pytest.raises(InsufficientDataError):
         experiments.estimate_theta(res, n_vertices=1)
 
@@ -181,19 +199,12 @@ def test_ci_coverage_meta_experiment():
     assert cover >= 18
 
 
-def test_ensemble_from_samples_validation():
-    with pytest.raises(InvalidParameterError):
-        experiments.ensemble_from_samples([0.0], np.zeros(4))
-    with pytest.raises(InvalidParameterError):
-        experiments.ensemble_from_samples([0.0, 1.0], np.zeros((4, 3)))
-
-
 @pytest.mark.parametrize("R, T", [(1, 5), (2, 17), (30, 41), (200, 101),
                                   (7, 5)])
 def test_ensemble_from_samples_nan_free_moments_are_exact(R, T):
     # the NaN-skipping aggregation gives the plain moments bit for bit
     x = np.random.default_rng(1000 * R + T).random((R, T))
-    res = experiments.ensemble_from_samples(np.arange(T, dtype=float), x, x)
+    res = ensemble_from_samples(np.arange(T, dtype=float), x, x)
     for name in ("heart_frac", "discordant_frac"):
         assert np.array_equal(res.mean[name], x.mean(axis=0))
         want = x.var(axis=0, ddof=1) if R > 1 else np.zeros(T)

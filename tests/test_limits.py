@@ -8,7 +8,9 @@ from discordlab import limits
 from discordlab.coevolution import SwitchProbs
 from discordlab.errors import InvalidParameterError
 
-from _oracles import complete_voter_mean_tau
+from _deadline import deadline
+from _oracles import (complete_voter_mean_tau, fisher_wright_ensemble,
+                      meeting_time_tree_mc)
 
 
 # ----------------------------------------------------------------------
@@ -124,10 +126,32 @@ def test_meeting_profile_validation():
         limits.meeting_profile(3)
 
 
+def test_meeting_profile_takes_any_positive_tolerance():
+    # 2/tolerance overflowed below about 1.1e-308, and on a fine grid the
+    # Poisson weights underflowed before their sum could reach 1 - eps
+    want = limits.meeting_profile(3, t_max=1.0)
+    for tol, level in ((1e-308, 1025), (5e-324, 1075)):
+        prof = limits.meeting_profile(3, t_max=1.0, tolerance=tol)
+        assert prof.truncation_level == level
+        assert np.all(np.abs(prof.values - want.values) <= want.tolerance)
+
+
+def test_meeting_profile_cost_stops_growing_with_t_max():
+    # the profile used to take every uniformization substep to the grid's
+    # end, for hours at t = 1e9
+    with deadline(10.0):
+        prof = limits.meeting_profile(3, times=np.linspace(0.0, 1e9, 5))
+        # 2 t / 64 substeps overflowed here
+        far = limits.meeting_profile(3, times=np.array([1e9, 1.7e308]))
+    assert prof.values[0] == 1.0
+    for tail in (prof.values[1:], far.values):
+        assert np.all(np.abs(tail - 0.5) <= prof.tolerance)
+
+
 def test_meeting_profile_agrees_with_tree_monte_carlo(rng):
     times = [0.5, 1.0, 2.0]
     prof = limits.meeting_profile(3, times=np.array(times))
-    surv, se = limits.meeting_time_tree_mc(3, times, 150_000, rng)
+    surv, se = meeting_time_tree_mc(3, times, 150_000, rng)
     for f, s, e in zip(prof.values, surv, se):
         assert abs(s - f) <= 3 * e + prof.tolerance
 
@@ -135,48 +159,17 @@ def test_meeting_profile_agrees_with_tree_monte_carlo(rng):
 def test_tree_mc_profile_other_degree(rng):
     times = [0.5, 1.5]
     prof = limits.meeting_profile(5, times=np.array(times))
-    surv, se = limits.meeting_time_tree_mc(5, times, 60_000, rng)
+    surv, se = meeting_time_tree_mc(5, times, 60_000, rng)
     for f, s, e in zip(prof.values, surv, se):
         assert abs(s - f) <= 3.5 * e + prof.tolerance
-
-
-def test_value_at_requires_grid_point():
-    prof = limits.meeting_profile(3, times=np.array([0.0, 1.0]))
-    assert prof.value_at(1.0) == prof.values[1]
-    with pytest.raises(InvalidParameterError):
-        prof.value_at(0.7)
 
 
 # ----------------------------------------------------------------------
 # Fisher-Wright
 # ----------------------------------------------------------------------
 
-def test_fw_path_degenerate_cases(rng):
-    times, path = limits.fisher_wright_path(1.0, 0.0, 0.01, 1.0, rng)
-    assert np.all(path == 0.0)
-    times, path = limits.fisher_wright_path(0.0, 0.3, 0.01, 1.0, rng)
-    assert np.all(path == 0.3)
-    with pytest.raises(InvalidParameterError):
-        limits.fisher_wright_path(1.0, 0.5, -0.1, 1.0, rng)
-
-
-def test_fw_path_variance_identity():
-    # Var(chi_s) = u(1-u)(1 - e^{-2 theta s}) for theta=1, u=1/2
-    R, dt = 2000, 1e-3
-    finals = {0.1: [], 0.5: [], 1.0: []}
-    for i in range(R):
-        rng = np.random.default_rng(300_000 + i)
-        times, path = limits.fisher_wright_path(1.0, 0.5, dt, 1.0, rng)
-        for s in finals:
-            finals[s].append(path[int(round(s / dt))])
-    for s, vals in finals.items():
-        pred = 0.25 * (1 - math.exp(-2 * s))
-        sigma = pred * math.sqrt(2 / R) + 2e-3  # sampling + Euler bias slack
-        assert abs(np.var(vals) - pred) < 3 * sigma
-
-
 def test_fw_ensemble_matches_single_path_law(rng):
-    times, paths, tau = limits.fisher_wright_ensemble(
+    times, paths, tau = fisher_wright_ensemble(
         1.0, 0.5, 1e-3, 1.0, 4000, rng, record_times=[0.5, 1.0])
     assert paths.shape == (4000, 2)
     v = paths[:, 0].var()
@@ -186,7 +179,7 @@ def test_fw_ensemble_matches_single_path_law(rng):
 
 def test_fw_moment_decay_matches_exponential(rng):
     # E[chi(1-chi)] = u(1-u) e^{-2 theta s}
-    times, paths, _ = limits.fisher_wright_ensemble(
+    times, paths, _ = fisher_wright_ensemble(
         0.5, 0.3, 1e-3, 2.0, 6000, rng, record_times=[1.0, 2.0])
     prod = (paths * (1 - paths)).mean(axis=0)
     for s, m in zip(times, prod):
@@ -200,7 +193,7 @@ def test_fw_absorption_closed_form_and_mc():
     assert limits.fw_absorption_time(1.0, 0.0) == 0.0
     assert limits.fw_absorption_time(1.0, 1e-9) < 1e-7
     # Monte Carlo cross-check of the Green-function solution within 2%
-    _, _, tau = limits.fisher_wright_ensemble(
+    _, _, tau = fisher_wright_ensemble(
         1.0, 0.5, 1e-3, 15.0, 10_000, np.random.default_rng(17))
     assert np.isfinite(tau).all()
     assert abs(np.mean(tau) / math.log(2) - 1) < 0.02
@@ -230,14 +223,15 @@ def test_discordance_prediction_plateau_decay():
         assert pred == pytest.approx(0.25 * math.exp(-s), abs=1e-4)
 
 
-def test_discordance_prediction_array_and_profile_reuse(rng):
-    ts = np.array([0.0, 1.0, 2.0])
-    prof = limits.meeting_profile(3, times=ts)
+def test_discordance_prediction_array_and_profile_reuse():
+    # an array of times, unsorted and repeated, reuses one profile on its
+    # sorted unique times
+    ts = np.array([2.0, 0.0, 1.0, 2.0])
+    prof = limits.meeting_profile(3, times=np.array([0.0, 1.0, 2.0]))
     a = limits.discordance_prediction(0.5, 3, ts, 500)
-    b = limits.discordance_prediction(0.5, 3, ts, 500, profile=prof)
-    assert np.allclose(a, b, atol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        limits.discordance_prediction(0.5, 4, ts, 500, profile=prof)
+    want = 0.5 * prof.values[[2, 0, 1, 2]] * np.exp(-ts / 500)
+    assert np.allclose(a, want, atol=1e-12)
+    assert a[1] == limits.discordance_prediction(0.5, 3, 0.0, 500)
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +323,7 @@ def test_non_finite_t_max_is_rejected(rng, bad):
     for theta, dt, t_max in ((0.5, 0.01, bad), (0.5, bad, 1.0),
                              (bad, 0.01, 1.0)):
         with pytest.raises(InvalidParameterError):
-            limits.fisher_wright_path(theta, 0.5, dt, t_max, rng)
-        with pytest.raises(InvalidParameterError):
-            limits.fisher_wright_ensemble(theta, 0.5, dt, t_max, 4, rng)
+            fisher_wright_ensemble(theta, 0.5, dt, t_max, 4, rng)
 
 
 # each call returned NaN, or raised a bare ValueError, on its bad argument
