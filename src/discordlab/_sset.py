@@ -7,7 +7,8 @@ is absent.  Insertion appends; removal moves the last element into the
 hole, so membership changes and uniform draws are O(1) (the swap-with-tail
 trick of the epidemic-simulation literature).  Member order is part of the
 random stream: a uniform draw indexes ``items``, so the engine must
-insert and remove in the same sequence to reproduce a run.
+insert and remove in the same sequence to reproduce a run.  ``run_dense``
+keeps its edges in this format inline, with pair ids as the slots.
 
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set
 exactly while ``ops[us[e]] != ops[vs[e]]``.  ``build`` files every slot
@@ -21,8 +22,8 @@ no opinions.
 
 class SampleableSet:
     """The same swap-with-tail format as an object, for sets of anything
-    hashable (vertices of one opinion, the edges of the dense model), with
-    the positions in a dict."""
+    hashable (the vertices of one opinion in the rewire and Holme-Newman
+    models), with the positions in a dict."""
 
     __slots__ = ("items", "pos")
 
@@ -34,12 +35,6 @@ class SampleableSet:
 
     def __len__(self):
         return len(self.items)
-
-    def __contains__(self, x):
-        return x in self.pos
-
-    def __iter__(self):
-        return iter(self.items)
 
     def add(self, x):
         """Insert x if it is not present."""

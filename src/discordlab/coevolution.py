@@ -166,7 +166,9 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     keeper's opinion (TO_SAME; no-op if there are none).
 
     Returns (AbsorptionOutcome, Trajectory); hitting max_events yields
-    verdict UNRESOLVED with the partial trajectory.
+    verdict UNRESOLVED with the partial trajectory.  No rate scales the
+    edge clock, so a run costs one step per discordant ring up to
+    absorption; beta >= n adopts at every ring, so beta = 1e12 runs as n.
     """
     if not beta > 0:
         raise InvalidParameterError("beta must be > 0")
@@ -346,12 +348,15 @@ class DenseState:
 
     Only heart_count, edge count and the connected-concordant count are
     updated per event; the other classes follow arithmetically from them,
-    which keeps flips O(n) and pair toggles O(1).
+    which keeps flips O(n) and pair toggles O(1).  :func:`run_dense`
+    builds its edge list, integer pair ids, from the matrix.
     """
 
     def __init__(self, opinions, adj):
         opinions = np.asarray(opinions, dtype=np.int8)
         adj = np.asarray(adj, dtype=bool)
+        if opinions.ndim != 1:
+            raise InvalidParameterError("opinions must be a 1-D array")
         n = len(opinions)
         if adj.shape != (n, n):
             raise InvalidParameterError("adjacency must be n x n")
@@ -366,14 +371,14 @@ class DenseState:
         self.n = n
         self.heart_count = int(np.count_nonzero(self.opinions == 1))
         iu, iv = np.nonzero(np.triu(self.adj, k=1))
-        self.edges = SampleableSet(zip(iu.tolist(), iv.tolist()))
-        self.edge_count = len(self.edges)
+        self.edge_count = len(iu)
         same = self.opinions[iu] == self.opinions[iv]
         self.edge_conc_count = int(np.count_nonzero(same))
 
     @classmethod
     def iid(cls, n, p0, q0, rng) -> "DenseState":
         """Independent fair pair coins: edges with prob p0, hearts with q0."""
+        n = _size(n, "vertex count")
         if n < 2:
             raise InvalidParameterError("need n >= 2")
         if not (0.0 <= p0 <= 1.0 and 0.0 <= q0 <= 1.0):
@@ -452,7 +457,7 @@ def init_positional(n, concordant_profile=None, discordant_profile=None,
     pc = np.asarray(cprof(pos[iu], pos[iv]), dtype=float)
     pd = np.asarray(dprof(pos[iu], pos[iv]), dtype=float)
     for name, arr in (("concordant", pc), ("discordant", pd)):
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
             raise InvalidParameterError(f"{name} profile leaves [0,1]")
     prob = np.where(ops[iu] == ops[iv], pc, pd)
     adj = np.zeros((n, n), dtype=bool)
@@ -477,7 +482,10 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     The run keeps the opinions and the adjacency matrix in bytearrays, with
     numpy views over the same bytes: a pair step reads and writes single
     bytes, and a flip counts the flipped vertex's row, its degree and its
-    heart neighbours, through the views.
+    heart neighbours, through the views.  An opinion step draws from the
+    edges as a list of pair ids i*n + j (i < j), row-major at the start,
+    with a position list indexed by id; a toggle appends an id or moves the
+    last into the hole, in the format of ``_sset``.
 
     Once the opinions are unanimous every pair is concordant, and each
     pair's connection is an independent two-state chain: it is added at
@@ -491,7 +499,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     per gap; a gap that crosses ``max_events`` raises SimulationTimeout
     with the samples before it.  ``check=True`` keeps the event loop to the
     horizon and recounts the pair classes from the views at every sample
-    time.
+    time.  The cost grows linearly with rho times the horizon: rho = 1e12
+    runs to ``max_events`` (1e9 by default, minutes) in a unit of time.
     """
     if not (0 <= eta < math.inf and 0 <= rho < math.inf):
         raise InvalidParameterError("rates must be finite and >= 0")
@@ -511,38 +520,32 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     st.adj = adj = np.frombuffer(adjb, dtype=bool).reshape(n, n)
     hearts = st.opinions.view(bool)
     count = np.count_nonzero
-    edges = st.edges
-    edge_items = edges.items
+    # a stale position is never read: adjb says which pairs are edges
+    edge_items = np.flatnonzero(np.triu(st.adj, k=1)).tolist()
+    edge_pos = [-1] * (n * n)
+    for k, e in enumerate(edge_items):
+        edge_pos[e] = k
     heart = st.heart_count
     ecount = st.edge_count
     econc = st.edge_conc_count
 
     envelope = max(1.0, s.max_weight)
     pair_total = rho * npairs * envelope
-    rnd = _derive_rnd(rng)
-    rr = rnd.random
+    rr = _derive_rnd(rng).random
 
-    out = {k: [] for k in ("t", "q", "p", "ce", "de", "cn", "dn")}
+    rows = []  # one per sample time, in DenseTrajectory's field order
     si = 0
     t = 0.0
     events = 0
-    cons_t = None
-    if heart in (0, n):
-        cons_t = 0.0
+    cons_t = 0.0 if heart in (0, n) else None
     chain = cons_t is not None and not check
 
     def flush(limit):
         nonlocal si
         kept = _pair_classes(n, heart, ecount, econc)
-        ec, ed, nc, nd = kept
         while si < len(sched) and sched[si] < limit:
-            out["t"].append(sched[si])
-            out["q"].append(heart / n)
-            out["p"].append(ecount / npairs)
-            out["ce"].append(ec / npairs)
-            out["de"].append(ed / npairs)
-            out["cn"].append(nc / npairs)
-            out["dn"].append(nd / npairs)
+            rows.append((sched[si], heart / n, ecount / npairs,
+                         *(x / npairs for x in kept)))
             if check and st.recount() != kept:
                 raise AssertionError(f"pair-class bookkeeping diverged: "
                                      f"{st.recount()} != {kept}")
@@ -556,7 +559,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         if events >= max_events:
             raise SimulationTimeout(
                 f"dense run exceeded max_events={max_events} at t={t:.6g}",
-                partial=_dense_traj(out, cons_t, events, ecount))
+                partial=_dense_traj(rows, cons_t, events, ecount))
         t_next = t - math.log(1.0 - rr()) / total
         if si < len(sched) and sched[si] < t_next:
             flush(t_next)
@@ -567,7 +570,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         events += 1
         if rr() * total < vertex_total:
             # opinion rethink: uniform ordered edge, tail adopts head
-            i, j = edge_items[int(rr() * len(edge_items))]  # edges.pick(rnd)
+            i, j = divmod(edge_items[int(rr() * ecount)], n)
             if rr() < 0.5:
                 i, j = j, i
             oi = opb[i]
@@ -597,17 +600,23 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
             else:
                 w = s.s_c0 if conc else s.s_d0
             if w > 0.0 and rr() * envelope < w:
-                key = (i, j) if i < j else (j, i)
+                ji = j * n + i
+                e = ij if i < j else ji
                 if connected:
-                    adjb[ij] = adjb[j * n + i] = 0
+                    adjb[ij] = adjb[ji] = 0
                     ecount -= 1
                     econc -= 1 if conc else 0
-                    edges.discard(key)
+                    k = edge_pos[e]
+                    last = edge_items.pop()
+                    if last != e:
+                        edge_items[k] = last
+                        edge_pos[last] = k
                 else:
-                    adjb[ij] = adjb[j * n + i] = 1
+                    adjb[ij] = adjb[ji] = 1
                     ecount += 1
                     econc += 1 if conc else 0
-                    edges.add(key)
+                    edge_pos[e] = len(edge_items)
+                    edge_items.append(e)
 
     if chain:
         a, b = rho * s.s_c0, rho * s.s_c1
@@ -622,7 +631,7 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
                 raise SimulationTimeout(
                     f"dense run exceeded max_events={max_events} after "
                     f"t={t:.6g}",
-                    partial=_dense_traj(out, cons_t, max_events, ecount))
+                    partial=_dense_traj(rows, cons_t, max_events, ecount))
             events += k
             if lam > 0.0:
                 gone = -math.expm1(-lam * gap)
@@ -633,19 +642,10 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
             flush(math.nextafter(u, math.inf))
 
     flush(math.inf)
-    return _dense_traj(out, cons_t, events, ecount)
+    return _dense_traj(rows, cons_t, events, ecount)
 
 
-def _dense_traj(out, cons_t, events, ecount) -> DenseTrajectory:
-    return DenseTrajectory(
-        times=np.asarray(out["t"]),
-        q=np.asarray(out["q"]),
-        p=np.asarray(out["p"]),
-        conc_edge=np.asarray(out["ce"]),
-        disc_edge=np.asarray(out["de"]),
-        conc_nonedge=np.asarray(out["cn"]),
-        disc_nonedge=np.asarray(out["dn"]),
-        consensus_time=cons_t,
-        n_events=events,
-        final_edge_count=ecount,
-    )
+def _dense_traj(rows, cons_t, events, ecount) -> DenseTrajectory:
+    cols = np.array(rows, dtype=float).reshape(-1, 7).T.copy()
+    return DenseTrajectory(*cols, consensus_time=cons_t, n_events=events,
+                           final_edge_count=ecount)

@@ -93,7 +93,10 @@ def _check_cap(max_events, name="max_events"):
 
 
 def _prepared_schedule(schedule, horizon):
-    sched = [float(x) for x in schedule]
+    try:
+        sched = [float(x) for x in schedule]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError("schedule times must be numbers") from None
     if any(math.isnan(x) for x in sched) or (horizon is not None
                                              and math.isnan(horizon)):
         raise InvalidParameterError("horizon and schedule times must not be "
@@ -454,7 +457,9 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
     set, the caller's graph is left untouched; with it, the graph is handed
     back with the final edges, renumbered.  With ``horizon=None`` the run
     raises :class:`SimulationTimeout` as soon as the isolated vertices
-    disagree with each other or with all the rest.
+    disagree with each other or with all the rest.  The cost grows linearly
+    with nu times the horizon: nu = 1e12 runs to ``max_events`` (1e9 by
+    default, minutes) in a unit of time.
     """
     if not 0 <= nu < math.inf:
         raise InvalidParameterError("rewiring rate must be finite and >= 0")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ def test_dense_state_counts_and_recount(rng):
     assert sum(st.pair_class_counts()) == st.n_pairs
 
 
+def test_dense_state_holds_no_object_per_edge():
+    # about 26,500 edges: with a set of (i, j) tuples and a dict of their
+    # positions the constructor peaked near 5.3 MB under tracemalloc; the
+    # matrices and counts alone take about 0.7 MB
+    st = coevolution.init_positional(400, rng=np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        DenseState(st.opinions, st.adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_dense_state_validation():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = True  # asymmetric
@@ -210,6 +225,11 @@ def test_dense_state_validation():
     # run_dense reads the opinion bytes as booleans
     with pytest.raises(InvalidParameterError, match="0 or 1"):
         DenseState([0, 2, 0], np.zeros((3, 3), dtype=bool))
+    with pytest.raises(InvalidParameterError, match="1-D"):
+        DenseState(np.zeros((1, 2)), np.zeros((1, 1), dtype=bool))
+    for n in (3.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            DenseState.iid(n, 0.5, 0.5, np.random.default_rng(0))
 
 
 def test_init_positional_extremes(rng):
@@ -222,6 +242,9 @@ def test_init_positional_extremes(rng):
     bad = lambda x, y: 1.5 * np.ones_like(x)
     with pytest.raises(InvalidParameterError):
         coevolution.init_positional(30, bad, zero, rng)
+    nan = lambda x, y: np.full_like(x, np.nan)
+    with pytest.raises(InvalidParameterError, match="profile leaves"):
+        coevolution.init_positional(10, nan, zero, rng)
 
 
 def test_init_positional_conflict_density(rng):
@@ -288,6 +311,9 @@ def test_dense_validation(rng):
         coevolution.run_dense(st, -1.0, 1.0, FIG9, 1.0, [], rng)
     with pytest.raises(InvalidParameterError):
         coevolution.run_dense(st, 1.0, 1.0, FIG9, None, [], rng)
+    for grid in (["x"], [None]):
+        with pytest.raises(InvalidParameterError, match="numbers"):
+            coevolution.run_dense(st, 1.0, 1.0, FIG9, 1.0, grid, rng)
     # the post-consensus chain cannot carry the edge count over a negative
     # or infinite gap
     for horizon in (-1.0, math.inf):

@@ -76,6 +76,9 @@ def test_schedule_validation(rng):
         dynamics.run_voter(g, st, 1.0, [0.5, 2.0], rng)
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter(g, st, 1.0, [-0.5], rng)
+    for grid in (["x"], [None], [10**400]):
+        with pytest.raises(InvalidParameterError, match="numbers"):
+            dynamics.run_voter(g, st, 1.0, grid, rng)
 
 
 def test_two_vertex_consensus_is_exponential_rate_two():

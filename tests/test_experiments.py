@@ -63,7 +63,8 @@ def test_bad_sample_grid_is_refused_before_any_replica_runs(monkeypatch):
     def no_graph(model, rng):
         raise AssertionError("a replica ran")
     monkeypatch.setattr(experiments, "build_graph", no_graph)
-    for grid in ([1.0, 0.5], [0.0, float("nan")], [-1.0], [4.0]):
+    for grid in ([1.0, 0.5], [0.0, float("nan")], [-1.0], [4.0], ["x"],
+                 [None]):
         with pytest.raises(InvalidParameterError):
             experiments.run_ensemble(small_cfg(sample_times=grid))
 

@@ -24,6 +24,10 @@ unchecked dense runs moved from the event loop to the exact edge-count
 chain once the opinions are unanimous, after the law tests of
 ``test_dense_chain.py`` passed; its former digest is the one the same run
 gives with ``check=True``, which keeps the event loop to the horizon.
+The ``dense-iid`` row, an unchecked run from ``DenseState.iid``, was
+recorded while ``DenseState`` kept its edges as a set of ``(i, j)`` tuples,
+before ``run_dense`` moved to a list of integer pair ids, which keeps
+every dense digest.
 The six ``lockstep-*`` rows are ``run_ensemble`` ensembles of 16 or more
 replicas, which step together in ``_lockstep``: regular moves, moves
 through the CSR of copying slots (with isolated vertices), self-loops and
@@ -150,9 +154,9 @@ def _holme_newman(seed, beta=0.5, extra=None):
                         outcome.final_heart_fraction)
 
 
-def _dense(seed, n=30, check=True):
+def _dense(seed, n=30, check=True, init=None):
     rng = np.random.default_rng(seed)
-    state = coevolution.init_positional(n, rng=rng)
+    state = init(n, rng) if init else coevolution.init_positional(n, rng=rng)
     s = coevolution.SwitchProbs(s_c1=0.5, s_c0=1.5, s_d1=2.0, s_d0=0.7)
     tr = coevolution.run_dense(state, 1.0, 1.0, s, 2.0, np.linspace(0, 2, 11),
                                rng, check=check)
@@ -203,6 +207,10 @@ CASES = {
     "dense-checked": (_dense, 114),
     "voter-rrg-multigraph": (_static, "rrg-multigraph", 116),
     "dense-unchecked": (_dense, 117, 60, False),
+    # independent pair coins: the edge list starts in row-major order, as
+    # it does after the positional init
+    "dense-iid": (_dense, 122, 60, False,
+                  lambda n, rng: coevolution.DenseState.iid(n, 0.4, 0.5, rng)),
     # a self-loop at vertex 5 and a second copy of edge 0
     "holme-newman-multigraph": (_holme_newman, 118, 0.2,
                                 lambda u0, v0: [(5, 5), (u0, v0)]),
@@ -245,6 +253,8 @@ DIGESTS = {
         "344ce05f8dbeaec08ffe56f56d1bb82398e243e4b621754d8ef058daeb078c48",
     "dense-checked":
         "147592f6b8205a125be8a8f607b945c640c5e3a16395abf212f311494f6897c8",
+    "dense-iid":
+        "f04c6aa379ba66daefacdc121a7dd1251ab30075bbad2d73982f1412a5661691",
     "dense-unchecked":
         "0bb2bbc334ee5fc70297604d58af3d85c7ae71a2f4b27a55cb6bf0d58e06828f",
     "directed-mixed-in":
