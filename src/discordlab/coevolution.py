@@ -19,7 +19,7 @@ import numpy as np
 from ._sset import SampleableSet, build, toggle
 from .dynamics import _check_cap, _mk_traj, _prepared_schedule
 from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import (_size, count_discordant, generate_erdos_renyi,
+from .graphs import (_real, _size, count_discordant, generate_erdos_renyi,
                      generate_gnm)
 from .limits import SwitchProbs
 
@@ -170,13 +170,14 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     edge clock, so a run costs one step per discordant ring up to
     absorption; beta >= n adopts at every ring, so beta = 1e12 runs as n.
     """
-    if not beta > 0:
+    if not _real(beta, "beta") > 0:
         raise InvalidParameterError("beta must be > 0")
     n = _size(n, "vertex count")
     if n < 2:
         raise InvalidParameterError("need n >= 2")
     _check_cap(max_events)
-    variant = variant.upper().replace("-", "_")
+    if isinstance(variant, str):
+        variant = variant.upper().replace("-", "_")
     if variant not in (TO_RANDOM, TO_SAME):
         raise InvalidParameterError(f"unknown variant {variant!r}")
 
@@ -275,8 +276,9 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     across a uniform incident edge (prob 1-beta).  Isolated picks are no-ops.
     Time is counted in steps; stops when no discordant edge remains.
     """
-    if not 0.0 <= beta <= 1.0:
+    if not 0.0 <= _real(beta, "beta") <= 1.0:
         raise InvalidParameterError("beta must be in [0,1]")
+    n = _size(n, "vertex count")
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     _check_cap(max_steps, "max_steps")
@@ -353,8 +355,12 @@ class DenseState:
     """
 
     def __init__(self, opinions, adj):
-        opinions = np.asarray(opinions, dtype=np.int8)
-        adj = np.asarray(adj, dtype=bool)
+        try:
+            opinions = np.asarray(opinions, dtype=np.int8)
+            adj = np.asarray(adj, dtype=bool)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameterError(
+                "opinions and adjacency must be arrays of numbers") from None
         if opinions.ndim != 1:
             raise InvalidParameterError("opinions must be a 1-D array")
         n = len(opinions)
@@ -381,7 +387,8 @@ class DenseState:
         n = _size(n, "vertex count")
         if n < 2:
             raise InvalidParameterError("need n >= 2")
-        if not (0.0 <= p0 <= 1.0 and 0.0 <= q0 <= 1.0):
+        if not (0.0 <= _real(p0, "p0") <= 1.0
+                and 0.0 <= _real(q0, "q0") <= 1.0):
             raise InvalidParameterError("densities must be in [0,1]")
         ops = (rng.random(n) < q0).astype(np.int8)
         adj = np.zeros((n, n), dtype=bool)
@@ -502,7 +509,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     time.  The cost grows linearly with rho times the horizon: rho = 1e12
     runs to ``max_events`` (1e9 by default, minutes) in a unit of time.
     """
-    if not (0 <= eta < math.inf and 0 <= rho < math.inf):
+    if not (0 <= _real(eta, "eta") < math.inf
+            and 0 <= _real(rho, "rho") < math.inf):
         raise InvalidParameterError("rates must be finite and >= 0")
     if state.n < 2:
         raise InvalidParameterError("need n >= 2")

@@ -11,7 +11,9 @@ two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'} (a null
 when t is s or s').  A gap between sample times holds Poisson many
 proposals, an event in it is placed by a Beta draw, and with no horizon the
 K-th proposal comes at a Gamma(K) time.  An adoption that changes no
-opinion is not an event.
+opinion is not an event.  A block reaches the Python loop as lists read
+through shared tables of vertex and slot ids, so it makes no int of its
+own.
 
 On the K_n of ``generate_complete``, held as n alone, the heart count runs
 as a birth-death chain instead, its jumps also drawn from ``rng`` in numpy
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import DirectedGraph, Graph, _size, count_discordant
+from .graphs import DirectedGraph, Graph, _real, _size, count_discordant
 
 __all__ = [
     "OpinionState",
@@ -77,7 +79,7 @@ class Trajectory:
 
 def init_opinions_iid(n, u, rng) -> OpinionState:
     """i.i.d. Bernoulli(u) hearts."""
-    if not 0.0 <= u <= 1.0:
+    if not 0.0 <= _real(u, "u") <= 1.0:
         raise InvalidParameterError("u must be in [0,1]")
     n = _size(n, "vertex count")
     if n < 1:
@@ -87,8 +89,9 @@ def init_opinions_iid(n, u, rng) -> OpinionState:
 
 
 def _check_cap(max_events, name="max_events"):
-    """Refuse a negative (or NaN) event cap; a cap of 0 allows no event."""
-    if not max_events >= 0:
+    """Refuse a negative, NaN or non-numeric event cap; a cap of 0 allows
+    no event."""
+    if not _real(max_events, name) >= 0:
         raise InvalidParameterError(f"{name} must be >= 0")
 
 
@@ -97,8 +100,8 @@ def _prepared_schedule(schedule, horizon):
         sched = [float(x) for x in schedule]
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError("schedule times must be numbers") from None
-    if any(math.isnan(x) for x in sched) or (horizon is not None
-                                             and math.isnan(horizon)):
+    if any(math.isnan(x) for x in sched) or (
+            horizon is not None and math.isnan(_real(horizon, "horizon"))):
         raise InvalidParameterError("horizon and schedule times must not be "
                                     "NaN")
     if any(x < 0 for x in sched):
@@ -150,8 +153,13 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
                     max_events, check, mutate_graph, adopt_from=None):
     """Every voter run off an implicit K_n: on an undirected graph, or on a
     :class:`DirectedGraph` when ``adopt_from`` is given.  Through slot
-    ``s`` vertex ``owner[s]`` copies ``src[s]``; the slots are sorted by
-    owner, and slot ``slots`` is a null (vertex 0 copying itself)."""
+    ``s`` vertex ``owner_a[s]`` copies ``src_a[s]``; the slots are sorted
+    by owner, and slot ``slots`` is a null (vertex 0 copying itself).
+
+    Every list the loop reads is a take through one of two object arrays
+    built once per run, the vertex ids and the slot ids, so it makes no int
+    of its own: without swaps the vertices that copy and those they copy,
+    with swaps the stubs ``S`` and ``T``, their owners and ``partner``."""
     _check_cap(max_events)
     n, m = g.n, g.m
     if adopt_from is None:
@@ -179,9 +187,18 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
     samples = _Samples(schedule, horizon)
     slots = len(owner_a)
     per_edge = slots // m  # two stubs to an edge, one slot to an arc
-    owner, src = owner_a.tolist() + [0], src_a.tolist() + [0]
-    # with swaps the matching changes, and src with it
-    partner = match.tolist() + [slots] if nu > 0 else None
+    verts = np.arange(n, dtype=object)
+    if nu > 0:
+        # with swaps the matching changes; slot id -1 comes last, so that
+        # index -1 reads it
+        sids = np.append(np.arange(slots + 1), -1).astype(object)
+        owner = verts[owner_a].tolist() + [0]
+        partner = sids[np.append(match, slots)].tolist()
+    else:
+        partner = None
+        # the vertex that copies and the one copied through each slot
+        copying = verts[np.append(owner_a, 0)]
+        copied = verts[np.append(src_a, 0)]
     csr = None if deg.min() == deg.max() else (np.cumsum(deg) - deg, deg)
     pair_rate = nu / (2.0 * m)
     # a swap proposal is a null one time in m, so each pair of edges swaps
@@ -190,7 +207,9 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
     ops = list(state.opinions)
     heart = sum(ops)
 
-    def recount(verify):
+    # bound as defaults, so that the loop below reads ops, partner and n
+    # as plain locals and not as cells of this closure
+    def recount(verify, ops=ops, partner=partner, n=n):
         """Discordant edges now; with ``verify``, held to
         :func:`count_discordant`."""
         if partner is None:
@@ -206,7 +225,8 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
         # closed classes of the copy graph (the components of an undirected
         # one), with them each isolated vertex and all the rest
         if nu == 0:
-            cls = _closed_classes(n, owner[:slots], src[:slots])
+            cls = _closed_classes(n, copying[:slots].tolist(),
+                                  copied[:slots].tolist())
         else:
             iso = deg == 0
             cls = (np.cumsum(iso) * iso).tolist() if iso.any() else None
@@ -238,14 +258,17 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
                 B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
                 S, T, cum = _proposals(rng, B, n / total, n, slots, csr,
                                        partner is not None)
+                if partner is None:
+                    S, T = copying[S].tolist(), copied[S].tolist()
+                else:
+                    S, T = sids[S].tolist(), sids[T].tolist()
                 pos = 0
             c = int(min(K - j, B - pos, max_events - events))
             si = iter(S[pos:pos + c])
             if partner is None:
-                # an adoption through slot s
-                for s in si:
-                    x = ops[src[s]]
-                    v = owner[s]
+                # vertex v copies vertex w
+                for v, w in zip(si, T[pos:pos + c]):
+                    x = ops[w]
                     if ops[v] != x:
                         ops[v] = x
                         flips += 1
@@ -306,30 +329,33 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
 
 
 def _proposals(rng, size, pa, n, slots, csr, swaps):
-    """``size`` proposals: a list ``S`` of slots and, with ``swaps``, a
-    list ``T`` and the running count of swaps (else ``None, None``).  With
-    probability ``pa`` an adoption through a uniform slot ``S`` of a uniform
-    vertex (``T = -1``), through the null slot ``slots`` at a vertex with
-    none; else a swap of the uniform stubs ``S`` and ``T``."""
+    """``size`` proposals as int64 arrays: the slots ``S`` and, with
+    ``swaps``, ``T`` and the running count of swaps (else ``None, None``).
+    With probability ``pa`` an adoption through a uniform slot ``S`` of a
+    uniform vertex (``T = -1``), through the null slot ``slots`` at a
+    vertex with none; else a swap of the uniform stubs ``S`` and ``T``."""
     u, y = rng.random((2, size))
-    adopt = u < pa if swaps else slice(None)  # pa == 1 without swaps
+    # the adoption slot of every proposal, kept where u < pa (every one
+    # without swaps, where pa == 1)
     if csr is None:
-        a = (y[adopt] * slots).astype(np.int64)
+        a = (y * slots).astype(np.int64)
     else:
         off, deg = csr
-        v = np.minimum((u[adopt] * (n / pa)).astype(np.int64), n - 1)
+        v = np.minimum((u * (n / pa)).astype(np.int64), n - 1)
         d = deg[v]
-        a = np.where(d > 0, off[v] + (y[adopt] * d).astype(np.int64), slots)
+        a = np.where(d > 0, off[v] + (y * d).astype(np.int64), slots)
     if not swaps:
-        return a.tolist(), None, None
-    t = (y * slots).astype(np.int64)
+        return a, None, None
+    adopt = u < pa
     # rounding in pa can carry this product to its upper bound; a pa that
     # rounds to 1 makes every proposal an adoption
-    s = np.minimum(((u - pa) * (slots / (1.0 - pa))).astype(np.int64),
-                   slots - 1) if pa < 1.0 else np.empty_like(t)
-    s[adopt] = a
+    s = np.where(adopt, a, np.minimum(
+        ((u - pa) * (slots / (1.0 - pa))).astype(np.int64), slots - 1)
+        if pa < 1.0 else 0)
+    # the stub T of a swap is y * slots, as ``a`` is on a regular graph
+    t = a if csr is None else (y * slots).astype(np.int64)
     t[adopt] = -1
-    return s.tolist(), t.tolist(), np.cumsum(t >= 0)
+    return s, t, np.cumsum(t >= 0)
 
 
 def _matched_edges(owner, partner):
@@ -461,7 +487,7 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
     with nu times the horizon: nu = 1e12 runs to ``max_events`` (1e9 by
     default, minutes) in a unit of time.
     """
-    if not 0 <= nu < math.inf:
+    if not 0 <= _real(nu, "rewiring rate") < math.inf:
         raise InvalidParameterError("rewiring rate must be finite and >= 0")
     if nu == 0:
         return run_voter(g, state, horizon, schedule, rng,

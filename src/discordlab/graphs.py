@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -240,6 +241,14 @@ def _size(x, what) -> int:
     raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
 
 
+def _real(x, what):
+    """``x`` itself if it is a real number, NaN and the infinities
+    included; anything else raises InvalidParameterError."""
+    if isinstance(x, numbers.Real):
+        return x
+    raise InvalidParameterError(f"{what} must be a number, got {x!r}")
+
+
 def generate_complete(n) -> Graph:
     """Simple graph on n >= 2 vertices with all C(n,2) edges, held as n
     alone: its endpoint arrays are built on each read."""
@@ -358,6 +367,7 @@ def generate_erdos_renyi(n, p, rng) -> Graph:
 
 def generate_gnm(n, m, rng) -> Graph:
     """Uniform simple graph with exactly m edges (G(n,m))."""
+    n, m = _size(n, "vertex count"), _size(m, "edge count")
     n_pairs = n * (n - 1) // 2
     if not 0 <= m <= n_pairs:
         raise InvalidParameterError(f"edge count must be in [0, {n_pairs}]")

@@ -117,13 +117,21 @@ def test_rewire_model_validation(rng):
         coevolution.run_rewire_model(5, 1.0, "TO_RANDOM", rng, max_events=-1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5, "5"])
 def test_size_that_is_no_integer_is_refused(rng, bad):
-    # each leaked a ValueError, TypeError or OverflowError
+    # each leaked a ValueError, TypeError or OverflowError; Holme-Newman
+    # refused a NaN or infinite n as "edge count must be in [0, nan]",
+    # leaked a TypeError for 4.5 and "5", and drew 5 edges for 4.5
     with pytest.raises(InvalidParameterError):
         coevolution.run_rewire_model(bad, 1.0, coevolution.TO_RANDOM, rng)
     with pytest.raises(InvalidParameterError):
         coevolution.init_positional(bad, rng=rng)
+    with pytest.raises(InvalidParameterError,
+                       match="vertex count must be an integer"):
+        coevolution.run_holme_newman(bad, 2, 0.5, rng)
+    with pytest.raises(InvalidParameterError,
+                       match="edge count must be an integer"):
+        coevolution.run_holme_newman(10, bad, 0.5, rng)
     assert coevolution.init_positional(np.int64(6), rng=rng).n == 6
 
 
@@ -184,6 +192,27 @@ def test_holme_newman_validation(rng):
         coevolution.run_holme_newman(10, 5, 1.5, rng)
     with pytest.raises(InvalidParameterError, match="max_steps"):
         coevolution.run_holme_newman(10, 5, 0.5, rng, max_steps=-1)
+
+
+# each leaked a TypeError, an AttributeError or a ValueError
+@pytest.mark.parametrize("call", [
+    lambda rng: coevolution.run_rewire_model(10, "x", "TO_RANDOM", rng),
+    lambda rng: coevolution.run_rewire_model(10, 1.0, 3, rng),
+    lambda rng: coevolution.run_holme_newman(10, 5, "x", rng),
+    lambda rng: coevolution.DenseState(["a", "b"], np.zeros((2, 2), bool)),
+    lambda rng: coevolution.DenseState.iid(5, "x", 0.5, rng),
+    lambda rng: coevolution.run_dense(
+        coevolution.DenseState.iid(5, 0.5, 0.5, rng), 1.0, 1.0,
+        SwitchProbs(0.5, 1.5, 2.0, 0.7), "x", [], rng),
+    lambda rng: coevolution.run_dense(
+        coevolution.DenseState.iid(5, 0.5, 0.5, rng), "x", 1.0,
+        SwitchProbs(0.5, 1.5, 2.0, 0.7), 1.0, [], rng),
+], ids=["rewire-beta", "rewire-variant", "holme-newman-beta",
+        "dense-opinions", "dense-iid-density", "dense-horizon",
+        "dense-rate"])
+def test_non_numeric_argument_is_refused(rng, call):
+    with pytest.raises(InvalidParameterError):
+        call(rng)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,22 @@ def test_init_extremes(rng):
         dynamics.init_opinions_iid(10, 1.5, rng)
 
 
+# each leaked a TypeError, from a comparison or from math.isnan
+@pytest.mark.parametrize("call", [
+    lambda g, st, rng: dynamics.run_voter(g, st, "x", [], rng),
+    lambda g, st, rng: dynamics.run_voter(g, st, 1.0, [], rng,
+                                          max_events="x"),
+    lambda g, st, rng: dynamics.run_voter_rewiring(g, st, "x", 1.0, [], rng),
+    lambda g, st, rng: dynamics.consensus_time(g, st, rng, nu="x"),
+    lambda g, st, rng: dynamics.init_opinions_iid(5, "x", rng),
+], ids=["horizon", "max-events", "nu", "consensus-nu", "u"])
+def test_non_numeric_argument_is_refused(rng, call):
+    g = graphs.generate_random_regular(10, 3, rng)
+    st = dynamics.init_opinions_iid(10, 0.5, rng)
+    with pytest.raises(InvalidParameterError):
+        call(g, st, rng)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5])
 def test_init_refuses_a_size_that_is_no_integer(rng, bad):
     # NaN leaked a ValueError and inf an OverflowError from numpy

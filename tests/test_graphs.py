@@ -42,7 +42,9 @@ def test_complete_rejects_small():
         graphs.generate_complete(1)
 
 
-# each leaked a ValueError, TypeError or OverflowError
+# each leaked a ValueError, TypeError or OverflowError; G(n,m) refused a
+# NaN or infinite n as "edge count must be in [0, nan]", leaked a
+# TypeError for "6", and drew 5 edges for an edge count of 4.5
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5, "6"])
 def test_size_that_is_no_integer_is_refused(rng, bad):
     with pytest.raises(InvalidParameterError):
@@ -51,6 +53,12 @@ def test_size_that_is_no_integer_is_refused(rng, bad):
         graphs.generate_erdos_renyi(bad, 0.5, rng)
     with pytest.raises(InvalidParameterError):
         graphs.generate_directed_configuration([bad, 1], [bad, 1], rng)
+    with pytest.raises(InvalidParameterError,
+                       match="vertex count must be an integer"):
+        graphs.generate_gnm(bad, 5, rng)
+    with pytest.raises(InvalidParameterError,
+                       match="edge count must be an integer"):
+        graphs.generate_gnm(10, bad, rng)
 
 
 # each leaked ValueError: "Maximum allowed size exceeded" or, where int64

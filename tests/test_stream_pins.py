@@ -40,6 +40,11 @@ The two ``rrg-edges-*`` rows pin ``generate_random_regular`` alone, under
 each policy; they were recorded while it shuffled the stubs as
 ``owner[rng.permutation(n * d)]``, before ``rng.permutation(owner)``,
 which gives the same array and leaves the generator in the same state.
+The ``consensus-rewiring-long``, ``cap-static`` and ``cap-rewiring`` rows
+fill whole blocks of 16,384 proposals, and the last two stop on an event
+cap inside one; they were recorded while the literal-clock engine made
+each block's lists with ``tolist()``, before the lists read through
+shared tables of vertex and slot ids, which keeps every digest.
 No row covers the
 heart-count chain of an implicit K_n, whose law is tested in
 ``test_complete_chain.py``.  The consensus runs are time-bounded, so that
@@ -52,6 +57,7 @@ import numpy as np
 import pytest
 
 from discordlab import coevolution, dynamics, experiments, graphs
+from discordlab.errors import SimulationTimeout
 
 from _deadline import deadline
 from _oracles import reference_directed, reference_rewiring
@@ -122,14 +128,26 @@ def _directed(kind, adopt_from, seed, run=dynamics.run_voter_directed):
     return _traj_digest(traj)
 
 
-def _consensus(nu, seed, reference=False):
+def _consensus(nu, seed, reference=False, n=40):
     rng = np.random.default_rng(seed)
-    g = graphs.generate_random_regular(40, 3, rng)
+    g = graphs.generate_random_regular(n, 3, rng)
     st = dynamics.init_opinions_iid(g.n, 0.5, rng)
     if reference:
         return _digest(_reference_voter(g, st, None, [], rng).consensus_time)
     with deadline():
         return _digest(dynamics.consensus_time(g, st, rng, nu=nu))
+
+
+def _capped(nu, seed, cap):
+    """The partial trajectory of a run on rrg N=500 stopped by an event
+    cap of ``cap``, which it reaches before its horizon."""
+    rng = np.random.default_rng(seed)
+    g = graphs.generate_random_regular(500, 3, rng)
+    st = dynamics.init_opinions_iid(g.n, 0.5, rng)
+    with pytest.raises(SimulationTimeout) as e:
+        dynamics.run_voter_rewiring(g, st, nu, 500.0, np.linspace(0, 500, 51),
+                                    rng, max_events=cap)
+    return _traj_digest(e.value.partial)
 
 
 def _rewire_model(variant, beta, seed, n=40):
@@ -201,6 +219,12 @@ CASES = {
     "directed-mixed-in": (_directed, "mixed", "in", 108),
     "consensus-static": (_consensus, 0.0, 109),
     "consensus-rewiring": (_consensus, 10.0, 110),
+    # the benchmark's shape: about 114k proposals, in blocks of 16,384
+    "consensus-rewiring-long": (_consensus, 10.0, 123, False, 200),
+    # event caps reached inside a block of 16,384 proposals (about 131k
+    # drawn), without and with swaps
+    "cap-static": (_capped, 0.0, 130, 30000),
+    "cap-rewiring": (_capped, 10.0, 131, 100000),
     "rewire-to-random": (_rewire_model, coevolution.TO_RANDOM, 4.0, 111),
     "rewire-to-same": (_rewire_model, coevolution.TO_SAME, 0.5, 112),
     "holme-newman": (_holme_newman, 113),
@@ -247,8 +271,14 @@ CASES = {
 }
 
 DIGESTS = {
+    "cap-rewiring":
+        "b310b5167112ceea09135f058d5e094594972cdc7aa55ca03064996fd053507b",
+    "cap-static":
+        "d115051e251da4789640bc233de751c41b30fd3dfc7b5be45ac7815b56e4d9fc",
     "consensus-rewiring":
         "635bc8c619dba3bd5f3a5739743014ee12dbd5a824d38edc28d295030a225726",
+    "consensus-rewiring-long":
+        "3bacda52eac462c32be78edb5c050922556eddf6df6fa2a4889dc914eadd90ea",
     "consensus-static":
         "344ce05f8dbeaec08ffe56f56d1bb82398e243e4b621754d8ef058daeb078c48",
     "dense-checked":
@@ -331,6 +361,10 @@ REFERENCE_CASES = {
 }
 
 REFERENCE_DIGESTS = {
+    "cap-rewiring":
+        "b310b5167112ceea09135f058d5e094594972cdc7aa55ca03064996fd053507b",
+    "cap-static":
+        "d115051e251da4789640bc233de751c41b30fd3dfc7b5be45ac7815b56e4d9fc",
     "consensus-static":
         "c7fdbf7b94a0069ba36fb42d01b0b50affbc3f13e3c74e9cdf873445343aa4db",
     "voter-er":
@@ -358,6 +392,10 @@ REFERENCE_DIRECTED_CASES = {
 }
 
 REFERENCE_DIRECTED_DIGESTS = {
+    "cap-rewiring":
+        "b310b5167112ceea09135f058d5e094594972cdc7aa55ca03064996fd053507b",
+    "cap-static":
+        "d115051e251da4789640bc233de751c41b30fd3dfc7b5be45ac7815b56e4d9fc",
     "directed-mixed-in":
         "4b78d3d932ec7a2c86bb82616bca13a23ef71bc5127ac0a4d2cc3a3d42daf167",
     "directed-mixed-out":
