@@ -1,14 +1,16 @@
-"""The discordant-slot set that ``run_rewire_model`` keeps, to draw a
-uniform discordant edge, and its O(1) sampling.
+"""The swap-with-tail sets of the co-evolution engines, with O(1)
+sampling: the discordant slots of ``run_rewire_model`` and the two
+opinion classes of its TO_SAME variant and of ``run_holme_newman``.
 
-Format: a list ``items`` of the member slots plus a list ``pos`` indexed by
-slot id, ``pos[e]`` being the index of ``e`` in ``items`` or -1 when ``e``
-is absent.  Insertion appends; removal moves the last element into the
-hole, so membership changes and uniform draws are O(1) (the swap-with-tail
-trick of the epidemic-simulation literature).  Member order is part of the
-random stream: a uniform draw indexes ``items``, so the engine must
-insert and remove in the same sequence to reproduce a run.  ``run_dense``
-keeps its edges in this format inline, with pair ids as the slots.
+Format: a list ``items`` of the members plus a list ``pos`` indexed by
+id, ``pos[e]`` being the index of ``e`` in its list (in a slot set, -1
+when ``e`` is absent).  Insertion appends; removal moves the last element
+into the hole, so membership changes and uniform draws are O(1) (the
+swap-with-tail trick of the epidemic-simulation literature).  Member order
+is part of the random stream: a uniform draw indexes ``items``, so the
+engine must insert and remove in the same sequence to reproduce a run.
+``run_dense`` keeps its edges in this format inline, with pair ids as the
+slots.  The opinion classes share one ``pos``: a vertex is in one of them.
 
 A slot ``e`` joins vertices ``us[e]`` and ``vs[e]`` and belongs to the set
 exactly while ``ops[us[e]] != ops[vs[e]]``.  ``build`` files every slot
@@ -18,42 +20,6 @@ concordant, where the engine removes it inline: when a vertex flips, every
 slot at it that is not a self-loop changes discordance, so ``toggle`` reads
 no opinions.
 """
-
-
-class SampleableSet:
-    """The same swap-with-tail format as an object, for sets of anything
-    hashable (the vertices of one opinion in the rewire and Holme-Newman
-    models), with the positions in a dict."""
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self, iterable=()):
-        self.items = []
-        self.pos = {}
-        for x in iterable:
-            self.add(x)
-
-    def __len__(self):
-        return len(self.items)
-
-    def add(self, x):
-        """Insert x if it is not present."""
-        if x not in self.pos:
-            self.pos[x] = len(self.items)
-            self.items.append(x)
-
-    def discard(self, x):
-        """Remove x if present."""
-        i = self.pos.pop(x, -1)
-        if i >= 0:
-            last = self.items.pop()
-            if i < len(self.items):
-                self.items[i] = last
-                self.pos[last] = i
-
-    def pick(self, rnd):
-        """Uniform element, using rnd.random() (bias ~ len/2^53, negligible)."""
-        return self.items[int(rnd.random() * len(self.items))]
 
 
 # The batch functions below take the lists as arguments and inline the
@@ -85,3 +51,26 @@ def toggle(slots, items, pos, us, vs):
             pos[e] = len(items)
             items.append(e)
 
+
+def partition(ops):
+    """``(by_op, pos)`` for the vertices ``range(len(ops))`` of 0/1
+    opinions: ``by_op[x]`` lists the vertices of opinion ``x`` in id order,
+    and ``pos[v]`` is the index of ``v`` in its list."""
+    by_op = ([], [])
+    pos = [0] * len(ops)
+    for v, x in enumerate(ops):
+        members = by_op[x]
+        pos[v] = len(members)
+        members.append(v)
+    return by_op, pos
+
+
+def move(v, src, dst, pos):
+    """Take vertex ``v`` out of list ``src`` and append it to ``dst``."""
+    i = pos[v]
+    last = src.pop()
+    if last != v:
+        src[i] = last
+        pos[last] = i
+    pos[v] = len(dst)
+    dst.append(v)

@@ -183,6 +183,9 @@ def cmd_coevolve(args, argv):
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     outputs = [args.out]
+    if args.coevo_model != "dense":
+        _require(args.horizon is None and args.samples is None,
+                 "--horizon and --samples apply to --model dense only")
     if args.coevo_model in ("rewire-random", "rewire-same"):
         _require(args.n is not None and args.beta is not None,
                  "--n and --beta are required")
@@ -203,14 +206,15 @@ def cmd_coevolve(args, argv):
     elif args.coevo_model == "dense":
         _require(args.n is not None, "--n is required")
         _require(args.horizon is not None, "--horizon is required for dense")
-        _require(args.samples >= 0, "--samples must be >= 0")
+        samples = 101 if args.samples is None else args.samples
+        _require(samples >= 0, "--samples must be >= 0")
         s = coevolution.SwitchProbs(s_c1=args.sc1, s_c0=args.sc0,
                                     s_d1=args.sd1, s_d0=args.sd0)
         if args.init == "positional":
             state = coevolution.init_positional(args.n, rng=rng)
         else:
             state = coevolution.DenseState.iid(args.n, args.p0, args.q0, rng)
-        schedule = np.linspace(0.0, args.horizon, args.samples)
+        schedule = np.linspace(0.0, args.horizon, samples)
         traj = coevolution.run_dense(state, args.eta, args.rho, s,
                                      args.horizon, schedule, rng,
                                      max_events=args.max_events)
@@ -415,8 +419,8 @@ def build_parser():
     c.add_argument("--q0", type=float, default=0.5)
     c.add_argument("--init", choices=["positional", "iid"],
                    default="positional")
-    c.add_argument("--horizon", type=_finite)
-    c.add_argument("--samples", type=int, default=101)
+    c.add_argument("--horizon", type=_finite, help="dense only")
+    c.add_argument("--samples", type=int, help="dense only (default 101)")
     c.add_argument("--seed", type=int)
     c.add_argument("--out", required=True)
     c.add_argument("--quiet", action="store_true")

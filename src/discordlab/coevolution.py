@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sset import SampleableSet, build, toggle
-from .dynamics import _check_cap, _mk_traj, _prepared_schedule
-from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import (_real, _size, count_discordant, generate_erdos_renyi,
-                     generate_gnm)
+from ._sset import build, move, partition, toggle
+from .dynamics import (_check_cap, _mk_traj, _opinion_list,
+                       _prepared_schedule)
+from .errors import InvalidParameterError, SimulationTimeout, _real, _size
+from .graphs import count_discordant, generate_erdos_renyi, generate_gnm
 from .limits import SwitchProbs
 
 __all__ = [
@@ -84,18 +84,12 @@ class DenseTrajectory:
     final_edge_count: int = 0
 
 
-def classify_outcome(state_or_heart, n_vertices=None, n_discordant=None) -> str:
+def classify_outcome(heart, n, n_discordant) -> str:
     """CONSENSUS if one opinion died out, POLARISATION if both persist with
     no discordant connected pair, UNRESOLVED otherwise (horizon/step cap)."""
-    if isinstance(state_or_heart, DenseState):
-        heart = state_or_heart.heart_count
-        n = state_or_heart.n
-        disc = state_or_heart.edge_disc
-    else:
-        heart, n, disc = state_or_heart, n_vertices, n_discordant
     if heart in (0, n):
         return CONSENSUS
-    if disc == 0:
+    if n_discordant == 0:
         return POLARISATION
     return UNRESOLVED
 
@@ -163,7 +157,9 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     adopts with probability beta/n, otherwise a uniform endpoint keeps the
     edge and it reattaches to a uniform vertex drawn from all vertices
     (TO_RANDOM, self-loops possible) or from the other vertices sharing the
-    keeper's opinion (TO_SAME; no-op if there are none).
+    keeper's opinion (TO_SAME; no-op if there are none).  When given,
+    ``initial_graph`` and ``initial_opinions`` (n values, each 0 or 1)
+    replace the random start.
 
     Returns (AbsorptionOutcome, Trajectory); hitting max_events yields
     verdict UNRESOLVED with the partial trajectory.  No rate scales the
@@ -186,13 +182,10 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     g = initial_graph if initial_graph is not None \
         else generate_erdos_renyi(n, 0.5, rng)
     if initial_opinions is not None:
-        ops = list(initial_opinions)
-        if len(ops) != n:
-            raise InvalidParameterError("opinion vector length != n")
+        ops = _opinion_list(initial_opinions, n)
     else:
         ops = (rng.random(n) < 0.5).astype(np.int8).tolist()
-    rnd = _derive_rnd(rng)
-    rr = rnd.random
+    rr = _derive_rnd(rng).random
 
     # the engine edits fresh endpoint lists and keeps set incidence, so
     # the graph's incidence lists are never built
@@ -204,8 +197,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
         inc[ev[e]].add(e)
     heart = sum(ops)
     if same:
-        by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
-                 SampleableSet(v for v in range(n) if ops[v] == 1))
+        by_op, op_pos = partition(ops)
     disc_items, disc_pos = build(eu, ev, ops)
 
     adopt_p = beta / n
@@ -233,8 +225,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
             ops[flip] = ops[other]
             heart += 1 if ops[other] == 1 else -1
             if same:
-                by_op[old].discard(flip)
-                by_op[1 - old].add(flip)
+                move(flip, by_op[old], by_op[1 - old], op_pos)
             toggle(inc[flip], disc_items, disc_pos, eu, ev)
         else:
             if rr() < 0.5:
@@ -249,7 +240,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
                 # reattach: w = lose leaves e as it is
                 w = keep if len(cand) > 1 else lose
                 while w == keep:
-                    w = cand.pick(rnd)
+                    w = cand[int(rr() * len(cand))]
             if w != lose:
                 inc[lose].discard(e)
                 inc[w].add(e)
@@ -285,14 +276,12 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     g = initial_graph if initial_graph is not None \
         else generate_gnm(n, m_edges, rng)
     ops = (rng.random(n) < 0.5).astype(np.int8).tolist()
-    rnd = _derive_rnd(rng)
-    rr = rnd.random
+    rr = _derive_rnd(rng).random
 
     eu, ev, inc = g.eu, g.ev, g.inc  # fresh lists: the engine edits them
     m = g.m
     heart = sum(ops)
-    by_op = (SampleableSet(v for v in range(n) if ops[v] == 0),
-             SampleableSet(v for v in range(n) if ops[v] == 1))
+    by_op, op_pos = partition(ops)
     # no draw reads which edges are discordant, only how many
     nd = count_discordant(g, ops)
 
@@ -316,7 +305,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
                 if len(cand) > 1:
                     w = v
                     while w == v:
-                        w = cand.pick(rnd)
+                        w = cand[int(rr() * len(cand))]
                     if w != other:
                         inc[other].remove(e)
                         inc[w].append(e)
@@ -332,8 +321,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
                         nd += 1 if ops[eu[f]] == ops[ev[f]] else -1
                 ops[v] = ops[other]
                 heart += 1 if ops[other] == 1 else -1
-                by_op[old].discard(v)
-                by_op[1 - old].add(v)
+                move(v, by_op[old], by_op[1 - old], op_pos)
         if steps == kept:
             kept = record(float(steps), heart / n, nd / m)
 
@@ -406,14 +394,9 @@ class DenseState:
     def edge_disc(self) -> int:
         return self.edge_count - self.edge_conc_count
 
-    def pair_class_counts(self):
-        """(edge_conc, edge_disc, nonedge_conc, nonedge_disc); sums to C(n,2)."""
-        return _pair_classes(self.n, self.heart_count, self.edge_count,
-                             self.edge_conc_count)
-
     def recount(self):
         """Brute-force recount of the four pair classes from the matrices,
-        in the order of :meth:`pair_class_counts`."""
+        in the order of :func:`_pair_classes`."""
         iu, iv = np.triu_indices(self.n, k=1)
         conn = self.adj[iu, iv]
         same = self.opinions[iu] == self.opinions[iv]
@@ -427,8 +410,9 @@ class DenseState:
 
 
 def _pair_classes(n, heart, ecount, econc):
-    """The four pair-class counts from the heart, edge and connected-
-    concordant counts, in the order of DenseState.pair_class_counts."""
+    """The four pair-class counts (edge_conc, edge_disc, nonedge_conc,
+    nonedge_disc), which sum to C(n,2), from the heart, edge and
+    connected-concordant counts."""
     nc = heart * (heart - 1) // 2 + (n - heart) * (n - heart - 1) // 2 - econc
     return econc, ecount - econc, nc, n * (n - 1) // 2 - ecount - nc
 

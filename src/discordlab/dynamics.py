@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SimulationTimeout
-from .graphs import DirectedGraph, Graph, _real, _size, count_discordant
+from .errors import InvalidParameterError, SimulationTimeout, _real, _size
+from .graphs import DirectedGraph, Graph, count_discordant
 
 __all__ = [
     "OpinionState",
@@ -51,14 +51,17 @@ DEFAULT_MAX_EVENTS = 10**9
 
 @dataclass
 class OpinionState:
-    """Opinion vector plus its heart count."""
+    """Opinion vector (1 a heart, 0 a diamond) and its heart count."""
 
     opinions: list[int]
-    heart_count: int
 
     @property
     def n(self) -> int:
         return len(self.opinions)
+
+    @property
+    def heart_count(self) -> int:
+        return sum(self.opinions)
 
 
 @dataclass
@@ -84,8 +87,22 @@ def init_opinions_iid(n, u, rng) -> OpinionState:
     n = _size(n, "vertex count")
     if n < 1:
         raise InvalidParameterError("need n >= 1")
-    ops = (rng.random(n) < u).astype(np.int8).tolist()
-    return OpinionState(opinions=ops, heart_count=sum(ops))
+    return OpinionState((rng.random(n) < u).astype(np.int8).tolist())
+
+
+def _opinion_list(opinions, n) -> list:
+    """A fresh list of the opinions of n vertices, each 0 or 1; any other
+    length or value raises InvalidParameterError."""
+    ops = list(opinions)
+    if len(ops) != n:
+        raise InvalidParameterError("opinion vector length != vertex count")
+    try:
+        binary = {0, 1}.issuperset(ops)
+    except TypeError:  # an unhashable entry
+        binary = False
+    if not binary:
+        raise InvalidParameterError("opinions must be 0 or 1")
+    return ops
 
 
 def _check_cap(max_events, name="max_events"):
@@ -182,8 +199,7 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
         us, vs, deg = _copy_arcs(g, adopt_from)
         order = np.argsort(us, kind="stable")
         owner_a, src_a = us[order], vs[order]
-    if len(state.opinions) != n:
-        raise InvalidParameterError("opinion vector length != vertex count")
+    ops = _opinion_list(state.opinions, n)
     samples = _Samples(schedule, horizon)
     slots = len(owner_a)
     per_edge = slots // m  # two stubs to an edge, one slot to an arc
@@ -204,7 +220,6 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
     # a swap proposal is a null one time in m, so each pair of edges swaps
     # at pair_rate
     total = n + pair_rate * m * m / 2.0
-    ops = list(state.opinions)
     heart = sum(ops)
 
     # bound as defaults, so that the loop below reads ops, partner and n
@@ -458,11 +473,9 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
     no per-edge work; ``check=True`` takes the per-edge engine.
     """
     if isinstance(g, Graph) and g.implicit_complete and not check:
-        if len(state.opinions) != g.n:
-            raise InvalidParameterError(
-                "opinion vector length != vertex count")
-        return _voter_complete_engine(g.n, sum(state.opinions), horizon,
-                                      schedule, rng, max_events)
+        heart = sum(_opinion_list(state.opinions, g.n))
+        return _voter_complete_engine(g.n, heart, horizon, schedule, rng,
+                                      max_events)
     return _literal_engine(g, state, 0.0, horizon, schedule, rng,
                            max_events, check, False)
 

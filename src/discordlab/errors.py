@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the checks of numeric
+arguments that raise the parameter error."""
+
+import numbers
 
 
 class DiscordlabError(Exception):
@@ -26,3 +29,22 @@ class NumericError(DiscordlabError, RuntimeError):
 
 class InsufficientDataError(DiscordlabError, RuntimeError):
     """Not enough usable data points for the requested estimate."""
+
+
+def _size(x, what) -> int:
+    """``x`` as an int, for a vertex count or a degree: NaN, an infinity, a
+    fraction or a non-number raises InvalidParameterError."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
+
+
+def _real(x, what):
+    """``x`` itself if it is a real number, NaN and the infinities
+    included; anything else raises InvalidParameterError."""
+    if isinstance(x, numbers.Real):
+        return x
+    raise InvalidParameterError(f"{what} must be a number, got {x!r}")

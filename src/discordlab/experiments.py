@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _lockstep, dynamics, graphs, limits
 from .errors import (InsufficientDataError, InvalidParameterError,
-                     SimulationTimeout)
+                     SimulationTimeout, _real, _size)
 
 __all__ = [
     "ExperimentConfig",
@@ -67,8 +67,11 @@ LOCKSTEP_MIN_REPLICAS = 16
 
 def spawn_rng(master_seed, index) -> np.random.Generator:
     """Independent, order-insensitive stream for replica ``index``."""
+    master_seed, index = _size(master_seed, "seed"), _size(index, "index")
+    if master_seed < 0 or index < 0:
+        raise InvalidParameterError("seed and index must be >= 0")
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),)))
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
 @dataclass
@@ -260,10 +263,6 @@ def _replica(cfg: ExperimentConfig, r: int) -> dict:
     }
 
 
-def _replica_star(args):
-    return _replica(*args)
-
-
 def _takes_lockstep(cfg: ExperimentConfig) -> bool:
     return (cfg.nu == 0.0 and cfg.horizon is not None
             and math.isfinite(cfg.horizon)
@@ -320,8 +319,7 @@ def _replica_ensemble(cfg: ExperimentConfig, workers):
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_replica_star,
-                                 ((cfg, r) for r in range(R)),
+            rows = list(pool.map(_replica, [cfg] * R, range(R),
                                  chunksize=max(1, R // (4 * workers))))
     else:
         rows = [_replica(cfg, r) for r in range(R)]
@@ -448,6 +446,8 @@ def estimate_theta(result: EnsembleResult, n_vertices=None,
         if result.config is None or "n" not in result.config.model:
             raise InvalidParameterError("n_vertices not known; pass it")
         n_vertices = result.config.model["n"]
+    if not _real(n_vertices, "n_vertices") >= 1:
+        raise InvalidParameterError("need n_vertices >= 1")
     x = result.samples[observable]
     moment = np.nanmean(x * (1.0 - x), axis=0)
     s = result.times / n_vertices
@@ -500,8 +500,9 @@ def homogenisation_check(result: EnsembleResult, coefficient=2.0,
 
 def _aggregate(samples, R) -> dict:
     """Per-column mean, variance (ddof=1) and 95% CI half-width of each
-    (R, T) sample array, skipping NaN entries (timed-out replicas).  A
-    column with no finite entry aggregates to NaN, silently."""
+    (R, T) sample array, skipping NaN entries (timed-out replicas): the CI
+    divides by the count of finite entries.  A column with no finite entry
+    aggregates to NaN, silently."""
     mean, var, ci = {}, {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -514,5 +515,6 @@ def _aggregate(samples, R) -> dict:
                 var[name] = np.nanvar(arr, axis=0, ddof=1)
             else:
                 var[name] = np.zeros(arr.shape[1])
-            ci[name] = Z95 * np.sqrt(var[name] / R)
+            finite = np.count_nonzero(np.isfinite(arr), axis=0)
+            ci[name] = Z95 * np.sqrt(var[name] / finite)
     return {"mean": mean, "var": var, "ci_half": ci}

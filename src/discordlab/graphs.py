@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _real, _size
 
 __all__ = [
     "Graph",
@@ -51,7 +50,6 @@ __all__ = [
     "generate_gnm",
     "count_discordant",
     "write_edgelist",
-    "read_edgelist",
 ]
 
 
@@ -140,24 +138,6 @@ class Graph:
     def is_simple(self) -> bool:
         return not self.has_self_loop() and not self.has_multi_edge()
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        eu, ev, inc = self.eu, self.ev, self.inc
-        seen = bytearray(self.n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            v = stack.pop()
-            for e in inc[v]:
-                w = ev[e] if eu[e] == v else eu[e]
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    stack.append(w)
-        return count == self.n
-
 
 class DirectedGraph:
     """Directed multigraph on ``range(n)`` whose arc ``a`` points from
@@ -181,12 +161,6 @@ class DirectedGraph:
 
     def arcs(self):
         return zip(self._ends[0].tolist(), self._ends[1].tolist())
-
-    def out_degrees(self) -> list[int]:
-        return np.bincount(self._ends[0], minlength=self.n).tolist()
-
-    def in_degrees(self) -> list[int]:
-        return np.bincount(self._ends[1], minlength=self.n).tolist()
 
     def copy(self) -> "DirectedGraph":
         g = DirectedGraph(self.n)
@@ -230,25 +204,6 @@ def _grouped(n, keys, ids) -> list[list[int]]:
 _INT64_MAX = 2**63 - 1
 
 
-def _size(x, what) -> int:
-    """``x`` as an int, for a vertex count or a degree: NaN, an infinity, a
-    fraction or a non-number raises InvalidParameterError."""
-    try:
-        if x == int(x):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
-
-
-def _real(x, what):
-    """``x`` itself if it is a real number, NaN and the infinities
-    included; anything else raises InvalidParameterError."""
-    if isinstance(x, numbers.Real):
-        return x
-    raise InvalidParameterError(f"{what} must be a number, got {x!r}")
-
-
 def generate_complete(n) -> Graph:
     """Simple graph on n >= 2 vertices with all C(n,2) edges, held as n
     alone: its endpoint arrays are built on each read."""
@@ -267,6 +222,7 @@ def generate_random_regular(n, d, rng, policy="reject") -> Graph:
     uniform simple d-regular graph; policy="allow" returns the raw pairing
     multigraph.  Requires n*d even and n > d.
     """
+    n, d = _size(n, "vertex count"), _size(d, "degree")
     if d < 1:
         raise InvalidParameterError("degree must be >= 1")
     if n <= d:
@@ -345,7 +301,7 @@ def generate_erdos_renyi(n, p, rng) -> Graph:
     Pairs are indexed row-major, (0,1), (0,2), ..., (1,2), ..., so the edges
     come out in that order; p=1 gives every pair.
     """
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= _real(p, "edge probability") <= 1.0:
         raise InvalidParameterError("edge probability must be in [0,1]")
     n = _size(n, "vertex count")
     if n < 0:
@@ -435,8 +391,3 @@ def parse_edgelist(text: str):
     if directed:
         return DirectedGraph(n, pairs[:, 0], pairs[:, 1])
     return Graph(n, pairs[:, 0], pairs[:, 1])
-
-
-def read_edgelist(path):
-    with open(path) as fh:
-        return parse_edgelist(fh.read())

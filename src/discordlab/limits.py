@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, NumericError, _real
 
 __all__ = [
     "MeetingProfile",
@@ -35,7 +35,7 @@ __all__ = [
 def theta_regular(d) -> float:
     """Diffusion constant (d-2)/(d-1) of the voter model on the random
     d-regular graph."""
-    if not 3 <= d < math.inf:
+    if not 3 <= _real(d, "degree") < math.inf:
         raise InvalidParameterError("need finite degree d >= 3")
     return (d - 2) / (d - 1)
 
@@ -88,12 +88,12 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None) -> MeetingProfile
     -------
     MeetingProfile
     """
-    if not 3 <= d < math.inf:
+    if not 3 <= _real(d, "degree") < math.inf:
         raise InvalidParameterError("need finite degree d >= 3")
-    if not 0 < tolerance < math.inf:
+    if not 0 < _real(tolerance, "tolerance") < math.inf:
         raise InvalidParameterError("tolerance must be finite and > 0")
     if times is None:
-        if t_max is None or not 0 <= t_max < math.inf:
+        if t_max is None or not 0 <= _real(t_max, "t_max") < math.inf:
             raise InvalidParameterError(
                 "need finite t_max >= 0 or explicit times")
         times = np.linspace(0.0, t_max, 401)
@@ -180,9 +180,9 @@ def theta_directed_eulerian(m1, m2) -> float:
     """Diffusion constant of the Eulerian directed configuration model,
     (m2/m1^2 - 1 + sqrt(1 - 1/m1))^-1, from the first two moments of the
     limiting degree distribution."""
-    if not m1 > 1:
+    if not _real(m1, "m1") > 1:
         raise InvalidParameterError("need first moment m1 > 1")
-    if not m2 >= m1 * m1:
+    if not _real(m2, "m2") >= m1 * m1:
         raise InvalidParameterError("need m2 >= m1^2 (Jensen)")
     denom = m2 / (m1 * m1) - 1.0 + math.sqrt(1.0 - 1.0 / m1)
     if not denom > 0:
@@ -205,11 +205,11 @@ def theta_rewiring(d, nu, tolerance=1e-10) -> float:
     ``tolerance`` (the stable direction for this positive-coefficient
     fraction; no forward recurrence is used).
     """
-    if d < 3:
+    if not _real(d, "degree") >= 3:
         raise InvalidParameterError("need degree d >= 3")
-    if not nu > 0:
+    if not _real(nu, "rewiring rate") > 0:
         raise InvalidParameterError("need rewiring rate nu > 0")
-    if not tolerance > 0:
+    if not _real(tolerance, "tolerance") > 0:
         raise InvalidParameterError("tolerance must be > 0")
     beta = math.sqrt(d - 1)
     rho = 2.0 * math.sqrt(d - 1) / d
@@ -243,9 +243,9 @@ def fw_absorption_time(theta, u) -> float:
     """Expected absorption time -(u ln u + (1-u) ln(1-u)) / theta of the
     Fisher-Wright diffusion started at u (Green-function solution of
     theta x(1-x) T''(x) = -1 with T(0)=T(1)=0)."""
-    if not theta > 0:
+    if not _real(theta, "theta") > 0:
         raise InvalidParameterError("theta must be > 0")
-    if not 0.0 <= u <= 1.0:
+    if not 0.0 <= _real(u, "u") <= 1.0:
         raise InvalidParameterError("u must be in [0,1]")
     if u in (0.0, 1.0):
         return 0.0
@@ -259,9 +259,9 @@ def fw_absorption_time(theta, u) -> float:
 def discordance_prediction(u, d, t, n_vertices, tolerance=1e-6):
     """Expected discordant-edge fraction 2u(1-u) f_d(t) exp(-2 theta_d t/N)
     on the random d-regular graph with N vertices; t may be an array."""
-    if not 0.0 <= u <= 1.0:
+    if not 0.0 <= _real(u, "u") <= 1.0:
         raise InvalidParameterError("u must be in [0,1]")
-    if not n_vertices >= 1:
+    if not _real(n_vertices, "n_vertices") >= 1:
         raise InvalidParameterError("need n_vertices >= 1")
     th = theta_regular(d)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -295,8 +295,8 @@ class SwitchProbs:
     s_d0: float
 
     def __post_init__(self):
-        if not all(0 <= w < math.inf for w in (self.s_c1, self.s_c0,
-                                               self.s_d1, self.s_d0)):
+        if not all(0 <= _real(w, "switch weight") < math.inf
+                   for w in (self.s_c1, self.s_c0, self.s_d1, self.s_d0)):
             raise InvalidParameterError("switch weights must be finite, >= 0")
 
     @property
@@ -316,9 +316,11 @@ class DenseLimitParams:
     q0: float
 
     def __post_init__(self):
-        if not (0 <= self.eta < math.inf and 0 <= self.rho < math.inf):
+        if not (0 <= _real(self.eta, "eta") < math.inf
+                and 0 <= _real(self.rho, "rho") < math.inf):
             raise InvalidParameterError("rates must be finite and >= 0")
-        if not (0.0 <= self.p0 <= 1.0 and 0.0 <= self.q0 <= 1.0):
+        if not (0.0 <= _real(self.p0, "p0") <= 1.0
+                and 0.0 <= _real(self.q0, "q0") <= 1.0):
             raise InvalidParameterError("densities must be in [0,1]")
 
 
@@ -352,7 +354,8 @@ def integrate_dense_limit(params: DenseLimitParams, dt, t_max, rng=None,
     p-equation is integrated against it: pathwise comparison mode.
     Returns (times, p_path, q_path).
     """
-    if not (0 < dt < math.inf and 0 < t_max < math.inf):
+    if not (0 < _real(dt, "dt") < math.inf
+            and 0 < _real(t_max, "t_max") < math.inf):
         raise InvalidParameterError("need finite dt > 0 and t_max > 0")
     nsteps = int(round(t_max / dt))
     times = np.arange(nsteps + 1) * dt

@@ -28,12 +28,19 @@ weighs each discordant arc by the adoption rate of its copying end, with
 the weighted ``_sset`` functions it used, kept here as ``weighted_build``
 and ``weighted_toggle``.  The package's ``_sset.toggle`` must leave the same
 members and positions as ``refile`` after a flip, and ``weighted_toggle``
-the same weight too."""
+the same weight too.
+
+``SampleableSet`` is the dict-backed copy of the format that the TO_SAME
+and Holme-Newman engines kept their opinion classes in, and the reference
+for ``_sset.partition`` and ``_sset.move``, which replaced it.
+``is_connected`` reads a graph's components off scipy."""
 
 import math
 import random
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from discordlab._lockstep import _BLOCK_STEPS
 from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
@@ -74,6 +81,48 @@ def complete_voter_mean_tau(N):
 
 def brute_discordant(edge_pairs, opinions):
     return sum(1 for u, v in edge_pairs if opinions[u] != opinions[v])
+
+
+def is_connected(g):
+    """Whether ``g`` has one connected component."""
+    us, vs = g.endpoint_arrays()
+    adj = sparse.coo_matrix((np.ones(g.m), (us, vs)), shape=(g.n, g.n))
+    return csgraph.connected_components(adj, directed=False)[0] == 1
+
+
+class SampleableSet:
+    """The swap-with-tail format as an object, for sets of anything
+    hashable, with the positions in a dict."""
+
+    __slots__ = ("items", "pos")
+
+    def __init__(self, iterable=()):
+        self.items = []
+        self.pos = {}
+        for x in iterable:
+            self.add(x)
+
+    def __len__(self):
+        return len(self.items)
+
+    def add(self, x):
+        """Insert x if it is not present."""
+        if x not in self.pos:
+            self.pos[x] = len(self.items)
+            self.items.append(x)
+
+    def discard(self, x):
+        """Remove x if present."""
+        i = self.pos.pop(x, -1)
+        if i >= 0:
+            last = self.items.pop()
+            if i < len(self.items):
+                self.items[i] = last
+                self.pos[last] = i
+
+    def pick(self, rnd):
+        """Uniform element, using rnd.random() (bias ~ len/2^53, negligible)."""
+        return self.items[int(rnd.random() * len(self.items))]
 
 
 # ----------------------------------------------------------------------

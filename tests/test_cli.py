@@ -268,6 +268,25 @@ def test_coevolve_negative_samples_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# both flags were taken and ignored: rewire-random with --horizon 5
+# --samples 3 ran to t = 8.82 and wrote 293 rows
+@pytest.mark.parametrize("extra", [["--horizon", "5"], ["--samples", "3"]],
+                         ids=["horizon", "samples"])
+@pytest.mark.parametrize("argv", [
+    ["rewire-random", "--beta", "2"],
+    ["rewire-same", "--beta", "2"],
+    ["holme-newman", "--m-edges", "60", "--beta", "0.5"],
+], ids=["rewire-random", "rewire-same", "holme-newman"])
+def test_coevolve_refuses_dense_only_flags(tmp_path, capsys, argv, extra):
+    model, *flags = argv
+    assert dispatch(["coevolve", "--model", model, "--n", "30", *flags,
+                     *extra, "--seed", "1", "--out", str(tmp_path / "c.csv"),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "dense only" in err and "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["dense", "--horizon", "1", "--sd1", "nan"],
     ["dense", "--horizon", "1", "--eta", "nan"],

@@ -68,7 +68,7 @@ def test_init_complete_graph_mean_discordance():
 
 def test_consensus_start_is_constant(rng):
     g = graphs.generate_complete(6)
-    st = dynamics.OpinionState([1] * 6, 6)
+    st = dynamics.OpinionState([1] * 6)
     traj = dynamics.run_voter(g, st, 2.0, [0.0, 1.0, 2.0], rng, check=True)
     assert traj.consensus_time == 0.0
     assert traj.consensus_value == 1
@@ -78,7 +78,7 @@ def test_consensus_start_is_constant(rng):
 
 def test_empty_graph_rejected(rng):
     g = graphs.Graph(3)
-    st = dynamics.OpinionState([0, 1, 0], 1)
+    st = dynamics.OpinionState([0, 1, 0])
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter(g, st, 1.0, [], rng)
 
@@ -101,7 +101,7 @@ def test_two_vertex_consensus_is_exponential_rate_two():
     g = graphs.Graph(2, [0], [1])
     taus = []
     for i in range(10_000):
-        st = dynamics.OpinionState([0, 1], 1)
+        st = dynamics.OpinionState([0, 1])
         taus.append(dynamics.consensus_time(g, st, np.random.default_rng(i)))
     assert abs(np.mean(taus) - 0.5) < 0.025  # within 5%
 
@@ -114,7 +114,7 @@ def test_complete_graph_matches_birth_death_chain():
     g = graphs.generate_erdos_renyi(n, 1.0, np.random.default_rng(0))
     taus = []
     for i in range(runs):
-        st = dynamics.OpinionState([1] * (n // 2) + [0] * (n // 2), n // 2)
+        st = dynamics.OpinionState([1] * (n // 2) + [0] * (n // 2))
         taus.append(dynamics.consensus_time(g, st, np.random.default_rng(40_000 + i)))
     se = np.std(taus) / math.sqrt(runs)
     assert abs(np.mean(taus) - exact) < 4 * se
@@ -126,7 +126,7 @@ def test_complete_fast_path_matches_birth_death_chain():
     g = graphs.generate_complete(n)
     taus = []
     for i in range(runs):
-        st = dynamics.OpinionState([1] * (n // 2) + [0] * (n // 2), n // 2)
+        st = dynamics.OpinionState([1] * (n // 2) + [0] * (n // 2))
         taus.append(dynamics.consensus_time(g, st, np.random.default_rng(90_000 + i)))
     se = np.std(taus) / math.sqrt(runs)
     assert abs(np.mean(taus) - exact) < 4 * se
@@ -183,7 +183,7 @@ def test_timeout_carries_partial_trajectory(rng):
 
 def test_frozen_disconnected_graph_reports_timeout(rng):
     g = graphs.Graph(4, [0, 2], [1, 3])
-    st = dynamics.OpinionState([1, 1, 0, 0], 2)  # per-component consensus
+    st = dynamics.OpinionState([1, 1, 0, 0])  # per-component consensus
     traj = dynamics.run_voter(g, st, 5.0, [1.0, 5.0], rng)
     assert traj.consensus_time is None
     assert np.all(traj.discordant_frac == 0.0)
@@ -193,7 +193,7 @@ def test_frozen_disconnected_graph_reports_timeout(rng):
 
 def test_consensus_time_refuses_rewiring_on_a_directed_graph(rng):
     g = graphs.DirectedGraph(2, [0, 1], [1, 0])
-    st = dynamics.OpinionState([1, 0], 1)
+    st = dynamics.OpinionState([1, 0])
     with pytest.raises(InvalidParameterError):
         dynamics.consensus_time(g, st, rng, nu=4.0)
 
@@ -235,13 +235,13 @@ def test_directed_consensus_stops_when_closed_classes_disagree(rng):
     # two 2-cycles of opposite opinion and a vertex copying from both:
     # consensus is out of reach from the start
     g = graphs.DirectedGraph(5, [0, 1, 2, 3, 4, 4], [1, 0, 3, 2, 0, 2])
-    st = dynamics.OpinionState([1, 1, 0, 0, 1], 3)
+    st = dynamics.OpinionState([1, 1, 0, 0, 1])
     with pytest.raises(SimulationTimeout) as err:
         dynamics.consensus_time(g, st, rng, max_events=100_000)
     assert err.value.partial.n_events < 100
     # mixed 2-cycles: each run either reaches consensus or stops as soon as
     # the two cycles settle on different opinions
-    st = dynamics.OpinionState([1, 0, 0, 1, 1], 3)
+    st = dynamics.OpinionState([1, 0, 0, 1, 1])
     outcomes = set()
     for seed in range(40):
         try:
@@ -258,7 +258,7 @@ def test_directed_run_stops_once_two_unanimous_classes_disagree(rng):
     # vertices 0 and 1 copy only themselves and disagree, so consensus is
     # out of reach at t = 0, while the closed class {2, 3} is still mixed
     g = graphs.DirectedGraph(4, [0, 1, 2, 3], [0, 1, 3, 2])
-    st = dynamics.OpinionState([1, 0, 1, 0], 2)
+    st = dynamics.OpinionState([1, 0, 1, 0])
     with pytest.raises(SimulationTimeout, match="unreachable") as err:
         dynamics.run_voter_directed(g, st, None, [], rng, max_events=10_000)
     assert err.value.partial.n_events == 0
@@ -297,7 +297,7 @@ def test_swaps_continue_without_discordant_edges(rng):
     # discordant edge and no consensus.  With nu > 0 the swap clock keeps
     # running, joins the two parts, and the run absorbs.
     g = graphs.Graph(5, [0, 2, 3, 4], [1, 3, 4, 2])
-    st = dynamics.OpinionState([0, 0, 1, 1, 1], 3)
+    st = dynamics.OpinionState([0, 0, 1, 1, 1])
     with pytest.raises(SimulationTimeout):
         dynamics.consensus_time(g, st, rng)
     for seed in range(20):
@@ -431,7 +431,7 @@ def test_rewiring_nu0_on_implicit_complete_is_the_count_chain():
 def test_opinion_length_is_checked_on_every_engine(rng):
     k = graphs.generate_complete(5)
     g = graphs.generate_random_regular(6, 3, rng)
-    st = dynamics.OpinionState([1] * 7, 7)
+    st = dynamics.OpinionState([1] * 7)
     runs = [lambda: dynamics.run_voter(k, st, 1.0, [1.0], rng),
             lambda: dynamics.run_voter(g, st, 1.0, [1.0], rng),
             lambda: dynamics.run_voter_rewiring(g, st, 0.0, 1.0, [1.0], rng),
@@ -440,6 +440,39 @@ def test_opinion_length_is_checked_on_every_engine(rng):
     for run in runs:
         with pytest.raises(InvalidParameterError, match="opinion vector"):
             run()
+
+
+# opinions other than 0 and 1 ran on: 0.5 everywhere flips nothing, so no
+# cap counts a proposal and the run spun
+def test_fractional_opinions_are_refused_without_a_hang(rng):
+    g = graphs.generate_random_regular(10, 3, rng)
+    with deadline(10.0), pytest.raises(InvalidParameterError,
+                                       match="0 or 1"):
+        dynamics.consensus_time(g, dynamics.OpinionState([0.5] * 10), rng,
+                                max_events=1000)
+
+
+# the heart count was sum(opinions), so both reported consensus at t = 0,
+# with value 2 and -1
+@pytest.mark.parametrize("ops", [[2] * 5 + [0] * 5, [-1] * 5 + [1] * 5],
+                         ids=["two", "minus-one"])
+@pytest.mark.parametrize("family", ["rrg", "complete"])
+def test_opinions_outside_0_1_are_refused(rng, ops, family):
+    g = graphs.generate_random_regular(10, 3, rng) if family == "rrg" \
+        else graphs.generate_complete(10)
+    with pytest.raises(InvalidParameterError, match="0 or 1"):
+        dynamics.run_voter(g, dynamics.OpinionState(ops), 5.0, [0.0, 5.0],
+                           rng)
+
+
+# a TypeError leaked from the heart count
+@pytest.mark.parametrize("family", ["rrg", "complete"])
+def test_string_opinions_are_refused(rng, family):
+    g = graphs.generate_random_regular(10, 3, rng) if family == "rrg" \
+        else graphs.generate_complete(10)
+    with pytest.raises(InvalidParameterError, match="0 or 1"):
+        dynamics.run_voter(g, dynamics.OpinionState(["1"] * 5 + ["0"] * 5),
+                           5.0, [0.0, 5.0], rng)
 
 
 NAN = float("nan")
@@ -499,7 +532,7 @@ def test_negative_event_cap_is_rejected(engine):
 
 def test_rewiring_validation(rng):
     g = graphs.Graph(2, [0], [1])
-    st = dynamics.OpinionState([0, 1], 1)
+    st = dynamics.OpinionState([0, 1])
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter_rewiring(g, st, 1.0, 1.0, [], rng)  # M < 2
     for nu in (-1.0, math.nan, math.inf):  # NaN and inf: numpy's ValueError
@@ -566,7 +599,7 @@ def test_directed_two_cycle_exponential():
     g = graphs.DirectedGraph(2, [0, 1], [1, 0])
     taus = []
     for i in range(10_000):
-        st = dynamics.OpinionState([0, 1], 1)
+        st = dynamics.OpinionState([0, 1])
         traj = dynamics.run_voter_directed(g, st, None, [], np.random.default_rng(i))
         taus.append(traj.consensus_time)
     assert abs(np.mean(taus) - 0.5) < 0.025
@@ -574,7 +607,7 @@ def test_directed_two_cycle_exponential():
 
 def test_directed_all_same_start_never_changes(rng):
     g = graphs.generate_directed_configuration([2] * 6, [2] * 6, rng)
-    st = dynamics.OpinionState([1] * 6, 6)
+    st = dynamics.OpinionState([1] * 6)
     traj = dynamics.run_voter_directed(g, st, 3.0, [1.0, 3.0], rng)
     assert traj.consensus_time == 0.0
     assert np.all(traj.heart_frac == 1.0)
@@ -583,7 +616,7 @@ def test_directed_all_same_start_never_changes(rng):
 
 def test_directed_requires_positive_out_degree(rng):
     g = graphs.DirectedGraph(2, [0], [1])  # vertex 1 has out-degree 0
-    st = dynamics.OpinionState([0, 1], 1)
+    st = dynamics.OpinionState([0, 1])
     with pytest.raises(InvalidParameterError):
         dynamics.run_voter_directed(g, st, 1.0, [], rng)
     # the same graph is fine when adopting from in-neighbours of each vertex
@@ -629,7 +662,7 @@ def test_directed_engine_matches_exact_ctmc():
     exact = _directed_exact_mean_absorption(g, ops0)
     taus = []
     for i in range(4000):
-        st = dynamics.OpinionState(list(ops0), sum(ops0))
+        st = dynamics.OpinionState(list(ops0))
         traj = dynamics.run_voter_directed(g, st, None, [],
                                            np.random.default_rng(660_000 + i))
         taus.append(traj.consensus_time)
@@ -652,7 +685,7 @@ def test_directed_consensus_consistent_with_measured_diffusion():
     for r in range(80):
         rng = experiments.spawn_rng(617, r)
         g = graphs.generate_directed_configuration([3] * N, [3] * N, rng)
-        st = dynamics.OpinionState([1] * (N // 2) + [0] * (N // 2), N // 2)
+        st = dynamics.OpinionState([1] * (N // 2) + [0] * (N // 2))
         taus.append(dynamics.consensus_time(g, st, rng))
     pred = limits.fw_absorption_time(est.theta, 0.5) * N
     assert 0.8 < np.mean(taus) / pred < 1.2

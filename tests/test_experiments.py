@@ -81,10 +81,10 @@ def test_build_graph_families(rng):
     g = experiments.build_graph({"family": "er", "n": 20, "p": 0.3}, rng)
     assert g.n == 20
     d = experiments.build_graph({"family": "dcm", "n": 6, "d": 2}, rng)
-    assert d.out_degrees() == [2] * 6
+    assert np.bincount(d.endpoint_arrays()[0]).tolist() == [2] * 6
     d2 = experiments.build_graph(
         {"family": "dcm", "n": 3, "d_in": [1, 1, 1], "d_out": [2, 1, 0]}, rng)
-    assert d2.in_degrees() == [1, 1, 1]
+    assert np.bincount(d2.endpoint_arrays()[1]).tolist() == [1, 1, 1]
     with pytest.raises(InvalidParameterError):
         experiments.build_graph({"family": "tree", "n": 5}, rng)
 
@@ -171,6 +171,41 @@ def test_estimate_theta_insufficient_data():
     res = ensemble_from_samples(tg, absorbed)
     with pytest.raises(InsufficientDataError):
         experiments.estimate_theta(res, n_vertices=1)
+
+
+# the CI half-width divided by R, not by the replicas with a sample: the
+# last column, where 7 of 8 replicas have one, read 0.021457 for the
+# discordant fraction where 0.022938 is due
+def test_ci_divides_by_the_replicas_that_have_a_sample():
+    cfg = experiments.ExperimentConfig(
+        model={"family": "rrg", "n": 200, "d": 3}, u=0.5, replicas=8,
+        master_seed=3, horizon=40.0, sample_times=[0, 1, 2, 3, 5, 8],
+        max_events=500)
+    res = experiments.run_ensemble(cfg)
+    for name, arr in res.samples.items():
+        k = np.count_nonzero(np.isfinite(arr), axis=0)
+        assert k.tolist() == [8] * 5 + [7]
+        assert np.array_equal(res.ci_half[name],
+                              1.96 * np.sqrt(res.var[name] / k))
+    assert round(res.ci_half["discordant_frac"][-1], 6) == 0.022938
+
+
+# 0 returned NaN with RuntimeWarnings, and -5 a theta of -0.077
+@pytest.mark.parametrize("n_vertices", [0, -5, "x"])
+def test_estimate_theta_refuses_a_vertex_count_below_one(n_vertices):
+    tg = np.linspace(0.1, 1.5, 15)
+    _, paths, _ = fisher_wright_ensemble(
+        0.5, 0.5, 1e-3, 1.5, 100, np.random.default_rng(44), record_times=tg)
+    with pytest.raises(InvalidParameterError, match="n_vertices"):
+        experiments.estimate_theta(ensemble_from_samples(tg, paths),
+                                   n_vertices=n_vertices)
+
+
+# numpy's ValueError leaked for a negative seed
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), ("x", 0)])
+def test_spawn_rng_refuses_a_bad_seed_or_index(seed, index):
+    with pytest.raises(InvalidParameterError):
+        experiments.spawn_rng(seed, index)
 
 
 def test_homogenisation_t0_residual_is_noise():

@@ -338,3 +338,25 @@ def test_non_finite_t_max_is_rejected(rng, bad):
 def test_nan_or_infinite_argument_is_refused(call):
     with pytest.raises(InvalidParameterError):
         call()
+
+
+# each leaked a TypeError from comparing a string with a number
+@pytest.mark.parametrize("call", [
+    lambda: limits.theta_regular("x"),
+    lambda: limits.theta_rewiring(3, "x"),
+    lambda: limits.theta_directed_eulerian("x", 4.0),
+    lambda: limits.meeting_profile("x", 1.0),
+    lambda: limits.fw_absorption_time(1, "x"),
+    lambda: limits.discordance_prediction("x", 3, 1.0, 100),
+    lambda: SwitchProbs("x", 1, 1, 1),
+    lambda: limits.DenseLimitParams(eta="x", rho=1.0, s=FIG9, p0=0.5,
+                                    q0=0.5),
+    lambda: limits.integrate_dense_limit(
+        limits.DenseLimitParams(eta=1.0, rho=1.0, s=FIG9, p0=0.5, q0=0.5),
+        "x", 1.0, rng=np.random.default_rng(0)),
+], ids=["theta_regular", "theta_rewiring", "theta_directed_eulerian",
+        "meeting_profile", "fw_absorption_time", "discordance_prediction",
+        "SwitchProbs", "DenseLimitParams", "integrate_dense_limit"])
+def test_non_numeric_argument_is_refused(call):
+    with pytest.raises(InvalidParameterError, match="must be a number"):
+        call()

@@ -205,8 +205,7 @@ def test_cap_flip_that_freezes_or_absorbs_is_no_timeout(monkeypatch,
     monkeypatch.setattr(experiments, "build_graph",
                         lambda model, rng: graphs.Graph(4, [0, 2], [1, 3]))
     monkeypatch.setattr(dynamics, "init_opinions_iid",
-                        lambda n, u, rng: dynamics.OpinionState([1, 0, 1, 1],
-                                                                3))
+                        lambda n, u, rng: dynamics.OpinionState([1, 0, 1, 1]))
     cfg = cfg_of({"family": "er", "n": 4, "p": 0.5}, horizon=20.0, step=5.0,
                  max_events=max_events, replicas=1000)
     lock = experiments.run_ensemble(cfg)
@@ -250,7 +249,7 @@ def test_directed_two_cycle_absorbs_at_an_exp2_time(monkeypatch):
                         lambda model, rng: graphs.DirectedGraph(2, [0, 1],
                                                                 [1, 0]))
     monkeypatch.setattr(dynamics, "init_opinions_iid",
-                        lambda n, u, rng: dynamics.OpinionState([1, 0], 1))
+                        lambda n, u, rng: dynamics.OpinionState([1, 0]))
     cfg = cfg_of({"family": "dcm", "n": 2, "d": 1}, horizon=6.0, step=1.5,
                  replicas=1000)
     for path, (taus, values) in directed_paths(cfg).items():
@@ -273,7 +272,7 @@ def test_a_vertex_copies_only_along_its_own_arcs(monkeypatch, adopt_from,
                         lambda model, rng: graphs.DirectedGraph(2, tails,
                                                                 heads))
     monkeypatch.setattr(dynamics, "init_opinions_iid",
-                        lambda n, u, rng: dynamics.OpinionState([0, 1], 1))
+                        lambda n, u, rng: dynamics.OpinionState([0, 1]))
     cfg = cfg_of({"family": "dcm", "n": 2, "d": 1}, horizon=20.0, step=5.0,
                  replicas=1000, adopt_from=adopt_from)
     for path, (taus, values) in directed_paths(cfg).items():
@@ -289,7 +288,7 @@ def test_cap_flip_on_a_path(monkeypatch):
     monkeypatch.setattr(experiments, "build_graph",
                         lambda model, rng: graphs.Graph(3, [0, 1], [1, 2]))
     monkeypatch.setattr(dynamics, "init_opinions_iid",
-                        lambda n, u, rng: dynamics.OpinionState([1, 0, 1], 2))
+                        lambda n, u, rng: dynamics.OpinionState([1, 0, 1]))
     cfg = cfg_of({"family": "er", "n": 3, "p": 0.5}, horizon=20.0, step=5.0,
                  max_events=1, replicas=1000)
     lock = experiments.run_ensemble(cfg)

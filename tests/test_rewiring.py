@@ -15,14 +15,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse, stats
-from scipy.sparse import csgraph
+from scipy import stats
 
 from discordlab import dynamics, graphs
 from discordlab.errors import SimulationTimeout
 
 from _deadline import deadline
-from _oracles import reference_rewiring
+from _oracles import is_connected, reference_rewiring
 
 ALPHA = 0.01
 
@@ -35,13 +34,6 @@ def _mixed(n, rng):
     return graphs.Graph(n, stubs[0::2], stubs[1::2])
 
 
-def _connected(g):
-    """Whether ``g`` has one connected component."""
-    us, vs = g.endpoint_arrays()
-    adj = sparse.coo_matrix((np.ones(g.m), (us, vs)), shape=(g.n, g.n))
-    return csgraph.connected_components(adj, directed=False)[0] == 1
-
-
 def _graph(family, n, rng, connected=False):
     """A graph of ``family``; with ``connected``, the first connected one
     drawn from ``rng``."""
@@ -52,7 +44,7 @@ def _graph(family, n, rng, connected=False):
             g = graphs.generate_erdos_renyi(n, 2.0 / (n - 1), rng)
         else:
             g = _mixed(n, rng)
-        if not connected or _connected(g):
+        if not connected or is_connected(g):
             return g
 
 
@@ -178,9 +170,9 @@ def test_degree_weighted_hearts_give_the_consensus_odds():
             while True:
                 stubs = np.repeat(np.arange(12), degs)[rng.permutation(28)]
                 g = graphs.Graph(12, stubs[0::2], stubs[1::2])
-                if nu > 0 or _connected(g):
+                if nu > 0 or is_connected(g):
                     break
-            st = dynamics.OpinionState(list(ops), 2)
+            st = dynamics.OpinionState(list(ops))
             with deadline():
                 traj = dynamics.run_voter_rewiring(
                     g, st, 2 * nu, None, [], rng, max_events=100_000)
@@ -193,7 +185,7 @@ def _frozen():
     # a path on 0..3, all diamonds, and an isolated heart: nothing can
     # flip, so every event is a swap
     g = graphs.Graph(5, [0, 1, 2], [1, 2, 3])
-    return g, dynamics.OpinionState([0, 0, 0, 0, 1], 1)
+    return g, dynamics.OpinionState([0, 0, 0, 0, 1])
 
 
 @pytest.mark.parametrize("conv, pair_rate", [("pair", 1 / 3), ("edge", 2 / 3)])
@@ -242,7 +234,7 @@ def _two_triangles():
 def test_disagreeing_unanimous_components_stop_at_once(rng):
     # without swaps a component never hears from another: two unanimous
     # components that disagree leave consensus out of reach from t = 0
-    st = dynamics.OpinionState([1, 1, 1, 0, 0, 0], 3)
+    st = dynamics.OpinionState([1, 1, 1, 0, 0, 0])
     for run in (dynamics.run_voter, dynamics.run_voter_rewiring):
         args = (0.0,) if run is dynamics.run_voter_rewiring else ()
         with deadline(), pytest.raises(SimulationTimeout,
@@ -259,7 +251,7 @@ def test_mixed_components_reach_consensus_or_stop_when_they_disagree():
     # each triangle settles on its own: the runs that settle both on one
     # opinion reach consensus, the others stop at the flip that settles
     # the second triangle on the other opinion
-    st = dynamics.OpinionState([1, 0, 0, 1, 1, 0], 3)
+    st = dynamics.OpinionState([1, 0, 0, 1, 1, 0])
     outcomes = set()
     for seed in range(40):
         try:
@@ -279,13 +271,13 @@ def test_mixed_components_reach_consensus_or_stop_when_they_disagree():
 def test_self_loop_only_vertex_is_its_own_component(rng):
     # vertex 2 has a self-loop and no other edge, so it never changes
     g = graphs.Graph(3, [0, 2], [1, 2])
-    st = dynamics.OpinionState([1, 1, 0], 2)
+    st = dynamics.OpinionState([1, 1, 0])
     with deadline(), pytest.raises(SimulationTimeout,
                                     match="unreachable") as err:
         dynamics.run_voter(g, st, None, [], rng, max_events=10_000)
     assert err.value.partial.n_events == 0
     # the edge settles on 0 (consensus) or on 1 (out of reach) at one flip
-    st = dynamics.OpinionState([1, 0, 0], 1)
+    st = dynamics.OpinionState([1, 0, 0])
     outcomes = set()
     for seed in range(40):
         try:
@@ -305,7 +297,7 @@ def test_self_loop_only_vertex_is_its_own_component(rng):
 
 
 def test_frozen_finite_horizon_runs_return_the_constant_state(rng):
-    st = dynamics.OpinionState([1, 1, 1, 0, 0, 0], 3)
+    st = dynamics.OpinionState([1, 1, 1, 0, 0, 0])
     traj = dynamics.run_voter(_two_triangles(), st, 20.0, [5.0, 20.0], rng,
                               max_events=10_000)
     assert traj.consensus_time is None and traj.n_events == 0
@@ -320,7 +312,7 @@ def test_isolated_vertex_against_unanimous_rest_stops_at_once(rng):
     assert err.value.partial.n_events == 0
     # isolated vertices that disagree with each other
     g = graphs.Graph(6, [0, 1, 2], [1, 2, 3])
-    st = dynamics.OpinionState([1, 0, 1, 1, 0, 1], 4)
+    st = dynamics.OpinionState([1, 0, 1, 1, 0, 1])
     with pytest.raises(SimulationTimeout) as err:
         dynamics.consensus_time(g, st, rng, nu=1.0, max_events=200_000)
     assert err.value.partial.n_events == 0
@@ -330,7 +322,7 @@ def test_isolated_vertex_runs_stop_when_the_rest_agrees():
     # a mixed path and an isolated heart: each run either reaches
     # consensus or stops as soon as the path is all diamonds
     g = graphs.Graph(5, [0, 1, 2], [1, 2, 3])
-    st = dynamics.OpinionState([1, 0, 1, 0, 1], 3)
+    st = dynamics.OpinionState([1, 0, 1, 0, 1])
     outcomes = set()
     for seed in range(40):
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """The shared discordant-slot primitive against brute force, its weighted
 copies in ``_oracles`` (which the reference directed engine uses) along
-with it, and the package layering it depends on."""
+with it, the opinion classes against the dict-backed set they replaced,
+and the package layering it depends on."""
 
 import ast
 import math
@@ -8,8 +9,8 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from discordlab._sset import SampleableSet, build, toggle
-from _oracles import (brute_discordant, refile, swap_endpoints,
+from discordlab._sset import build, move, partition, toggle
+from _oracles import (SampleableSet, brute_discordant, refile, swap_endpoints,
                       weighted_build, weighted_toggle)
 
 # |w - fsum of member weights| <= REL_TOL * (weight of every slot): the
@@ -180,13 +181,33 @@ def test_count_only_mode_keeps_no_weight():
     assert items == [1] and pos == [-1, 0, -1]
 
 
-def test_sampleable_set_add_discard_pick():
-    s = SampleableSet([3, 1, 4, 1])
-    assert s.items == [3, 1, 4] and len(s) == 3
-    s.discard(3)
-    s.discard(9)
-    assert s.items == [4, 1] and s.pos == {4: 0, 1: 1}
-    assert s.pick(type("R", (), {"random": lambda self: 0.99})()) == 1
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=12).flatmap(
+    lambda ops: st.tuples(st.just(ops), st.lists(
+        st.tuples(st.integers(0, len(ops) - 1), st.floats(0.0, 0.999)),
+        max_size=40))))
+def test_partition_and_move_keep_the_sampleable_sets(case):
+    # the opinion classes of the TO_SAME and Holme-Newman engines: the same
+    # members in the same order, so the same vertex at every draw
+    ops, flips = case
+    ops = list(ops)
+    ref = tuple(SampleableSet(v for v in range(len(ops)) if ops[v] == x)
+                for x in (0, 1))
+    by_op, pos = partition(ops)
+    for v, r in [(None, 0.0), *flips]:
+        if v is not None:
+            old = ops[v]
+            ops[v] = 1 - old
+            move(v, by_op[old], by_op[1 - old], pos)
+            ref[old].discard(v)
+            ref[1 - old].add(v)
+        for x in (0, 1):
+            assert by_op[x] == ref[x].items
+            assert all(pos[w] == ref[x].pos[w] for w in by_op[x])
+            if by_op[x]:
+                drawn = by_op[x][int(r * len(by_op[x]))]
+                assert drawn == ref[x].pick(type("R", (), {
+                    "random": lambda self: r})())
 
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "discordlab"
