@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +122,9 @@ class _Recorder:
         self.d.append(d)
         self.next += self.stride
         if len(self.t) >= 2 * self.cap:
-            self.t = self.t[::2]
-            self.h = self.h[::2]
-            self.d = self.d[::2]
+            del self.t[1::2]
+            del self.h[1::2]
+            del self.d[1::2]
             self.stride *= 2
         return self.next
 
@@ -148,6 +149,12 @@ class _Recorder:
                         t if (resolved and consensus) else None,
                         ops[0] if consensus else None, events)
         return outcome, traj
+
+
+def _check_graph_size(g, n):
+    if g.n != n:
+        raise InvalidParameterError(
+            f"initial_graph has {g.n} vertices, but n = {n}")
 
 
 def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
@@ -181,6 +188,7 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
 
     g = initial_graph if initial_graph is not None \
         else generate_erdos_renyi(n, 0.5, rng)
+    _check_graph_size(g, n)
     if initial_opinions is not None:
         ops = _opinion_list(initial_opinions, n)
     else:
@@ -275,6 +283,7 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     _check_cap(max_steps, "max_steps")
     g = initial_graph if initial_graph is not None \
         else generate_gnm(n, m_edges, rng)
+    _check_graph_size(g, n)
     ops = (rng.random(n) < 0.5).astype(np.int8).tolist()
     rr = _derive_rnd(rng).random
 
@@ -338,40 +347,28 @@ class DenseState:
 
     Only heart_count, edge count and the connected-concordant count are
     updated per event; the other classes follow arithmetically from them,
-    which keeps flips O(n) and pair toggles O(1).  :func:`run_dense`
-    builds its edge list, integer pair ids, from the matrix.
+    which keeps flips O(n) and pair toggles O(1).  The matrix takes one
+    byte per ordered pair, 2 B per vertex pair; the constructor copies it
+    and counts the edges and the concordant ones with row sums, so it
+    peaks at about 4 B per vertex pair.  :func:`run_dense` builds its edge
+    list, integer pair ids, from the matrix.
     """
 
     def __init__(self, opinions, adj):
-        try:
-            opinions = np.asarray(opinions, dtype=np.int8)
-            adj = np.asarray(adj, dtype=bool)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidParameterError(
-                "opinions and adjacency must be arrays of numbers") from None
-        if opinions.ndim != 1:
-            raise InvalidParameterError("opinions must be a 1-D array")
-        n = len(opinions)
-        if adj.shape != (n, n):
-            raise InvalidParameterError("adjacency must be n x n")
-        if np.any(adj != adj.T):
-            raise InvalidParameterError("adjacency must be symmetric")
-        if np.any(np.diag(adj)):
-            raise InvalidParameterError("no self-pairs in the dense model")
-        if np.any((opinions != 0) & (opinions != 1)):
-            raise InvalidParameterError("opinions must be 0 or 1")
+        opinions, adj = _checked(opinions, adj)
         self.opinions = opinions.copy()
         self.adj = adj.copy()
-        self.n = n
-        self.heart_count = int(np.count_nonzero(self.opinions == 1))
-        iu, iv = np.nonzero(np.triu(self.adj, k=1))
-        self.edge_count = len(iu)
-        same = self.opinions[iu] == self.opinions[iv]
-        self.edge_conc_count = int(np.count_nonzero(same))
+        self.n = len(opinions)
+        self.heart_count, self.edge_count, self.edge_conc_count = \
+            _counts(self.opinions, self.adj)
 
     @classmethod
     def iid(cls, n, p0, q0, rng) -> "DenseState":
-        """Independent fair pair coins: edges with prob p0, hearts with q0."""
+        """Independent coins: hearts with prob q0, one ``rng.random(n)``,
+        then edges with prob p0, drawn by :func:`_pair_coins` as if by one
+        ``rng.random(C(n,2))`` over the pairs i < j in row-major order.
+        Peaks at about 4 B per vertex pair, plus about 1 MB for one
+        block."""
         n = _size(n, "vertex count")
         if n < 2:
             raise InvalidParameterError("need n >= 2")
@@ -379,12 +376,7 @@ class DenseState:
                 and 0.0 <= _real(q0, "q0") <= 1.0):
             raise InvalidParameterError("densities must be in [0,1]")
         ops = (rng.random(n) < q0).astype(np.int8)
-        adj = np.zeros((n, n), dtype=bool)
-        iu, iv = np.triu_indices(n, k=1)
-        keep = rng.random(len(iu)) < p0
-        adj[iu[keep], iv[keep]] = True
-        adj |= adj.T
-        return cls(ops, adj)
+        return cls(ops, _pair_coins(n, lambda iu, iv: p0, rng))
 
     @property
     def n_pairs(self) -> int:
@@ -397,16 +389,88 @@ class DenseState:
     def recount(self):
         """Brute-force recount of the four pair classes from the matrices,
         in the order of :func:`_pair_classes`."""
-        iu, iv = np.triu_indices(self.n, k=1)
-        conn = self.adj[iu, iv]
-        same = self.opinions[iu] == self.opinions[iv]
-        return (int(np.count_nonzero(conn & same)),
-                int(np.count_nonzero(conn & ~same)),
-                int(np.count_nonzero(~conn & same)),
-                int(np.count_nonzero(~conn & ~same)))
+        return _recount(self.opinions, self.adj)
 
-    def copy(self) -> "DenseState":
-        return DenseState(self.opinions, self.adj)
+
+def _checked(opinions, adj):
+    """``opinions`` and ``adj`` as int8 and bool arrays (copied only to
+    convert), checked to be 0/1 opinions and a symmetric n x n adjacency
+    with no self-pair."""
+    try:
+        opinions = np.asarray(opinions, dtype=np.int8)
+        adj = np.asarray(adj, dtype=bool)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            "opinions and adjacency must be arrays of numbers") from None
+    if opinions.ndim != 1:
+        raise InvalidParameterError("opinions must be a 1-D array")
+    n = len(opinions)
+    if adj.shape != (n, n):
+        raise InvalidParameterError("adjacency must be n x n")
+    if np.any(adj != adj.T):
+        raise InvalidParameterError("adjacency must be symmetric")
+    if np.any(np.diag(adj)):
+        raise InvalidParameterError("no self-pairs in the dense model")
+    if np.any((opinions != 0) & (opinions != 1)):
+        raise InvalidParameterError("opinions must be 0 or 1")
+    return opinions, adj
+
+
+# pairs per block of _pair_coins; blocks are whole rows of the upper triangle
+_PAIR_BLOCK = 1 << 14
+
+
+def _pair_coins(n, prob, rng):
+    """An n x n symmetric adjacency of independent pair coins.  The pairs
+    i < j are taken in row-major order, in blocks of whole rows of about
+    ``_PAIR_BLOCK`` pairs: ``prob(iu, iv)`` gives a block's edge
+    probabilities (an array over its pairs, or a scalar) and may raise, and
+    one ``rng.random`` call draws its coins.  So the doubles and the rng
+    state are those of one ``rng.random(C(n,2))`` over all pairs, while
+    the temporaries stay within one block.  Each block sets both
+    triangles of the matrix."""
+    adj = np.zeros((n, n), dtype=bool)
+    # first pair of each row: start[n-1] = C(n,2), as row n-1 has no pair
+    start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=start[1:])
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(int(np.searchsorted(start, start[i0] + _PAIR_BLOCK)), n - 1)
+        rows = np.arange(i0, i1)
+        lens = n - 1 - rows
+        iu = np.repeat(rows, lens)
+        # pair k of row i joins i and i + 1 + (k - start[i])
+        iv = np.arange(start[i0], start[i1]) \
+            - np.repeat(start[i0:i1] - rows - 1, lens)
+        p = prob(iu, iv)  # first: a profile that raises draws no coins
+        keep = rng.random(len(iu)) < p
+        iu, iv = iu[keep], iv[keep]
+        adj[iu, iv] = True
+        adj[iv, iu] = True
+        i0 = i1
+    return adj
+
+
+def _counts(opinions, adj):
+    """Hearts, edges and concordant edges of 0/1 opinions and a symmetric
+    adjacency, from row sums with no temporary matrix: every edge is in
+    two rows."""
+    hearts = opinions.view(bool)
+    deg = adj.sum(axis=1, dtype=np.int64)
+    hn = adj.sum(axis=1, dtype=np.int64, where=hearts)
+    same = np.where(hearts, hn, deg - hn)
+    return (int(np.count_nonzero(hearts)), int(deg.sum()) // 2,
+            int(same.sum()) // 2)
+
+
+def _recount(opinions, adj):
+    iu, iv = np.triu_indices(len(opinions), k=1)
+    conn = adj[iu, iv]
+    same = opinions[iu] == opinions[iv]
+    return (int(np.count_nonzero(conn & same)),
+            int(np.count_nonzero(conn & ~same)),
+            int(np.count_nonzero(~conn & same)),
+            int(np.count_nonzero(~conn & ~same)))
 
 
 def _pair_classes(n, heart, ecount, econc):
@@ -434,6 +498,13 @@ def init_positional(n, concordant_profile=None, discordant_profile=None,
     """Place vertices at i/n on [0,1], draw fair-coin opinions, and connect
     each pair independently with the profile value for its positions and
     concordance.  Profiles take two position arrays and must map into [0,1].
+
+    The opinions come from one ``rng.random(n)``.  The pairs i < j are
+    drawn by :func:`_pair_coins`, in row-major blocks of about 2^14 pairs,
+    with the doubles and end state of one ``rng.random(C(n,2))``; each
+    block's profile values are checked just before its draw.  A start
+    peaks at about 4 B per vertex pair, the matrix and the state's copy of
+    it, plus about 1 MB for one block's temporaries.
     """
     if rng is None:
         raise InvalidParameterError("rng is required")
@@ -444,18 +515,17 @@ def init_positional(n, concordant_profile=None, discordant_profile=None,
     dprof = discordant_profile or conflict_discordant_profile
     pos = np.arange(n) / n
     ops = (rng.random(n) < 0.5).astype(np.int8)
-    iu, iv = np.triu_indices(n, k=1)
-    pc = np.asarray(cprof(pos[iu], pos[iv]), dtype=float)
-    pd = np.asarray(dprof(pos[iu], pos[iv]), dtype=float)
-    for name, arr in (("concordant", pc), ("discordant", pd)):
-        if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
-            raise InvalidParameterError(f"{name} profile leaves [0,1]")
-    prob = np.where(ops[iu] == ops[iv], pc, pd)
-    adj = np.zeros((n, n), dtype=bool)
-    keep = rng.random(len(iu)) < prob
-    adj[iu[keep], iv[keep]] = True
-    adj |= adj.T
-    return DenseState(ops, adj)
+
+    def prob(iu, iv):
+        x, y = pos[iu], pos[iv]
+        pc = np.asarray(cprof(x, y), dtype=float)
+        pd = np.asarray(dprof(x, y), dtype=float)
+        for name, arr in (("concordant", pc), ("discordant", pd)):
+            if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
+                raise InvalidParameterError(f"{name} profile leaves [0,1]")
+        return np.where(ops[iu] == ops[iv], pc, pd)
+
+    return DenseState(ops, _pair_coins(n, prob, rng))
 
 
 def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
@@ -470,13 +540,19 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     Consensus freezes the opinions but the pair flow continues to the
     horizon.  The input state is not mutated.
 
-    The run keeps the opinions and the adjacency matrix in bytearrays, with
-    numpy views over the same bytes: a pair step reads and writes single
-    bytes, and a flip counts the flipped vertex's row, its degree and its
-    heart neighbours, through the views.  An opinion step draws from the
-    edges as a list of pair ids i*n + j (i < j), row-major at the start,
-    with a position list indexed by id; a toggle appends an id or moves the
-    last into the hole, in the format of ``_sset``.
+    The run copies the state's opinions and adjacency matrix into
+    bytearrays, with numpy views over the same bytes: a pair step reads and
+    writes single bytes, and a flip counts the flipped vertex's row, its
+    degree and its heart neighbours, through the views.  An opinion step
+    draws from the edges as a table of pair ids i*n + j (i < j), row-major
+    at the start, with a table of positions indexed by id; a toggle
+    appends an id or moves the last into the hole, in the format of
+    ``_sset``.  Both tables are ``array('i')`` (``'q'`` once n^2 passes
+    2^31 - 1), so the run takes about 2 B per vertex pair for the matrix,
+    8 for the positions and 4 per edge, and peaks near 14 B per vertex
+    pair on the positional start.  The run checks the state's arrays as
+    ``DenseState`` does, copies them once, and counts the hearts, edges
+    and concordant edges from its copies.
 
     Once the opinions are unanimous every pair is concordant, and each
     pair's connection is an independent two-state chain: it is added at
@@ -496,30 +572,32 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     if not (0 <= _real(eta, "eta") < math.inf
             and 0 <= _real(rho, "rho") < math.inf):
         raise InvalidParameterError("rates must be finite and >= 0")
-    if state.n < 2:
+    ops, adj = _checked(state.opinions, state.adj)
+    n = len(ops)
+    if n < 2:
         raise InvalidParameterError("need n >= 2")
     _check_cap(max_events)
     sched = _prepared_schedule(schedule, horizon)
     if horizon is None or not 0.0 <= horizon < math.inf:
         raise InvalidParameterError("dense runs need a finite horizon >= 0")
 
-    st = state.copy()
-    n = st.n
-    npairs = st.n_pairs
-    opb = bytearray(st.opinions.tobytes())
-    adjb = bytearray(st.adj.tobytes())
-    st.opinions = np.frombuffer(opb, dtype=np.int8)
-    st.adj = adj = np.frombuffer(adjb, dtype=bool).reshape(n, n)
-    hearts = st.opinions.view(bool)
+    npairs = n * (n - 1) // 2
+    opb = bytearray(ops)
+    adjb = bytearray(adj)
+    opv = np.frombuffer(opb, dtype=np.int8)
+    adj = np.frombuffer(adjb, dtype=bool).reshape(n, n)
+    hearts = opv.view(bool)
     count = np.count_nonzero
+    code = "i" if n * n <= 2**31 - 1 else "q"
+    ids = np.flatnonzero(np.triu(adj, k=1)).astype(code)
+    edge_items = array(code, [0]) * len(ids)
     # a stale position is never read: adjb says which pairs are edges
-    edge_items = np.flatnonzero(np.triu(st.adj, k=1)).tolist()
-    edge_pos = [-1] * (n * n)
-    for k, e in enumerate(edge_items):
-        edge_pos[e] = k
-    heart = st.heart_count
-    ecount = st.edge_count
-    econc = st.edge_conc_count
+    edge_pos = array(code, [-1]) * (n * n)
+    # each view dies with its statement: an array with a live view can
+    # neither grow nor shrink
+    np.frombuffer(edge_items, dtype=code)[:] = ids
+    np.frombuffer(edge_pos, dtype=code)[ids] = np.arange(len(ids), dtype=code)
+    heart, ecount, econc = _counts(opv, adj)
 
     envelope = max(1.0, s.max_weight)
     pair_total = rho * npairs * envelope
@@ -538,9 +616,9 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         while si < len(sched) and sched[si] < limit:
             rows.append((sched[si], heart / n, ecount / npairs,
                          *(x / npairs for x in kept)))
-            if check and st.recount() != kept:
+            if check and _recount(opv, adj) != kept:
                 raise AssertionError(f"pair-class bookkeeping diverged: "
-                                     f"{st.recount()} != {kept}")
+                                     f"{_recount(opv, adj)} != {kept}")
             si += 1
 
     while not chain:

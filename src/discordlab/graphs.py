@@ -69,8 +69,8 @@ class Graph:
 
     def __init__(self, n, us=(), vs=()):
         """The graph keeps copies of ``us`` and ``vs``."""
-        self.n = int(n)
-        self._ends = _endpoints(n, us, vs)
+        self.n = _size(n, "vertex count")
+        self._ends = _endpoints(self.n, us, vs)
 
     @property
     def implicit_complete(self) -> bool:
@@ -147,8 +147,8 @@ class DirectedGraph:
 
     def __init__(self, n, tails=(), heads=()):
         """The graph keeps copies of ``tails`` and ``heads``."""
-        self.n = int(n)
-        self._ends = _endpoints(n, tails, heads)
+        self.n = _size(n, "vertex count")
+        self._ends = _endpoints(self.n, tails, heads)
 
     def endpoint_arrays(self):
         """``(tails, heads)``, the endpoints of every arc in id order as

@@ -33,7 +33,13 @@ the same weight too.
 ``SampleableSet`` is the dict-backed copy of the format that the TO_SAME
 and Holme-Newman engines kept their opinion classes in, and the reference
 for ``_sset.partition`` and ``_sset.move``, which replaced it.
-``is_connected`` reads a graph's components off scipy."""
+``is_connected`` reads a graph's components off scipy.
+
+``oneshot_positional`` and ``oneshot_iid`` are the dense initialisers as
+they were before ``coevolution._pair_coins`` drew the pair coins in
+row-major blocks: every pair at once, with one ``rng.random(C(n,2))``.
+They return the opinions and the adjacency matrix, the reference for the
+blocked draw."""
 
 import math
 import random
@@ -43,6 +49,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from discordlab._lockstep import _BLOCK_STEPS
+from discordlab.coevolution import (conflict_concordant_profile,
+                                    conflict_discordant_profile)
 from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
                                  _Samples, _check_classes, _closed_classes,
                                  _copy_arcs)
@@ -279,6 +287,36 @@ def swap_endpoints(eu, ev, inc, e1, e2, first) -> None:
     inc[x].append(e1)
     inc[x].remove(e2)
     inc[b].append(e2)
+
+
+# ----------------------------------------------------------------------
+# the former one-shot dense initialisers
+# ----------------------------------------------------------------------
+
+def oneshot_positional(n, rng):
+    """``init_positional(n, rng=rng)`` with the conflict profiles."""
+    pos = np.arange(n) / n
+    ops = (rng.random(n) < 0.5).astype(np.int8)
+    iu, iv = np.triu_indices(n, k=1)
+    pc = conflict_concordant_profile(pos[iu], pos[iv])
+    pd = conflict_discordant_profile(pos[iu], pos[iv])
+    prob = np.where(ops[iu] == ops[iv], pc, pd)
+    adj = np.zeros((n, n), dtype=bool)
+    keep = rng.random(len(iu)) < prob
+    adj[iu[keep], iv[keep]] = True
+    adj |= adj.T
+    return ops, adj
+
+
+def oneshot_iid(n, p0, q0, rng):
+    """``DenseState.iid(n, p0, q0, rng)``."""
+    ops = (rng.random(n) < q0).astype(np.int8)
+    adj = np.zeros((n, n), dtype=bool)
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < p0
+    adj[iu[keep], iv[keep]] = True
+    adj |= adj.T
+    return ops, adj
 
 
 def _derive_rnd(rng) -> random.Random:

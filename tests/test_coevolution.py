@@ -9,7 +9,7 @@ from discordlab.coevolution import (CONSENSUS, POLARISATION, UNRESOLVED,
                                     DenseState, SwitchProbs)
 from discordlab.errors import InvalidParameterError, SimulationTimeout
 
-from _oracles import is_connected
+from _oracles import is_connected, oneshot_iid, oneshot_positional
 
 
 def two_vertex_edge():
@@ -149,6 +149,24 @@ def test_size_that_is_no_integer_is_refused(rng, bad):
     assert coevolution.init_positional(np.int64(6), rng=rng).n == 6
 
 
+@pytest.mark.parametrize("engine", ["rewire", "holme-newman"])
+@pytest.mark.parametrize("graph_n, n", [(10, 5), (5, 10)],
+                         ids=["graph-larger", "graph-smaller"])
+def test_initial_graph_of_another_size_is_refused(rng, engine, graph_n, n):
+    # the rewire model leaked an IndexError for a larger graph and counted
+    # the missing vertices of a smaller one as isolated; Holme-Newman
+    # refused both only through count_discordant's opinion-length message
+    g = graphs.generate_complete(graph_n)
+    with pytest.raises(InvalidParameterError,
+                       match=f"initial_graph has {graph_n} vertices, "
+                             f"but n = {n}"):
+        if engine == "rewire":
+            coevolution.run_rewire_model(n, 1.0, "TO_RANDOM", rng,
+                                         initial_graph=g)
+        else:
+            coevolution.run_holme_newman(n, 0, 0.5, rng, initial_graph=g)
+
+
 # ----------------------------------------------------------------------
 # Holme-Newman
 # ----------------------------------------------------------------------
@@ -261,6 +279,52 @@ def test_dense_state_holds_no_object_per_edge():
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("n", [2, 3, 57, 400, 1000])
+@pytest.mark.parametrize("init", ["positional", "iid"])
+def test_blocked_pair_draw_matches_one_shot(n, init):
+    # C(400,2) and C(1000,2) span several row blocks of about 2^14 pairs;
+    # the reference draws every pair with one rng.random(C(n,2))
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    if init == "positional":
+        st = coevolution.init_positional(n, rng=rng)
+        ops, adj = oneshot_positional(n, ref)
+    else:
+        st = DenseState.iid(n, 0.4, 0.5, rng)
+        ops, adj = oneshot_iid(n, 0.4, 0.5, ref)
+    assert np.array_equal(st.opinions, ops)
+    assert np.array_equal(st.adj, adj)
+    assert rng.random() == ref.random()
+    iu, iv = np.triu_indices(n, k=1)
+    assert st.edge_count == np.count_nonzero(adj[iu, iv])
+    assert st.edge_conc_count == np.count_nonzero(adj[iu, iv]
+                                                  & (ops[iu] == ops[iv]))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_layer_takes_a_few_bytes_per_pair():
+    # one-shot draws peaked at 56 B per pair (init_positional) and 29
+    # (DenseState.iid), and a run's edge lists at 41; the matrix alone
+    # takes 2 B per pair
+    n = 1000
+    npairs = n * (n - 1) // 2
+    st = coevolution.init_positional(n, rng=np.random.default_rng(1))
+    assert _peak_bytes(lambda: coevolution.init_positional(
+        n, rng=np.random.default_rng(1))) < 8 * npairs
+    assert _peak_bytes(lambda: DenseState.iid(
+        n, 0.4, 0.5, np.random.default_rng(1))) < 8 * npairs
+    assert _peak_bytes(lambda: coevolution.run_dense(
+        st, 1.0, 1.1, FIG9, 0.01, [0.0, 0.01],
+        np.random.default_rng(2))) < 20 * npairs
+
+
 def test_dense_state_validation():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = True  # asymmetric
@@ -293,6 +357,10 @@ def test_init_positional_extremes(rng):
     nan = lambda x, y: np.full_like(x, np.nan)
     with pytest.raises(InvalidParameterError, match="profile leaves"):
         coevolution.init_positional(10, nan, zero, rng)
+    # out of range on the last rows only, in the last of several blocks
+    late = lambda x, y: np.where(x > 0.99, 1.5, 0.1)
+    with pytest.raises(InvalidParameterError, match="discordant profile"):
+        coevolution.init_positional(400, zero, late, rng)
 
 
 def test_init_positional_conflict_density(rng):
@@ -351,6 +419,21 @@ def test_dense_boundary_weights_monotone_edges(rng):
     traj = coevolution.run_dense(st, 1.0, 1.0, s0, 2.0,
                                  np.linspace(0, 2, 41), rng)
     assert np.all(np.diff(traj.p) <= 1e-15)
+
+
+def test_run_dense_checks_the_state_and_leaves_it(rng):
+    # the run copies the state's arrays once, after the constructor's checks
+    st = DenseState.iid(30, 0.4, 0.5, rng)
+    ops, adj = st.opinions.copy(), st.adj.copy()
+    coevolution.run_dense(st, 1.0, 1.0, FIG9, 2.0, [0.0, 2.0], rng)
+    assert np.array_equal(st.opinions, ops) and np.array_equal(st.adj, adj)
+    st.adj[0, 1] = not st.adj[0, 1]
+    with pytest.raises(InvalidParameterError, match="symmetric"):
+        coevolution.run_dense(st, 1.0, 1.0, FIG9, 1.0, [], rng)
+    st.adj[0, 1] = not st.adj[0, 1]
+    st.opinions[3] = 2
+    with pytest.raises(InvalidParameterError, match="0 or 1"):
+        coevolution.run_dense(st, 1.0, 1.0, FIG9, 1.0, [], rng)
 
 
 def test_dense_validation(rng):

@@ -335,6 +335,18 @@ def test_graph_bulk_constructor_matches_add_edge(rng):
         graphs.DirectedGraph(3, [0], [-1])
 
 
+@pytest.mark.parametrize("cls", [graphs.Graph, graphs.DirectedGraph])
+@pytest.mark.parametrize("n", [2.5, "3", math.nan, math.inf],
+                         ids=["fraction", "string", "nan", "inf"])
+def test_constructor_size_that_is_no_integer_is_refused(cls, n):
+    # 2.5 made a graph on 2 vertices; "3" leaked a TypeError, NaN a
+    # ValueError and inf an OverflowError
+    with pytest.raises(InvalidParameterError,
+                       match="vertex count must be an integer"):
+        cls(n, [0], [1])
+    assert cls(np.int64(3), [0], [1]).n == 3
+
+
 def test_directed_lists_are_built_on_first_read(rng):
     # a DirectedGraph holds only its endpoint arrays; the adjacency lists
     # of the reference directed engine come from directed_lists

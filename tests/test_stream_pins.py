@@ -27,7 +27,13 @@ gives with ``check=True``, which keeps the event loop to the horizon.
 The ``dense-iid`` row, an unchecked run from ``DenseState.iid``, was
 recorded while ``DenseState`` kept its edges as a set of ``(i, j)`` tuples,
 before ``run_dense`` moved to a list of integer pair ids, which keeps
-every dense digest.
+every dense digest.  The dense rows start at n = 30 and n = 60, within one
+block of the row-blocked pair draw; ``test_coevolution.py`` holds both
+initialisers to the former one-shot draw at sizes that span several.
+The ``rewire-to-same-flips`` row, at beta = 10, adopts at one ring in
+four, so same-opinion rewires keep drawing from opinion classes that
+flips have just changed; the ``rewire-to-same`` row, at beta = 0.5,
+passes even when a flip leaves a moved vertex's position stale.
 The six ``lockstep-*`` rows are ``run_ensemble`` ensembles of 16 or more
 replicas, which step together in ``_lockstep``: regular moves, moves
 through the CSR of copying slots (with isolated vertices), self-loops and
@@ -227,6 +233,9 @@ CASES = {
     "cap-rewiring": (_capped, 10.0, 131, 100000),
     "rewire-to-random": (_rewire_model, coevolution.TO_RANDOM, 4.0, 111),
     "rewire-to-same": (_rewire_model, coevolution.TO_SAME, 0.5, 112),
+    # about 1,800 rings, many of them flips that move a vertex between the
+    # opinion classes that same-opinion rewires draw from
+    "rewire-to-same-flips": (_rewire_model, coevolution.TO_SAME, 10.0, 124),
     "holme-newman": (_holme_newman, 113),
     "dense-checked": (_dense, 114),
     "voter-rrg-multigraph": (_static, "rrg-multigraph", 116),
@@ -323,6 +332,8 @@ DIGESTS = {
         "53e93f25439b355ba4d4e0235b3bb7e6f41499bcd3eac6537310bd7c24581bb4",
     "rewire-to-same":
         "7ef447b4ccce35d614a54a3bf17c17bb943a41b901e68a8fd72c02355ed38cf8",
+    "rewire-to-same-flips":
+        "7a1344f3b06dca71c6c38d39863053d5eda4580196a6403deca73ce107431e38",
     "rewiring-er":
         "600ad1ec4bc5bc64ee70f7a90bd011738a5fb1a1fce8468cfac73aa481d554c9",
     "rewiring-rrg":
