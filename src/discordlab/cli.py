@@ -146,15 +146,9 @@ def cmd_simulate(args, argv):
     _require(args.samples >= 2, "--samples must be >= 2")
     schedule = np.linspace(0.0, args.horizon, args.samples)
     state = dynamics.init_opinions_iid(g.n, args.u, rng)
-    if isinstance(g, graphs.DirectedGraph):
-        _require(args.nu == 0.0, "rewiring applies to undirected graphs only")
-        traj = dynamics.run_voter_directed(g, state, args.horizon, schedule,
-                                           rng, adopt_from=args.adopt_from,
-                                           max_events=args.max_events)
-    else:
-        traj = dynamics.run_voter_rewiring(
-            g, state, args.nu, args.horizon, schedule, rng,
-            max_events=args.max_events)
+    traj = dynamics._run_on(g, state, args.nu, args.horizon, schedule, rng,
+                            adopt_from=args.adopt_from,
+                            max_events=args.max_events)
     _write_csv(args.out, ["t", "heart_frac", "discordant_frac"],
                [traj.times, traj.heart_frac, traj.discordant_frac])
     meta = {

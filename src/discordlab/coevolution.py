@@ -342,33 +342,37 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
 # ----------------------------------------------------------------------
 
 class DenseState:
-    """Opinions plus a symmetric adjacency bit matrix with maintained pair
-    class counts (connected/disconnected x concordant/discordant).
+    """Opinions plus a symmetric adjacency bit matrix, both read-only, with
+    the heart, edge and connected-concordant counts, from which the other
+    pair classes (connected/disconnected x concordant/discordant) follow.
 
-    Only heart_count, edge count and the connected-concordant count are
-    updated per event; the other classes follow arithmetically from them,
-    which keeps flips O(n) and pair toggles O(1).  The matrix takes one
-    byte per ordered pair, 2 B per vertex pair; the constructor copies it
-    and counts the edges and the concordant ones with row sums, so it
-    peaks at about 4 B per vertex pair.  :func:`run_dense` builds its edge
-    list, integer pair ids, from the matrix.
+    The constructor checks and copies the arrays once and counts them with
+    row sums, and :func:`run_dense` trusts what a state holds.  The matrix
+    takes one byte per ordered pair, 2 B per vertex pair, and the
+    constructor peaks at about 4 B per vertex pair; the starts hand their
+    fresh matrix over with no check and no copy.  :func:`run_dense` builds
+    its edge list, integer pair ids, from the matrix.
     """
 
     def __init__(self, opinions, adj):
-        opinions, adj = _checked(opinions, adj)
-        self.opinions = opinions.copy()
-        self.adj = adj.copy()
-        self.n = len(opinions)
+        self._hold(*_checked(opinions, adj))
+
+    def _hold(self, opinions, adj) -> "DenseState":
+        # fresh int8 opinions and a bool matrix, valid and held by no one
+        # else: the starts come here straight from __new__
+        opinions.flags.writeable = adj.flags.writeable = False
+        self.opinions, self.adj, self.n = opinions, adj, len(opinions)
         self.heart_count, self.edge_count, self.edge_conc_count = \
-            _counts(self.opinions, self.adj)
+            _counts(opinions, adj)
+        return self
 
     @classmethod
     def iid(cls, n, p0, q0, rng) -> "DenseState":
         """Independent coins: hearts with prob q0, one ``rng.random(n)``,
         then edges with prob p0, drawn by :func:`_pair_coins` as if by one
         ``rng.random(C(n,2))`` over the pairs i < j in row-major order.
-        Peaks at about 4 B per vertex pair, plus about 1 MB for one
-        block."""
+        Peaks at about 2 B per vertex pair, the matrix the state holds,
+        plus about 1 MB for one block."""
         n = _size(n, "vertex count")
         if n < 2:
             raise InvalidParameterError("need n >= 2")
@@ -376,7 +380,8 @@ class DenseState:
                 and 0.0 <= _real(q0, "q0") <= 1.0):
             raise InvalidParameterError("densities must be in [0,1]")
         ops = (rng.random(n) < q0).astype(np.int8)
-        return cls(ops, _pair_coins(n, lambda iu, iv: p0, rng))
+        return cls.__new__(cls)._hold(
+            ops, _pair_coins(n, lambda iu, iv: p0, rng))
 
     @property
     def n_pairs(self) -> int:
@@ -386,19 +391,13 @@ class DenseState:
     def edge_disc(self) -> int:
         return self.edge_count - self.edge_conc_count
 
-    def recount(self):
-        """Brute-force recount of the four pair classes from the matrices,
-        in the order of :func:`_pair_classes`."""
-        return _recount(self.opinions, self.adj)
-
 
 def _checked(opinions, adj):
-    """``opinions`` and ``adj`` as int8 and bool arrays (copied only to
-    convert), checked to be 0/1 opinions and a symmetric n x n adjacency
-    with no self-pair."""
+    """Fresh int8 and bool copies of ``opinions`` and ``adj``, checked to
+    be 0/1 opinions and a symmetric n x n adjacency with no self-pair."""
     try:
-        opinions = np.asarray(opinions, dtype=np.int8)
-        adj = np.asarray(adj, dtype=bool)
+        opinions = np.array(opinions, dtype=np.int8)
+        adj = np.array(adj, dtype=bool, order="C")
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(
             "opinions and adjacency must be arrays of numbers") from None
@@ -463,16 +462,6 @@ def _counts(opinions, adj):
             int(same.sum()) // 2)
 
 
-def _recount(opinions, adj):
-    iu, iv = np.triu_indices(len(opinions), k=1)
-    conn = adj[iu, iv]
-    same = opinions[iu] == opinions[iv]
-    return (int(np.count_nonzero(conn & same)),
-            int(np.count_nonzero(conn & ~same)),
-            int(np.count_nonzero(~conn & same)),
-            int(np.count_nonzero(~conn & ~same)))
-
-
 def _pair_classes(n, heart, ecount, econc):
     """The four pair-class counts (edge_conc, edge_disc, nonedge_conc,
     nonedge_disc), which sum to C(n,2), from the heart, edge and
@@ -503,8 +492,8 @@ def init_positional(n, concordant_profile=None, discordant_profile=None,
     drawn by :func:`_pair_coins`, in row-major blocks of about 2^14 pairs,
     with the doubles and end state of one ``rng.random(C(n,2))``; each
     block's profile values are checked just before its draw.  A start
-    peaks at about 4 B per vertex pair, the matrix and the state's copy of
-    it, plus about 1 MB for one block's temporaries.
+    peaks at about 2 B per vertex pair, the matrix the state holds, plus
+    about 1 MB for one block's temporaries.
     """
     if rng is None:
         raise InvalidParameterError("rng is required")
@@ -525,7 +514,8 @@ def init_positional(n, concordant_profile=None, discordant_profile=None,
                 raise InvalidParameterError(f"{name} profile leaves [0,1]")
         return np.where(ops[iu] == ops[iv], pc, pd)
 
-    return DenseState(ops, _pair_coins(n, prob, rng))
+    return DenseState.__new__(DenseState)._hold(ops,
+                                                _pair_coins(n, prob, rng))
 
 
 def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
@@ -550,9 +540,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     ``_sset``.  Both tables are ``array('i')`` (``'q'`` once n^2 passes
     2^31 - 1), so the run takes about 2 B per vertex pair for the matrix,
     8 for the positions and 4 per edge, and peaks near 14 B per vertex
-    pair on the positional start.  The run checks the state's arrays as
-    ``DenseState`` does, copies them once, and counts the hearts, edges
-    and concordant edges from its copies.
+    pair on the positional start.  The run copies the state's read-only
+    arrays once and starts from the state's counts.
 
     Once the opinions are unanimous every pair is concordant, and each
     pair's connection is an independent two-state chain: it is added at
@@ -565,15 +554,15 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     the pair proposals after it, one Poisson(rho*C(n,2)*max_weight*d) draw
     per gap; a gap that crosses ``max_events`` raises SimulationTimeout
     with the samples before it.  ``check=True`` keeps the event loop to the
-    horizon and recounts the pair classes from the views at every sample
-    time.  The cost grows linearly with rho times the horizon: rho = 1e12
-    runs to ``max_events`` (1e9 by default, minutes) in a unit of time.
+    horizon and, at every sample time, recounts the hearts, edges and
+    concordant edges from the views against the maintained ones.  The
+    cost grows linearly with rho times the horizon: rho = 1e12 runs to
+    ``max_events`` (1e9 by default, minutes) in a unit of time.
     """
     if not (0 <= _real(eta, "eta") < math.inf
             and 0 <= _real(rho, "rho") < math.inf):
         raise InvalidParameterError("rates must be finite and >= 0")
-    ops, adj = _checked(state.opinions, state.adj)
-    n = len(ops)
+    n = state.n
     if n < 2:
         raise InvalidParameterError("need n >= 2")
     _check_cap(max_events)
@@ -582,8 +571,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
         raise InvalidParameterError("dense runs need a finite horizon >= 0")
 
     npairs = n * (n - 1) // 2
-    opb = bytearray(ops)
-    adjb = bytearray(adj)
+    opb = bytearray(state.opinions)
+    adjb = bytearray(state.adj)
     opv = np.frombuffer(opb, dtype=np.int8)
     adj = np.frombuffer(adjb, dtype=bool).reshape(n, n)
     hearts = opv.view(bool)
@@ -597,7 +586,8 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     # neither grow nor shrink
     np.frombuffer(edge_items, dtype=code)[:] = ids
     np.frombuffer(edge_pos, dtype=code)[ids] = np.arange(len(ids), dtype=code)
-    heart, ecount, econc = _counts(opv, adj)
+    heart, ecount, econc = \
+        state.heart_count, state.edge_count, state.edge_conc_count
 
     envelope = max(1.0, s.max_weight)
     pair_total = rho * npairs * envelope
@@ -612,13 +602,14 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
 
     def flush(limit):
         nonlocal si
-        kept = _pair_classes(n, heart, ecount, econc)
+        counts = (heart, ecount, econc)
+        kept = _pair_classes(n, *counts)
         while si < len(sched) and sched[si] < limit:
             rows.append((sched[si], heart / n, ecount / npairs,
                          *(x / npairs for x in kept)))
-            if check and _recount(opv, adj) != kept:
+            if check and _counts(opv, adj) != counts:
                 raise AssertionError(f"pair-class bookkeeping diverged: "
-                                     f"{_recount(opv, adj)} != {kept}")
+                                     f"{_counts(opv, adj)} != {counts}")
             si += 1
 
     while not chain:

@@ -672,12 +672,19 @@ def consensus_time(g, state: OpinionState, rng, *,
     graphs) raises :class:`SimulationTimeout` rather than spinning.
     Rewiring (``nu != 0``) applies to undirected graphs only.
     """
+    return _run_on(g, state, nu, None, [], rng,
+                   max_events=max_events).consensus_time
+
+
+def _run_on(g, state, nu, horizon, schedule, rng, *, adopt_from="out",
+            max_events=DEFAULT_MAX_EVENTS) -> Trajectory:
+    # the engine that g's type takes, looked up in this module's globals
+    # at call time; a directed graph takes no rewiring
     if isinstance(g, DirectedGraph):
         if nu != 0.0:
             raise InvalidParameterError(
                 "rewiring applies to undirected graphs only")
-        traj = run_voter_directed(g, state, None, [], rng, max_events=max_events)
-    else:
-        traj = run_voter_rewiring(g, state, nu, None, [], rng,
-                                  max_events=max_events)
-    return traj.consensus_time
+        return run_voter_directed(g, state, horizon, schedule, rng,
+                                  adopt_from=adopt_from, max_events=max_events)
+    return run_voter_rewiring(g, state, nu, horizon, schedule, rng,
+                              max_events=max_events)

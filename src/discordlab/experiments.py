@@ -237,14 +237,10 @@ def _replica(cfg: ExperimentConfig, r: int) -> dict:
     state = dynamics.init_opinions_iid(g.n, cfg.u, rng)
     timed_out = False
     try:
-        if isinstance(g, graphs.DirectedGraph):
-            traj = dynamics.run_voter_directed(
-                g, state, cfg.horizon, cfg.sample_times, rng,
-                adopt_from=cfg.adopt_from, max_events=cfg.max_events)
-        else:
-            traj = dynamics.run_voter_rewiring(
-                g, state, cfg.nu, cfg.horizon, cfg.sample_times, rng,
-                max_events=cfg.max_events)
+        traj = dynamics._run_on(g, state, cfg.nu, cfg.horizon,
+                                cfg.sample_times, rng,
+                                adopt_from=cfg.adopt_from,
+                                max_events=cfg.max_events)
     except SimulationTimeout as exc:
         traj = exc.partial
         timed_out = True
@@ -336,7 +332,7 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     master_seed regardless of ``workers``.  Replica timeouts are flagged and
     aggregated as NaN rather than aborting the ensemble; with
     ``horizon=None`` that includes a replica whose consensus is out of
-    reach.
+    reach.  ``adopt_from`` must be "out" or "in" on every family.
 
     An ensemble of at least ``LOCKSTEP_MIN_REPLICAS`` (16) replicas with
     ``nu == 0``, a finite horizon and an ``rrg``, ``er`` or ``dcm`` model
@@ -355,9 +351,8 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     if cfg.master_seed < 0:
         raise InvalidParameterError("master_seed must be >= 0")
     dynamics._check_cap(cfg.max_events)
-    if cfg.model.get("family") == "dcm" and cfg.nu != 0.0:
-        raise InvalidParameterError(
-            "rewiring applies to undirected graphs only")
+    if cfg.adopt_from not in ("out", "in"):
+        raise InvalidParameterError("adopt_from must be 'out' or 'in'")
     times = np.asarray(dynamics._prepared_schedule(cfg.sample_times,
                                                    cfg.horizon))
     if cfg.comparison:

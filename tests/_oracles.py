@@ -39,7 +39,10 @@ for ``_sset.partition`` and ``_sset.move``, which replaced it.
 they were before ``coevolution._pair_coins`` drew the pair coins in
 row-major blocks: every pair at once, with one ``rng.random(C(n,2))``.
 They return the opinions and the adjacency matrix, the reference for the
-blocked draw."""
+blocked draw.  ``dense_recount`` counts the four pair classes of a dense
+state pair by pair, and ``reference_dense`` runs the dense model as a
+Gillespie run over the pairs at their exact rates, the reference for the
+law of ``run_dense``."""
 
 import math
 import random
@@ -49,7 +52,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from discordlab._lockstep import _BLOCK_STEPS
-from discordlab.coevolution import (conflict_concordant_profile,
+from discordlab.coevolution import (DenseTrajectory,
+                                    conflict_concordant_profile,
                                     conflict_discordant_profile)
 from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
                                  _Samples, _check_classes, _closed_classes,
@@ -317,6 +321,78 @@ def oneshot_iid(n, p0, q0, rng):
     adj[iu[keep], iv[keep]] = True
     adj |= adj.T
     return ops, adj
+
+
+# ----------------------------------------------------------------------
+# the dense model pair by pair
+# ----------------------------------------------------------------------
+
+def dense_recount(opinions, adj):
+    """The four pair classes (edge_conc, edge_disc, nonedge_conc,
+    nonedge_disc) of 0/1 opinions and a symmetric adjacency, counted pair
+    by pair over i < j."""
+    iu, iv = np.triu_indices(len(opinions), k=1)
+    conn = adj[iu, iv]
+    same = opinions[iu] == opinions[iv]
+    return (int(np.count_nonzero(conn & same)),
+            int(np.count_nonzero(conn & ~same)),
+            int(np.count_nonzero(~conn & same)),
+            int(np.count_nonzero(~conn & ~same)))
+
+
+def reference_dense(state, eta, rho, s, horizon, schedule, rng):
+    """The law of ``run_dense`` as a Gillespie run over the pairs i < j at
+    their exact rates, with no thinning, no edge list and no chain after
+    consensus: a connected discordant pair fires at rate eta in each
+    direction (i adopts j's opinion, or j adopts i's), and every pair
+    switches its connection at rate rho times the weight of its class.
+    Each event is drawn from the vector of all 3 C(n,2) rates.  Returns a
+    DenseTrajectory of the seven observables at each schedule time (the
+    state just before the first event past it), the time of the first
+    unanimity and ``n_events``, the events up to the horizon."""
+    n = state.n
+    ops = np.array(state.opinions)
+    adj = np.array(state.adj)
+    iu, iv = np.triu_indices(n, k=1)
+    npairs = len(iu)
+    heart = int(ops.sum())
+    cons_t = 0.0 if heart in (0, n) else None
+    sched = [float(x) for x in schedule]
+    rows = []
+    t = 0.0
+    events = 0
+    while True:
+        conn = adj[iu, iv]
+        conc = ops[iu] == ops[iv]
+        weight = np.where(conn, np.where(conc, s.s_c1, s.s_d1),
+                          np.where(conc, s.s_c0, s.s_d0))
+        adopt = eta * (conn & ~conc)
+        cum = np.cumsum(np.concatenate([rho * weight, adopt, adopt]))
+        total = cum[-1]
+        t_next = t + rng.exponential(1.0 / total) if total > 0 else math.inf
+        while sched and sched[0] < t_next:
+            rows.append((sched.pop(0), heart / n,
+                         np.count_nonzero(conn) / npairs,
+                         *(x / npairs for x in dense_recount(ops, adj))))
+        if t_next > horizon:
+            break
+        t = t_next
+        events += 1
+        k = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        kind, pair = divmod(k, npairs)
+        i, j = iu[pair], iv[pair]
+        if kind == 0:
+            adj[i, j] = adj[j, i] = not adj[i, j]
+            continue
+        if kind == 2:
+            i, j = j, i
+        ops[i] = ops[j]
+        heart += 1 if ops[j] == 1 else -1
+        if cons_t is None and heart in (0, n):
+            cons_t = t
+    cols = np.array(rows, dtype=float).reshape(-1, 7).T
+    return DenseTrajectory(*cols, consensus_time=cons_t, n_events=events,
+                           final_edge_count=int(adj.sum()) // 2)
 
 
 def _derive_rnd(rng) -> random.Random:

@@ -9,7 +9,8 @@ from discordlab.coevolution import (CONSENSUS, POLARISATION, UNRESOLVED,
                                     DenseState, SwitchProbs)
 from discordlab.errors import InvalidParameterError, SimulationTimeout
 
-from _oracles import is_connected, oneshot_iid, oneshot_positional
+from _oracles import (dense_recount, is_connected, oneshot_iid,
+                      oneshot_positional)
 
 
 def two_vertex_edge():
@@ -261,7 +262,7 @@ def _pair_classes(st):
 
 def test_dense_state_counts_and_recount(rng):
     st = DenseState.iid(40, 0.3, 0.5, rng)
-    assert _pair_classes(st) == st.recount()
+    assert _pair_classes(st) == dense_recount(st.opinions, st.adj)
     assert sum(_pair_classes(st)) == st.n_pairs
 
 
@@ -323,6 +324,28 @@ def test_dense_layer_takes_a_few_bytes_per_pair():
     assert _peak_bytes(lambda: coevolution.run_dense(
         st, 1.0, 1.1, FIG9, 0.01, [0.0, 0.01],
         np.random.default_rng(2))) < 20 * npairs
+
+
+def test_dense_starts_hold_one_matrix():
+    # a start held its matrix and the state's copy of it, 4.1 B per pair
+    # at n = 2000; the block temporaries add about 1 MB
+    n = 2000
+    npairs = n * (n - 1) // 2
+    assert _peak_bytes(lambda: coevolution.init_positional(
+        n, rng=np.random.default_rng(1))) < 3 * npairs
+    assert _peak_bytes(lambda: DenseState.iid(
+        n, 0.4, 0.5, np.random.default_rng(1))) < 3 * npairs
+
+
+def test_checked_dense_run_takes_a_few_bytes_per_pair():
+    # a pair-by-pair recount at every sample time peaked at 32.8 B per
+    # pair; the run alone takes about 14
+    n = 1000
+    npairs = n * (n - 1) // 2
+    st = coevolution.init_positional(n, rng=np.random.default_rng(1))
+    assert _peak_bytes(lambda: coevolution.run_dense(
+        st, 1.0, 1.1, FIG9, 0.01, [0.0, 0.01], np.random.default_rng(2),
+        check=True)) < 20 * npairs
 
 
 def test_dense_state_validation():
@@ -422,18 +445,35 @@ def test_dense_boundary_weights_monotone_edges(rng):
 
 
 def test_run_dense_checks_the_state_and_leaves_it(rng):
-    # the run copies the state's arrays once, after the constructor's checks
+    # the constructor checks the arrays, and no one can edit them after
     st = DenseState.iid(30, 0.4, 0.5, rng)
     ops, adj = st.opinions.copy(), st.adj.copy()
     coevolution.run_dense(st, 1.0, 1.0, FIG9, 2.0, [0.0, 2.0], rng)
     assert np.array_equal(st.opinions, ops) and np.array_equal(st.adj, adj)
-    st.adj[0, 1] = not st.adj[0, 1]
-    with pytest.raises(InvalidParameterError, match="symmetric"):
-        coevolution.run_dense(st, 1.0, 1.0, FIG9, 1.0, [], rng)
-    st.adj[0, 1] = not st.adj[0, 1]
-    st.opinions[3] = 2
-    with pytest.raises(InvalidParameterError, match="0 or 1"):
-        coevolution.run_dense(st, 1.0, 1.0, FIG9, 1.0, [], rng)
+    with pytest.raises(ValueError, match="read-only"):
+        st.adj[0, 1] = not st.adj[0, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        st.opinions[3] = 2
+    assert np.array_equal(st.opinions, ops) and np.array_equal(st.adj, adj)
+
+
+@pytest.mark.parametrize("start", ["constructor", "positional"])
+def test_dense_state_arrays_are_read_only(start):
+    # DenseState.iid is the state of the test above
+    rng = np.random.default_rng(3)
+    if start == "constructor":
+        ops, adj = oneshot_iid(20, 0.4, 0.5, rng)
+        st = DenseState(ops, adj)
+        # the state holds copies: the caller's arrays stay its own
+        adj[0, 1] = adj[1, 0] = not adj[0, 1]
+        assert st.adj[0, 1] != adj[0, 1]
+    else:
+        st = coevolution.init_positional(20, rng=rng)
+    for arr in (st.opinions, st.adj):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 1
+    assert st.heart_count == np.count_nonzero(st.opinions)
+    assert _pair_classes(st) == dense_recount(st.opinions, st.adj)
 
 
 def test_dense_validation(rng):

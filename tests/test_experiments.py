@@ -76,6 +76,34 @@ def test_rewiring_rate_on_a_directed_model_is_refused():
         experiments.run_ensemble(cfg)
 
 
+@pytest.mark.parametrize("family, replicas", [
+    ("rrg", 2), ("rrg", 16), ("complete", 2), ("dcm", 16)],
+    ids=["rrg-single-run", "rrg-lockstep", "complete", "dcm-lockstep"])
+def test_unknown_adopt_from_is_refused_before_any_replica_runs(
+        monkeypatch, family, replicas):
+    # undirected ensembles ignored it and ran; dcm refused it only once a
+    # replica had built its graph
+    def no_graph(model, rng):
+        raise AssertionError("a replica ran")
+    monkeypatch.setattr(experiments, "build_graph", no_graph)
+    model = {"family": family, "n": 40, "d": 3}
+    if family == "complete":
+        del model["d"]
+    cfg = small_cfg(model=model, replicas=replicas, adopt_from="sideways")
+    with pytest.raises(InvalidParameterError, match="adopt_from"):
+        experiments.run_ensemble(cfg)
+
+
+@pytest.mark.parametrize("replicas", [2, 16], ids=["single-run", "lockstep"])
+def test_adopt_from_in_runs_an_undirected_ensemble_as_out(replicas):
+    # on an undirected graph both directions have the same law
+    out, into = (experiments.run_ensemble(small_cfg(replicas=replicas,
+                                                    adopt_from=a))
+                 for a in ("out", "in"))
+    for key in ("heart_frac", "discordant_frac"):
+        assert np.array_equal(out.samples[key], into.samples[key])
+
+
 def test_build_graph_families(rng):
     assert experiments.build_graph({"family": "complete", "n": 5}, rng).m == 10
     g = experiments.build_graph({"family": "er", "n": 20, "p": 0.3}, rng)
