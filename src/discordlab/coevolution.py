@@ -394,11 +394,13 @@ class DenseState:
 
 def _checked(opinions, adj):
     """Fresh int8 and bool copies of ``opinions`` and ``adj``, checked to
-    be 0/1 opinions and a symmetric n x n adjacency with no self-pair."""
+    be 0/1 opinions and a symmetric n x n 0/1 adjacency with no self-pair."""
     try:
-        opinions = np.array(opinions, dtype=np.int8)
-        adj = np.array(adj, dtype=bool, order="C")
-    except (TypeError, ValueError, OverflowError):
+        opinions, adj = np.asarray(opinions), np.asarray(adj)
+        # compared before the cast, which would read 0.5 as 0 and 0.3 as True
+        ops_binary, adj_binary = (np.all((a == 0) | (a == 1))
+                                  for a in (opinions, adj))
+    except (TypeError, ValueError):
         raise InvalidParameterError(
             "opinions and adjacency must be arrays of numbers") from None
     if opinions.ndim != 1:
@@ -406,12 +408,16 @@ def _checked(opinions, adj):
     n = len(opinions)
     if adj.shape != (n, n):
         raise InvalidParameterError("adjacency must be n x n")
+    if not ops_binary:
+        raise InvalidParameterError("opinions must be 0 or 1")
+    if not adj_binary:
+        raise InvalidParameterError("adjacency entries must be 0 or 1")
+    opinions = opinions.astype(np.int8)
+    adj = adj.astype(bool, order="C")
     if np.any(adj != adj.T):
         raise InvalidParameterError("adjacency must be symmetric")
     if np.any(np.diag(adj)):
         raise InvalidParameterError("no self-pairs in the dense model")
-    if np.any((opinions != 0) & (opinions != 1)):
-        raise InvalidParameterError("opinions must be 0 or 1")
     return opinions, adj
 
 

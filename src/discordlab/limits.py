@@ -1,5 +1,6 @@
-"""Large-N oracles: diffusion constants, the tree meeting-time profile, the
-rewiring continued fraction, Fisher-Wright absorption times, the short-time
+"""Large-N oracles: diffusion constants, the tree meeting-time profile (a
+closed-form spectral sum over the truncated distance chain), the rewiring
+continued fraction, Fisher-Wright absorption times, the short-time
 discordance prediction, and the coupled dense-limit system.
 
 Everything here is a pure function of its arguments (the dense-limit
@@ -62,20 +63,27 @@ class MeetingProfile:
 
 
 def meeting_profile(d, t_max=None, tolerance=1e-6, times=None) -> MeetingProfile:
-    """Certified meeting-time profile via the inter-walker distance chain.
+    """Meeting-time profile from the truncated inter-walker distance chain.
 
     The distance between the walkers is a birth-death chain on {0,1,2,...}:
     each of the two rate-1 walkers moves the distance +1 with probability
     (d-1)/d and -1 with probability 1/d, and 0 (meeting) absorbs.  The chain
     is truncated at level K with an absorbing "escaped" tail state that
     counts as survival; a path at level K+1 returns to 0 with probability
-    (d-1)^-(K+1) (gambler's ruin), so that choice of K certifies the
-    truncation error.  Time evolution uses uniformization at rate 2 (the
-    exact total jump rate), whose Poisson tails provide the remaining,
-    equally certified, error term.  Once the mass still on levels 1..K is
-    within the Poisson budget of the substeps not yet taken, every later
-    value is set to the midpoint of the interval that holds them, so the
-    cost stops growing with the grid's end.
+    (d-1)^-(K+1) (gambler's ruin), and K (at least 8) keeps that within
+    tolerance/2.  On levels 1..K the distance steps up at rate 2(d-1)/d and
+    down at rate 2/d, a constant tridiagonal generator whose symmetrised
+    eigenpairs are known; meeting takes rate 2/d from level 1, so with
+    theta_k = k pi/(K+1),
+
+        lam_k = -2 + (4 sqrt(d-1)/d) cos(theta_k),
+        w_k = (2/(K+1)) sin(theta_k)^2,
+        f(t) = 1 - (2/d) sum_{k=1..K} w_k (1 - e^(lam_k t)) / (-lam_k),
+
+    which is exact for the truncated chain up to rounding.  The sum is
+    accumulated one term at a time over the whole grid, in the same order
+    for every time, so the values are non-increasing; the cost is O(K) per
+    grid value, at any t.
 
     Parameters
     ----------
@@ -109,65 +117,15 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None) -> MeetingProfile
     K = max(8, math.ceil((math.log(2.0) - math.log(tolerance))
                          / math.log(d - 1)))
 
-    lam = 2.0
-    pu = (d - 1) / d
-    pd_ = 1.0 / d
-    # substeps keep each uniformization mean lam * dt at most 64, for stable
-    # weights; lam * dt itself overflows for dt near the largest double
-    sub_dt = 64.0 / lam
-    widths = np.diff(np.concatenate(([0.0], grid)))
-    n_substeps = int(sum(max(1, math.ceil(w / sub_dt)) for w in widths
-                         if w > 0)) or 1
-    eps_step = tolerance / (2.0 * n_substeps)
-
-    p = np.zeros(K)
-    p[0] = 1.0  # distance 1: the walkers start across an edge
-    escaped = 0.0
-    values = np.empty(len(grid))
-
-    def advance(mu):
-        nonlocal p, escaped
-        weight = math.exp(-mu)
-        acc_p = weight * p
-        acc_esc = weight * escaped
-        cum = weight
-        k = 1
-        cap = mu + 200.0 * math.sqrt(mu + 1.0) + 200.0
-        # below about 1e-16 per substep, 1 - cum is lost to rounding; a tail
-        # whose terms underflow to zero adds nothing more
-        while cum < 1.0 - eps_step and weight > 0.0:
-            if k > cap:
-                raise NumericError("uniformization failed to converge")
-            new_esc = escaped + pu * p[-1]
-            new_p = np.zeros_like(p)
-            new_p[1:] = pu * p[:-1]
-            new_p[:-1] += pd_ * p[1:]
-            p, escaped = new_p, new_esc
-            weight *= mu / k
-            cum += weight
-            acc_p = acc_p + weight * p
-            acc_esc += weight * escaped
-            k += 1
-        p, escaped = acc_p, acc_esc
-
-    t_prev, left = 0.0, n_substeps
-    for i, t in enumerate(grid):
-        dt = t - t_prev
-        n_sub = max(1, math.ceil(dt / sub_dt)) if dt > 0 else 0
-        for _ in range(n_sub):
-            advance(lam * (dt / n_sub))
-            left -= 1
-            alive = p.sum()
-            if alive <= left * eps_step:
-                # every later survival lies in [escaped, escaped + alive],
-                # so the midpoint spends at most alive/2 of the budget that
-                # the skipped substeps would have spent on Poisson tails
-                values[i:] = escaped + alive / 2
-                return MeetingProfile(d=d, grid=grid, values=values,
-                                      truncation_level=K, tolerance=tolerance)
-        values[i] = p.sum() + escaped
-        t_prev = t
-
+    theta = np.arange(1, K + 1) * (math.pi / (K + 1))
+    lam = -2.0 + (4.0 * math.sqrt(d - 1) / d) * np.cos(theta)
+    w = (2.0 / (K + 1)) * np.sin(theta) ** 2
+    # past lam t = -800 every e^(lam t) is 0, and lam t cannot overflow
+    t = np.minimum(grid, 800.0 / -lam.max())
+    met = np.zeros(len(grid))
+    for lam_k, w_k in zip(lam, w):
+        met += (w_k / -lam_k) * -np.expm1(lam_k * t)
+    values = 1.0 - (2.0 / d) * met
     return MeetingProfile(d=d, grid=grid, values=values,
                           truncation_level=K, tolerance=tolerance)
 

@@ -42,17 +42,21 @@ They return the opinions and the adjacency matrix, the reference for the
 blocked draw.  ``dense_recount`` counts the four pair classes of a dense
 state pair by pair, and ``reference_dense`` runs the dense model as a
 Gillespie run over the pairs at their exact rates, the reference for the
-law of ``run_dense``."""
+law of ``run_dense``.  ``reference_rewire`` (a literal edge clock) and
+``reference_holme_newman`` (adjacency multisets) transcribe the laws of
+``run_rewire_model`` and ``run_holme_newman`` from their docstrings."""
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from discordlab._lockstep import _BLOCK_STEPS
-from discordlab.coevolution import (DenseTrajectory,
+from discordlab.coevolution import (TO_RANDOM, UNRESOLVED, AbsorptionOutcome,
+                                    DenseTrajectory, classify_outcome,
                                     conflict_concordant_profile,
                                     conflict_discordant_profile)
 from discordlab.dynamics import (DEFAULT_MAX_EVENTS, OpinionState, _Classes,
@@ -393,6 +397,107 @@ def reference_dense(state, eta, rho, s, horizon, schedule, rng):
     cols = np.array(rows, dtype=float).reshape(-1, 7).T
     return DenseTrajectory(*cols, consensus_time=cons_t, n_events=events,
                            final_edge_count=int(adj.sum()) // 2)
+
+
+def reference_rewire(n, beta, variant, rng, max_events=2_000_000):
+    """The law of ``run_rewire_model`` on a literal edge clock (Durrett et
+    al. 2012, "Graph fission in an evolving voter model"): from ER(n, 1/2),
+    one coin per pair i < j, with fair-coin opinions, all m edges ring at
+    rate 1, so time advances by Exp(m) per ring and the ringing edge is
+    uniform.  A concordant ring is a null.  A discordant ring adopts with
+    probability beta/n (a uniform endpoint takes the other's opinion);
+    otherwise a uniform endpoint keeps the edge and it moves to a uniform
+    vertex (TO_RANDOM) or to a uniform other vertex of the keeper's opinion
+    (TO_SAME; none left is a no-op).  Edges are [u, v] lists and the
+    discordant edges are recounted after every discordant ring.  Returns
+    (AbsorptionOutcome, the number of discordant rings); reaching
+    ``max_events`` discordant rings leaves the run UNRESOLVED."""
+    iu, iv = np.triu_indices(n, k=1)
+    coins = rng.random(len(iu)) < 0.5
+    edges = [[int(u), int(v)] for u, v in zip(iu[coins], iv[coins])]
+    ops = (rng.random(n) < 0.5).astype(int).tolist()
+    m = len(edges)
+    disc = sum(ops[u] != ops[v] for u, v in edges)
+    t = 0.0
+    rings = 0
+    while disc and rings < max_events:
+        t += rng.exponential(1.0 / m)
+        e = edges[int(rng.random() * m)]
+        if ops[e[0]] == ops[e[1]]:
+            continue
+        rings += 1
+        if rng.random() < beta / n:
+            a = int(rng.random() * 2)
+            ops[e[a]] = ops[e[1 - a]]
+        else:
+            keep = e[int(rng.random() * 2)]
+            if variant == TO_RANDOM:
+                to = [int(rng.random() * n)]
+            else:
+                to = [x for x in range(n) if x != keep and ops[x] == ops[keep]]
+            if to:
+                e[:] = [keep, to[int(rng.random() * len(to))]]
+        disc = sum(ops[u] != ops[v] for u, v in edges)
+    heart = sum(ops)
+    return AbsorptionOutcome(
+        absorption_time=None if disc else t, final_heart_fraction=heart / n,
+        final_edge_count=m,
+        verdict=classify_outcome(heart, n, disc) if not disc else UNRESOLVED
+    ), rings
+
+
+def reference_holme_newman(n, m_edges, beta, rng, max_steps=10_000_000):
+    """The law of ``run_holme_newman`` on adjacency multisets (Holme and
+    Newman 2006, "Nonequilibrium phase transition in the coevolution of
+    networks and opinions"): from a uniform simple graph with ``m_edges``
+    edges, the pairs drawn without replacement, and fair-coin opinions,
+    each step picks a uniform vertex v; unless v is isolated, it picks an
+    edge at v with probability its multiplicity over v's degree.  With
+    probability beta that edge moves from its far end to a uniform other
+    vertex of v's opinion (none left is a no-op), otherwise v adopts the
+    far end's opinion.  ``adj[v]`` is a Counter of v's neighbours, and the
+    discordant edges are recounted after every step that changes the state.
+    Returns (AbsorptionOutcome, the number of steps); reaching
+    ``max_steps`` steps leaves the run UNRESOLVED."""
+    iu, iv = np.triu_indices(n, k=1)
+    pick = rng.choice(len(iu), size=m_edges, replace=False)
+    ops = (rng.random(n) < 0.5).astype(int).tolist()
+    adj = [Counter() for _ in range(n)]
+    for u, v in zip(iu[pick], iv[pick]):
+        adj[u][v] += 1
+        adj[v][u] += 1
+
+    def discordant():
+        return sum(k for v in range(n) for w, k in adj[v].items()
+                   if ops[v] != ops[w]) // 2
+
+    disc = discordant()
+    steps = 0
+    while disc and steps < max_steps:
+        steps += 1
+        v = int(rng.random() * n)
+        nbrs = list(adj[v].elements())
+        if not nbrs:
+            continue
+        far = nbrs[int(rng.random() * len(nbrs))]
+        if rng.random() < beta:
+            to = [x for x in range(n) if x != v and ops[x] == ops[v]]
+            if to:
+                w = to[int(rng.random() * len(to))]
+                adj[v][far] -= 1
+                adj[far][v] -= 1
+                adj[v][w] += 1
+                adj[w][v] += 1
+                disc = discordant()
+        elif ops[v] != ops[far]:
+            ops[v] = ops[far]
+            disc = discordant()
+    heart = sum(ops)
+    return AbsorptionOutcome(
+        absorption_time=None if disc else float(steps),
+        final_heart_fraction=heart / n, final_edge_count=m_edges,
+        verdict=classify_outcome(heart, n, disc) if not disc else UNRESOLVED
+    ), steps
 
 
 def _derive_rnd(rng) -> random.Random:

@@ -367,6 +367,18 @@ def test_dense_state_validation():
             DenseState.iid(n, 0.5, 0.5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("opinions, entry", [
+    ([0.5, 1.9, 0.0], 0.0), ([0, 1, 0], 0.3),
+], ids=["fractional-opinions", "fractional-adjacency"])
+def test_dense_state_refuses_entries_other_than_0_or_1(opinions, entry):
+    # a cast once read the opinions [0.5, 1.9, 0] as [0, 1, 0] and an
+    # adjacency entry 0.3 as an edge
+    adj = np.zeros((3, 3))
+    adj[0, 1] = adj[1, 0] = entry
+    with pytest.raises(InvalidParameterError, match="0 or 1"):
+        DenseState(opinions, adj)
+
+
 def test_init_positional_extremes(rng):
     zero = lambda x, y: np.zeros_like(x)
     one = lambda x, y: np.ones_like(x)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,8 +128,8 @@ def test_meeting_profile_validation():
 
 
 def test_meeting_profile_takes_any_positive_tolerance():
-    # 2/tolerance overflowed below about 1.1e-308, and on a fine grid the
-    # Poisson weights underflowed before their sum could reach 1 - eps
+    # 2/tolerance overflowed below about 1.1e-308; at the smallest tolerance
+    # the spectral sum runs over the 1075 levels of the truncated chain
     want = limits.meeting_profile(3, t_max=1.0)
     for tol, level in ((1e-308, 1025), (5e-324, 1075)):
         prof = limits.meeting_profile(3, t_max=1.0, tolerance=tol)
@@ -137,15 +138,36 @@ def test_meeting_profile_takes_any_positive_tolerance():
 
 
 def test_meeting_profile_cost_stops_growing_with_t_max():
-    # the profile used to take every uniformization substep to the grid's
-    # end, for hours at t = 1e9
+    # the profile once stepped through time to the grid's end, for hours at
+    # t = 1e9; the spectral sum costs the same at any t
     with deadline(10.0):
         prof = limits.meeting_profile(3, times=np.linspace(0.0, 1e9, 5))
-        # 2 t / 64 substeps overflowed here
+        # lam * t would overflow here without the cap on t
         far = limits.meeting_profile(3, times=np.array([1e9, 1.7e308]))
     assert prof.values[0] == 1.0
     for tail in (prof.values[1:], far.values):
         assert np.all(np.abs(tail - 0.5) <= prof.tolerance)
+
+
+def test_meeting_profile_matches_matrix_exponential():
+    # survival of the truncated chain on levels 0..K+1, 0 and K+1 absorbing,
+    # from exp(tQ) of its full generator: 1 - P(at 0 at time t)
+    expm = pytest.importorskip("scipy.linalg").expm
+    times = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0])
+    for d in (3, 4, 10):
+        prof = limits.meeting_profile(d, times=times, tolerance=1e-9)
+        K = prof.truncation_level
+        q = np.zeros((K + 2, K + 2))
+        for i in range(1, K + 1):
+            q[i, i + 1] = 2.0 * (d - 1) / d
+            q[i, i - 1] = 2.0 / d
+            q[i, i] = -2.0
+        want = [1.0 - expm(t * q)[1, 0] for t in times]
+        assert np.max(np.abs(prof.values - want)) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = limits.meeting_profile(3, times=np.array([1e9, 1.7e308]))
+    assert np.all(far.values == far.values[0])
 
 
 def test_meeting_profile_agrees_with_tree_monte_carlo(rng):
