@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sset import build, move, partition, toggle
-from .dynamics import (_check_cap, _mk_traj, _opinion_list,
-                       _prepared_schedule)
-from .errors import InvalidParameterError, SimulationTimeout, _real, _size
+from .dynamics import _mk_traj
+from .errors import (InvalidParameterError, SimulationTimeout, _INT64_MAX,
+                     _cap, _choice, _opinion_list, _real, _size, _times)
 from .graphs import count_discordant, generate_erdos_renyi, generate_gnm
 from .limits import SwitchProbs
 
@@ -173,18 +173,12 @@ def run_rewire_model(n, beta, variant, rng, *, max_events=2_000_000,
     edge clock, so a run costs one step per discordant ring up to
     absorption; beta >= n adopts at every ring, so beta = 1e12 runs as n.
     """
-    if not _real(beta, "beta") > 0:
-        raise InvalidParameterError("beta must be > 0")
-    n = _size(n, "vertex count")
-    if n < 2:
-        raise InvalidParameterError("need n >= 2")
-    _check_cap(max_events)
+    _real(beta, "beta", 0, strict=True)
+    n = _size(n, "vertex count", 2)
+    max_events = _cap(max_events)
     if isinstance(variant, str):
         variant = variant.upper().replace("-", "_")
-    if variant not in (TO_RANDOM, TO_SAME):
-        raise InvalidParameterError(f"unknown variant {variant!r}")
-
-    same = variant == TO_SAME
+    same = _choice(variant, "variant", (TO_RANDOM, TO_SAME)) == TO_SAME
 
     g = initial_graph if initial_graph is not None \
         else generate_erdos_renyi(n, 0.5, rng)
@@ -275,12 +269,9 @@ def run_holme_newman(n, m_edges, beta, rng, *, max_steps=10_000_000,
     across a uniform incident edge (prob 1-beta).  Isolated picks are no-ops.
     Time is counted in steps; stops when no discordant edge remains.
     """
-    if not 0.0 <= _real(beta, "beta") <= 1.0:
-        raise InvalidParameterError("beta must be in [0,1]")
-    n = _size(n, "vertex count")
-    if n < 1:
-        raise InvalidParameterError("need n >= 1")
-    _check_cap(max_steps, "max_steps")
+    _real(beta, "beta", 0, 1)
+    n = _size(n, "vertex count", 1, _INT64_MAX)
+    max_steps = _cap(max_steps, "max_steps")
     g = initial_graph if initial_graph is not None \
         else generate_gnm(n, m_edges, rng)
     _check_graph_size(g, n)
@@ -373,12 +364,9 @@ class DenseState:
         ``rng.random(C(n,2))`` over the pairs i < j in row-major order.
         Peaks at about 2 B per vertex pair, the matrix the state holds,
         plus about 1 MB for one block."""
-        n = _size(n, "vertex count")
-        if n < 2:
-            raise InvalidParameterError("need n >= 2")
-        if not (0.0 <= _real(p0, "p0") <= 1.0
-                and 0.0 <= _real(q0, "q0") <= 1.0):
-            raise InvalidParameterError("densities must be in [0,1]")
+        n = _size(n, "vertex count", 2, _INT64_MAX)
+        _real(p0, "p0", 0, 1)
+        _real(q0, "q0", 0, 1)
         ops = (rng.random(n) < q0).astype(np.int8)
         return cls.__new__(cls)._hold(
             ops, _pair_coins(n, lambda iu, iv: p0, rng))
@@ -503,9 +491,7 @@ def init_positional(n, concordant_profile=None, discordant_profile=None,
     """
     if rng is None:
         raise InvalidParameterError("rng is required")
-    n = _size(n, "vertex count")
-    if n < 2:
-        raise InvalidParameterError("need n >= 2")
+    n = _size(n, "vertex count", 2, _INT64_MAX)
     cprof = concordant_profile or conflict_concordant_profile
     dprof = discordant_profile or conflict_discordant_profile
     pos = np.arange(n) / n
@@ -565,14 +551,11 @@ def run_dense(state: DenseState, eta, rho, s: SwitchProbs, horizon, schedule,
     cost grows linearly with rho times the horizon: rho = 1e12 runs to
     ``max_events`` (1e9 by default, minutes) in a unit of time.
     """
-    if not (0 <= _real(eta, "eta") < math.inf
-            and 0 <= _real(rho, "rho") < math.inf):
-        raise InvalidParameterError("rates must be finite and >= 0")
-    n = state.n
-    if n < 2:
-        raise InvalidParameterError("need n >= 2")
-    _check_cap(max_events)
-    sched = _prepared_schedule(schedule, horizon)
+    _real(eta, "eta", 0, math.inf)
+    _real(rho, "rho", 0, math.inf)
+    n = _size(state.n, "vertex count", 2)
+    max_events = _cap(max_events)
+    sched = _times(schedule, horizon)
     if horizon is None or not 0.0 <= horizon < math.inf:
         raise InvalidParameterError("dense runs need a finite horizon >= 0")
 

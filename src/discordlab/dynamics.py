@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SimulationTimeout, _real, _size
+from .errors import (InvalidParameterError, SimulationTimeout, _INT64_MAX,
+                     _cap, _opinion_list, _real, _size, _times)
 from .graphs import DirectedGraph, Graph, count_discordant
 
 __all__ = [
@@ -82,52 +83,9 @@ class Trajectory:
 
 def init_opinions_iid(n, u, rng) -> OpinionState:
     """i.i.d. Bernoulli(u) hearts."""
-    if not 0.0 <= _real(u, "u") <= 1.0:
-        raise InvalidParameterError("u must be in [0,1]")
-    n = _size(n, "vertex count")
-    if n < 1:
-        raise InvalidParameterError("need n >= 1")
+    _real(u, "u", 0, 1)
+    n = _size(n, "vertex count", 1, _INT64_MAX)
     return OpinionState((rng.random(n) < u).astype(np.int8).tolist())
-
-
-def _opinion_list(opinions, n) -> list:
-    """A fresh list of the opinions of n vertices, each 0 or 1; any other
-    length or value raises InvalidParameterError."""
-    ops = list(opinions)
-    if len(ops) != n:
-        raise InvalidParameterError("opinion vector length != vertex count")
-    try:
-        binary = {0, 1}.issuperset(ops)
-    except TypeError:  # an unhashable entry
-        binary = False
-    if not binary:
-        raise InvalidParameterError("opinions must be 0 or 1")
-    return ops
-
-
-def _check_cap(max_events, name="max_events"):
-    """Refuse a negative, NaN or non-numeric event cap; a cap of 0 allows
-    no event."""
-    if not _real(max_events, name) >= 0:
-        raise InvalidParameterError(f"{name} must be >= 0")
-
-
-def _prepared_schedule(schedule, horizon):
-    try:
-        sched = [float(x) for x in schedule]
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError("schedule times must be numbers") from None
-    if any(math.isnan(x) for x in sched) or (
-            horizon is not None and math.isnan(_real(horizon, "horizon"))):
-        raise InvalidParameterError("horizon and schedule times must not be "
-                                    "NaN")
-    if any(x < 0 for x in sched):
-        raise InvalidParameterError("schedule times must be >= 0")
-    if horizon is not None and any(x > horizon for x in sched):
-        raise InvalidParameterError("schedule times must lie in [0, horizon]")
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise InvalidParameterError("schedule must be strictly increasing")
-    return sched
 
 
 class _Samples:
@@ -137,7 +95,7 @@ class _Samples:
     __slots__ = ("sched", "si", "next", "t", "h", "d")
 
     def __init__(self, schedule, horizon):
-        self.sched = _prepared_schedule(schedule, horizon) + [math.inf]
+        self.sched = _times(schedule, horizon) + [math.inf]
         self.si = 0
         self.next = self.sched[0]
         self.t, self.h, self.d = [], [], []
@@ -177,7 +135,7 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
     built once per run, the vertex ids and the slot ids, so it makes no int
     of its own: without swaps the vertices that copy and those they copy,
     with swaps the stubs ``S`` and ``T``, their owners and ``partner``."""
-    _check_cap(max_events)
+    max_events = _cap(max_events)
     n, m = g.n, g.m
     if adopt_from is None:
         if n == 0 or m == 0:
@@ -256,7 +214,9 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
         if samples.next < stop:
             samples.record(stop, heart / n, recount(check) / m)
         gap = max(stop - t0, 0.0)
-        K = rng.poisson(total * gap) if gap < math.inf else math.inf
+        # numpy's Poisson mean stops near 9.2e18; no run plays that many
+        mu = total * gap
+        K = rng.poisson(mu) if mu < 1e18 else math.inf
         j = 0  # proposals of this gap played
         while True:
             if heart == 0 or heart == n:
@@ -419,7 +379,7 @@ def _voter_complete_engine(n, heart0, horizon, schedule, rng, max_events):
     walk, cut at its first hit of 0 or n, then one holding time per step
     kept.
     """
-    _check_cap(max_events)
+    max_events = _cap(max_events)
     samples = _Samples(schedule, horizon)
     m = n * (n - 1) // 2
     hz = math.inf if horizon is None else horizon
@@ -500,8 +460,7 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
     with nu times the horizon: nu = 1e12 runs to ``max_events`` (1e9 by
     default, minutes) in a unit of time.
     """
-    if not 0 <= _real(nu, "rewiring rate") < math.inf:
-        raise InvalidParameterError("rewiring rate must be finite and >= 0")
+    _real(nu, "rewiring rate", 0, math.inf)
     if nu == 0:
         return run_voter(g, state, horizon, schedule, rng,
                          max_events=max_events, check=check)

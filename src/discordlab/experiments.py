@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _lockstep, dynamics, graphs, limits
 from .errors import (InsufficientDataError, InvalidParameterError,
-                     SimulationTimeout, _real, _size)
+                     SimulationTimeout, _INT64_MAX, _cap, _choice, _floats,
+                     _real, _size, _times)
 
 __all__ = [
     "ExperimentConfig",
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 Z95 = 1.96
+
+_OBSERVABLES = ("heart_frac", "discordant_frac")
 
 # Ensembles of at least this many replicas on a static rrg, ER or dcm graph,
 # with a finite horizon, step in lockstep (see ``run_ensemble``).  Smaller
@@ -67,11 +70,9 @@ LOCKSTEP_MIN_REPLICAS = 16
 
 def spawn_rng(master_seed, index) -> np.random.Generator:
     """Independent, order-insensitive stream for replica ``index``."""
-    master_seed, index = _size(master_seed, "seed"), _size(index, "index")
-    if master_seed < 0 or index < 0:
-        raise InvalidParameterError("seed and index must be >= 0")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=_size(master_seed, "seed", 0),
+        spawn_key=(_size(index, "index", 0),)))
 
 
 @dataclass
@@ -144,8 +145,10 @@ _DCM_SEQUENCE_KEYS = {"d_in": list[int], "d_out": list[int]}
 
 
 def _check_keys(spec: dict, keys: dict, what: str) -> None:
-    """Raise InvalidParameterError unless ``spec`` holds every key of
-    ``keys`` with a value of its JSON type."""
+    """Raise InvalidParameterError unless ``spec`` is a dict that holds
+    every key of ``keys`` with a value of its JSON type."""
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"{what} must be a dict, got {spec!r}")
     for key, hint in keys.items():
         if key not in spec:
             raise InvalidParameterError(f"{what} needs key {key!r}")
@@ -159,7 +162,8 @@ def build_graph(model: dict, rng):
     """Instantiate the graph family described by a model spec dict.  An
     unknown family, or a key the family needs that is missing or of the
     wrong JSON type, raises InvalidParameterError."""
-    family = model.get("family")
+    _check_keys(model, {"family": str}, "model")
+    family = model["family"]
     if family == "dcm" and "d" not in model:
         keys = _DCM_SEQUENCE_KEYS
     elif family in _MODEL_KEYS:
@@ -176,9 +180,8 @@ def build_graph(model: dict, rng):
     if family == "er":
         return graphs.generate_erdos_renyi(n, model["p"], rng)
     if "d" in model:
-        if n < 0:  # [d] * n would make an empty graph of it
-            raise InvalidParameterError("vertex count must be >= 0")
-        seq = [model["d"]] * n
+        # [d] * n would make an empty graph of a negative n
+        seq = [model["d"]] * _size(n, "vertex count", 0, _INT64_MAX)
         return graphs.generate_directed_configuration(seq, seq, rng)
     if not len(model["d_in"]) == len(model["d_out"]) == n:
         raise InvalidParameterError(
@@ -274,9 +277,9 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
     time.  The dynamics draw from one stream for the whole ensemble, the
     master seed's child with spawn key (R,), next after the replicas' keys.
     """
-    R = cfg.replicas
+    R = int(cfg.replicas)
     directed = cfg.model.get("family") == "dcm"
-    sched = dynamics._prepared_schedule(cfg.sample_times, cfg.horizon)
+    sched = _times(cfg.sample_times, cfg.horizon)
     ends, ecut, ops = np.empty(0, dtype=np.int32), [0], bytearray()
     for r in range(R):
         rng = spawn_rng(cfg.master_seed, r)
@@ -300,8 +303,8 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
                               np.frombuffer(ops, dtype=np.int8), directed)
     stream = np.random.default_rng(np.random.SeedSequence(
         entropy=int(cfg.master_seed), spawn_key=(R,)))
-    out = _lockstep.run(packed, sched, float(cfg.horizon), cfg.max_events,
-                        stream)
+    out = _lockstep.run(packed, sched, float(cfg.horizon),
+                        _cap(cfg.max_events), stream)
     values = [int(v) if v >= 0 else None for v in out["value"]]
     return (out["heart"], out["disc"], out["tau"], values,
             np.flatnonzero(out["timed_out"]).tolist())
@@ -310,7 +313,7 @@ def _lockstep_ensemble(cfg: ExperimentConfig):
 def _replica_ensemble(cfg: ExperimentConfig, workers):
     """The replicas of ``cfg`` one by one, through the single-run engines,
     in ``workers`` processes."""
-    R = cfg.replicas
+    R = int(cfg.replicas)
     if workers > 1:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
@@ -346,28 +349,21 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
     the single-run engines (``run_voter_rewiring``, or
     ``run_voter_directed`` on a ``dcm`` graph), in ``workers`` processes.
     """
-    if cfg.replicas < 1:
-        raise InvalidParameterError("need at least one replica")
-    if cfg.master_seed < 0:
-        raise InvalidParameterError("master_seed must be >= 0")
-    dynamics._check_cap(cfg.max_events)
-    if cfg.adopt_from not in ("out", "in"):
-        raise InvalidParameterError("adopt_from must be 'out' or 'in'")
-    times = np.asarray(dynamics._prepared_schedule(cfg.sample_times,
-                                                   cfg.horizon))
+    R = _size(cfg.replicas, "replicas", 1, _INT64_MAX)
+    _size(cfg.master_seed, "master_seed", 0)
+    _cap(cfg.max_events)
+    _choice(cfg.adopt_from, "adopt_from", ("out", "in"))
+    _check_keys(cfg.model, {"family": str}, "model")
+    times = np.asarray(_times(cfg.sample_times, cfg.horizon))
     if cfg.comparison:
         # resolved before the runs, so that a bad spec costs none
+        _check_keys(cfg.comparison, {"tolerance": float}, "comparison")
         spec = dict(cfg.comparison)
-        _check_keys(spec, {"tolerance": float}, "comparison")
-        tol = spec.pop("tolerance")
-        if not 0.0 <= tol < math.inf:
-            raise InvalidParameterError(
-                "comparison tolerance must be finite and >= 0")
-        observable = spec.pop("observable", "discordant_frac")
-        if observable not in ("heart_frac", "discordant_frac"):
-            raise InvalidParameterError(f"unknown observable {observable!r}")
+        tol = _real(spec.pop("tolerance"), "comparison tolerance", 0,
+                    math.inf)
+        observable = _choice(spec.pop("observable", "discordant_frac"),
+                             "observable", _OBSERVABLES)
         pred = resolve_prediction(spec, times)
-    R = cfg.replicas
     if _takes_lockstep(cfg):
         heart, disc, taus, values, timed_out = _lockstep_ensemble(cfg)
     else:
@@ -392,12 +388,12 @@ def run_ensemble(cfg: ExperimentConfig, workers=1) -> EnsembleResult:
 
 def resolve_prediction(spec: dict, times) -> np.ndarray:
     """Evaluate a named oracle prediction lazily on the sample grid."""
-    times = np.asarray(times, dtype=float)
-    name = spec.get("name")
+    times = np.array(_floats(np.ravel(times), "times"))
+    _check_keys(spec, {"name": str}, "prediction")
+    name = spec["name"]
     if name == "constant":
         _check_keys(spec, {"value": float}, "prediction 'constant'")
-        if not math.isfinite(spec["value"]):
-            raise InvalidParameterError("constant prediction must be finite")
+        _real(spec["value"], "constant prediction", -math.inf, math.inf)
         return np.full(len(times), float(spec["value"]))
     if name == "discordance":
         _check_keys(spec, {"u": float, "d": int, "n": int},
@@ -413,7 +409,9 @@ def compare_to_prediction(result: EnsembleResult, prediction, tolerance,
     """Sup-norm and per-point deviations of the ensemble mean from a
     prediction on the same grid, plus the fraction of points whose 95% CI
     covers the prediction."""
-    pred = np.asarray(prediction, dtype=float)
+    _choice(observable, "observable", _OBSERVABLES)
+    _real(tolerance, "tolerance")
+    pred = np.array(_floats(prediction, "prediction"))
     if pred.shape != result.times.shape:
         raise InvalidParameterError("prediction grid does not match samples")
     mean = result.mean[observable]
@@ -441,9 +439,8 @@ def estimate_theta(result: EnsembleResult, n_vertices=None,
         if result.config is None or "n" not in result.config.model:
             raise InvalidParameterError("n_vertices not known; pass it")
         n_vertices = result.config.model["n"]
-    if not _real(n_vertices, "n_vertices") >= 1:
-        raise InvalidParameterError("need n_vertices >= 1")
-    x = result.samples[observable]
+    _real(n_vertices, "n_vertices", 1)
+    x = result.samples[_choice(observable, "observable", _OBSERVABLES)]
     moment = np.nanmean(x * (1.0 - x), axis=0)
     s = result.times / n_vertices
     keep = np.isfinite(moment) & (moment > 0)
@@ -471,11 +468,12 @@ def homogenisation_check(result: EnsembleResult, coefficient=2.0,
     to N/(N-1)); at diffusive times on the random d-regular graph the
     matching prefactor is 2*theta_d, which the caller passes explicitly.
     """
+    _real(coefficient, "coefficient")
     if times is None:
         idx = np.arange(len(result.times))
     else:
         idx = []
-        for t in times:
+        for t in _floats(times, "times"):
             hit = np.nonzero(np.isclose(result.times, t))[0]
             if len(hit) == 0:
                 raise InvalidParameterError(f"time {t} not on the sample grid")

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, _real, _size
+from .errors import InvalidParameterError, _INT64_MAX, _choice, _real, _size
 
 __all__ = [
     "Graph",
@@ -69,7 +69,7 @@ class Graph:
 
     def __init__(self, n, us=(), vs=()):
         """The graph keeps copies of ``us`` and ``vs``."""
-        self.n = _size(n, "vertex count")
+        self.n = _size(n, "vertex count", 0)
         self._ends = _endpoints(self.n, us, vs)
 
     @property
@@ -147,7 +147,7 @@ class DirectedGraph:
 
     def __init__(self, n, tails=(), heads=()):
         """The graph keeps copies of ``tails`` and ``heads``."""
-        self.n = _size(n, "vertex count")
+        self.n = _size(n, "vertex count", 0)
         self._ends = _endpoints(self.n, tails, heads)
 
     def endpoint_arrays(self):
@@ -171,8 +171,6 @@ class DirectedGraph:
 def _endpoints(n, us, vs):
     """Read-only int64 copies of ``us`` and ``vs``, checked to be endpoints
     of equally many edges within ``range(n)``."""
-    if n < 0:
-        raise InvalidParameterError("vertex count must be >= 0")
     us = np.array(us, dtype=np.int64)
     vs = np.array(vs, dtype=np.int64)
     if len(us) != len(vs):
@@ -200,17 +198,10 @@ def _grouped(n, keys, ids) -> list[list[int]]:
 # generators
 # ----------------------------------------------------------------------
 
-# the largest count or index the generators' int64 arrays hold
-_INT64_MAX = 2**63 - 1
-
-
 def generate_complete(n) -> Graph:
     """Simple graph on n >= 2 vertices with all C(n,2) edges, held as n
     alone: its endpoint arrays are built on each read."""
-    n = _size(n, "vertex count")
-    if n < 2:
-        raise InvalidParameterError("complete graph needs n >= 2")
-    g = Graph(n)
+    g = Graph(_size(n, "vertex count", 2))
     g._ends = None
     return g
 
@@ -222,17 +213,12 @@ def generate_random_regular(n, d, rng, policy="reject") -> Graph:
     uniform simple d-regular graph; policy="allow" returns the raw pairing
     multigraph.  Requires n*d even and n > d.
     """
-    n, d = _size(n, "vertex count"), _size(d, "degree")
-    if d < 1:
-        raise InvalidParameterError("degree must be >= 1")
-    if n <= d:
-        raise InvalidParameterError("need n > d")
+    d = _size(d, "degree", 1)
+    n = _size(n, "vertex count", d + 1)
     if (n * d) % 2 != 0:
         raise InvalidParameterError("n*d must be even")
-    if policy not in ("reject", "allow"):
-        raise InvalidParameterError(f"unknown policy {policy!r}")
-    if n * d > _INT64_MAX:
-        raise InvalidParameterError("n*d must be below 2**63")
+    _choice(policy, "policy", ("reject", "allow"))
+    _real(n * d, "stub count n*d", hi=_INT64_MAX)
 
     owner = np.repeat(np.arange(n, dtype=np.int64), d)
     while True:
@@ -253,13 +239,14 @@ def generate_random_regular(n, d, rng, policy="reject") -> Graph:
 
 def generate_directed_configuration(d_in, d_out, rng) -> DirectedGraph:
     """Directed configuration model: uniform pairing of out-stubs to in-stubs."""
+    if not (np.iterable(d_in) and np.iterable(d_out)):
+        raise InvalidParameterError("degree sequences must be sequences")
     d_in, d_out = (np.asarray(list(d)) for d in (d_in, d_out))
     if len(d_in) != len(d_out):
         raise InvalidParameterError("in/out degree sequences differ in length")
     if d_in.dtype.kind not in "iu" or d_out.dtype.kind not in "iu":
-        d_in, d_out = ([_size(x, "degree") for x in d] for d in (d_in, d_out))
-        if max(d_in + d_out, default=0) > _INT64_MAX:
-            raise InvalidParameterError("degrees must be below 2**63")
+        d_in, d_out = ([_size(x, "degree", 0, _INT64_MAX) for x in d]
+                       for d in (d_in, d_out))
         d_in, d_out = (np.array(d, dtype=np.int64) for d in (d_in, d_out))
     if np.any(d_in < 0) or np.any(d_out < 0):
         raise InvalidParameterError("degrees must be >= 0")
@@ -301,17 +288,12 @@ def generate_erdos_renyi(n, p, rng) -> Graph:
     Pairs are indexed row-major, (0,1), (0,2), ..., (1,2), ..., so the edges
     come out in that order; p=1 gives every pair.
     """
-    if not 0.0 <= _real(p, "edge probability") <= 1.0:
-        raise InvalidParameterError("edge probability must be in [0,1]")
-    n = _size(n, "vertex count")
-    if n < 0:
-        raise InvalidParameterError("vertex count must be >= 0")
+    _real(p, "edge probability", 0, 1)
+    n = _size(n, "vertex count", 0)
     if n < 2 or p == 0.0:
         return Graph(n)
     total = n * (n - 1) // 2
-    if total > _INT64_MAX:  # the pair indices are int64
-        raise InvalidParameterError(
-            "n must be at most 2**32 for p > 0: C(n,2) is past int64")
+    _real(total, "pair count C(n,2) for p > 0", hi=_INT64_MAX)  # int64 ids
     idx = _bernoulli_indices(total, p, rng)
     # row u holds the pairs (u, u+1), ..., (u, n-1) from index start[u] on
     rows = np.arange(n, dtype=np.int64)
@@ -323,10 +305,10 @@ def generate_erdos_renyi(n, p, rng) -> Graph:
 
 def generate_gnm(n, m, rng) -> Graph:
     """Uniform simple graph with exactly m edges (G(n,m))."""
-    n, m = _size(n, "vertex count"), _size(m, "edge count")
-    n_pairs = n * (n - 1) // 2
-    if not 0 <= m <= n_pairs:
-        raise InvalidParameterError(f"edge count must be in [0, {n_pairs}]")
+    n = _size(n, "vertex count", 0)
+    m = _size(m, "edge count", 0, n * (n - 1) // 2)
+    if m:  # vertex ids and edge counts are int64
+        _real(max(n - 1, m), "largest vertex id or edge count", hi=_INT64_MAX)
     chosen = {}  # insertion-ordered: edge ids follow the draw order
     while len(chosen) < m:
         u = int(rng.integers(n))
@@ -351,7 +333,7 @@ def count_discordant(g, opinions) -> int:
     Accepts a raw 0/1 sequence or anything with an ``.opinions`` attribute.
     """
     ops = getattr(opinions, "opinions", opinions)
-    if len(ops) != g.n:
+    if not hasattr(ops, "__len__") or len(ops) != g.n:
         raise InvalidParameterError("opinion vector length != vertex count")
     if isinstance(g, DirectedGraph):
         return sum(1 for t, h in g.arcs() if ops[t] != ops[h])

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, _real
+from .errors import (InvalidParameterError, NumericError, _INT64_MAX,
+                     _floats, _real, _times)
 
 __all__ = [
     "MeetingProfile",
@@ -36,8 +37,7 @@ __all__ = [
 def theta_regular(d) -> float:
     """Diffusion constant (d-2)/(d-1) of the voter model on the random
     d-regular graph."""
-    if not 3 <= _real(d, "degree") < math.inf:
-        raise InvalidParameterError("need finite degree d >= 3")
+    _real(d, "degree", 3, math.inf)
     return (d - 2) / (d - 1)
 
 
@@ -96,22 +96,12 @@ def meeting_profile(d, t_max=None, tolerance=1e-6, times=None) -> MeetingProfile
     -------
     MeetingProfile
     """
-    if not 3 <= _real(d, "degree") < math.inf:
-        raise InvalidParameterError("need finite degree d >= 3")
-    if not 0 < _real(tolerance, "tolerance") < math.inf:
-        raise InvalidParameterError("tolerance must be finite and > 0")
+    _real(d, "degree", 3, math.inf)
+    _real(tolerance, "tolerance", 0, math.inf, strict=True)
     if times is None:
-        if t_max is None or not 0 <= _real(t_max, "t_max") < math.inf:
-            raise InvalidParameterError(
-                "need finite t_max >= 0 or explicit times")
+        t_max = float(_real(t_max, "t_max", 0, math.inf))
         times = np.linspace(0.0, t_max, 401)
-    grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise InvalidParameterError("times must be a non-empty 1-d array")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0) \
-            or np.any(np.diff(grid) <= 0):
-        raise InvalidParameterError(
-            "times must be finite, >= 0 and strictly increasing")
+    grid = np.array(_times(times, what="times", grid=True))
 
     # escape bound (d-1)^-(K+1) <= tolerance/2; 2/tolerance can overflow
     K = max(8, math.ceil((math.log(2.0) - math.log(tolerance))
@@ -138,14 +128,10 @@ def theta_directed_eulerian(m1, m2) -> float:
     """Diffusion constant of the Eulerian directed configuration model,
     (m2/m1^2 - 1 + sqrt(1 - 1/m1))^-1, from the first two moments of the
     limiting degree distribution."""
-    if not _real(m1, "m1") > 1:
-        raise InvalidParameterError("need first moment m1 > 1")
-    if not _real(m2, "m2") >= m1 * m1:
-        raise InvalidParameterError("need m2 >= m1^2 (Jensen)")
+    _real(m1, "m1", 1, strict=True)
+    _real(m2, "m2", m1 * m1)  # Jensen
     denom = m2 / (m1 * m1) - 1.0 + math.sqrt(1.0 - 1.0 / m1)
-    if not denom > 0:
-        raise InvalidParameterError("degenerate moments: denominator <= 0")
-    return 1.0 / denom
+    return 1.0 / _real(denom, "m2/m1^2 - 1 + sqrt(1 - 1/m1)", 0, strict=True)
 
 
 # the deepest backward recurrence theta_rewiring tries before giving up
@@ -163,12 +149,9 @@ def theta_rewiring(d, nu, tolerance=1e-10) -> float:
     ``tolerance`` (the stable direction for this positive-coefficient
     fraction; no forward recurrence is used).
     """
-    if not _real(d, "degree") >= 3:
-        raise InvalidParameterError("need degree d >= 3")
-    if not _real(nu, "rewiring rate") > 0:
-        raise InvalidParameterError("need rewiring rate nu > 0")
-    if not _real(tolerance, "tolerance") > 0:
-        raise InvalidParameterError("tolerance must be > 0")
+    _real(d, "degree", 3, math.inf)
+    _real(nu, "rewiring rate", 0, strict=True)
+    _real(tolerance, "tolerance", 0, strict=True)
     beta = math.sqrt(d - 1)
     rho = 2.0 * math.sqrt(d - 1) / d
 
@@ -201,10 +184,8 @@ def fw_absorption_time(theta, u) -> float:
     """Expected absorption time -(u ln u + (1-u) ln(1-u)) / theta of the
     Fisher-Wright diffusion started at u (Green-function solution of
     theta x(1-x) T''(x) = -1 with T(0)=T(1)=0)."""
-    if not _real(theta, "theta") > 0:
-        raise InvalidParameterError("theta must be > 0")
-    if not 0.0 <= _real(u, "u") <= 1.0:
-        raise InvalidParameterError("u must be in [0,1]")
+    _real(theta, "theta", 0, strict=True)
+    _real(u, "u", 0, 1)
     if u in (0.0, 1.0):
         return 0.0
     return -(u * math.log(u) + (1.0 - u) * math.log(1.0 - u)) / theta
@@ -217,19 +198,15 @@ def fw_absorption_time(theta, u) -> float:
 def discordance_prediction(u, d, t, n_vertices, tolerance=1e-6):
     """Expected discordant-edge fraction 2u(1-u) f_d(t) exp(-2 theta_d t/N)
     on the random d-regular graph with N vertices; t may be an array."""
-    if not 0.0 <= _real(u, "u") <= 1.0:
-        raise InvalidParameterError("u must be in [0,1]")
-    if not _real(n_vertices, "n_vertices") >= 1:
-        raise InvalidParameterError("need n_vertices >= 1")
+    _real(u, "u", 0, 1)
+    _real(n_vertices, "n_vertices", 1)
     th = theta_regular(d)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise InvalidParameterError("times must be >= 0")
+    t_arr = np.array(_floats(np.ravel(t), "times"))
     sorted_unique, inverse = np.unique(t_arr, return_inverse=True)
     f = meeting_profile(d, times=sorted_unique,
                         tolerance=tolerance).values[inverse]
     out = 2.0 * u * (1.0 - u) * f * np.exp(-2.0 * th * t_arr / n_vertices)
-    return out if np.ndim(t) else float(out[0])
+    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
 # ----------------------------------------------------------------------
@@ -253,9 +230,8 @@ class SwitchProbs:
     s_d0: float
 
     def __post_init__(self):
-        if not all(0 <= _real(w, "switch weight") < math.inf
-                   for w in (self.s_c1, self.s_c0, self.s_d1, self.s_d0)):
-            raise InvalidParameterError("switch weights must be finite, >= 0")
+        for w in (self.s_c1, self.s_c0, self.s_d1, self.s_d0):
+            _real(w, "switch weight", 0, math.inf)
 
     @property
     def max_weight(self) -> float:
@@ -274,12 +250,10 @@ class DenseLimitParams:
     q0: float
 
     def __post_init__(self):
-        if not (0 <= _real(self.eta, "eta") < math.inf
-                and 0 <= _real(self.rho, "rho") < math.inf):
-            raise InvalidParameterError("rates must be finite and >= 0")
-        if not (0.0 <= _real(self.p0, "p0") <= 1.0
-                and 0.0 <= _real(self.q0, "q0") <= 1.0):
-            raise InvalidParameterError("densities must be in [0,1]")
+        _real(self.eta, "eta", 0, math.inf)
+        _real(self.rho, "rho", 0, math.inf)
+        _real(self.p0, "p0", 0, 1)
+        _real(self.q0, "q0", 0, 1)
 
 
 def drift_b(p, q, s: SwitchProbs):
@@ -294,6 +268,7 @@ def drift_b(p, q, s: SwitchProbs):
 def p_star(q, s: SwitchProbs) -> float:
     """Unique root of the p-linear drift: (s_c0 A + s_d0 B) over
     ((s_c0+s_c1) A + (s_d0+s_d1) B); globally attracting for fixed q."""
+    _real(q, "q", 0, 1)
     a = q * q + (1.0 - q) * (1.0 - q)
     b = 2.0 * q * (1.0 - q)
     denom = (s.s_c0 + s.s_c1) * a + (s.s_d0 + s.s_d1) * b
@@ -312,11 +287,10 @@ def integrate_dense_limit(params: DenseLimitParams, dt, t_max, rng=None,
     p-equation is integrated against it: pathwise comparison mode.
     Returns (times, p_path, q_path).
     """
-    if not (0 < _real(dt, "dt") < math.inf
-            and 0 < _real(t_max, "t_max") < math.inf):
-        raise InvalidParameterError("need finite dt > 0 and t_max > 0")
-    nsteps = int(round(t_max / dt))
-    times = np.arange(nsteps + 1) * dt
+    _real(dt, "dt", 0, math.inf, strict=True)
+    _real(t_max, "t_max", 0, math.inf, strict=True)
+    nsteps = round(_real(t_max / dt, "step count t_max/dt", hi=_INT64_MAX))
+    times = np.arange(nsteps + 1) * float(dt)
     p = np.empty(nsteps + 1)
     q = np.empty(nsteps + 1)
     p[0] = params.p0

@@ -229,6 +229,15 @@ def test_generate_huge_sizes_exit_2(tmp_path, capsys, model):
     assert not (tmp_path / "g.edges").exists()
 
 
+# numpy's "Maximum allowed size exceeded" leaked as a traceback (exit 1)
+def test_dense_limit_step_count_past_int64_exits_2(capsys):
+    rc = dispatch(["oracle", "dense-limit", "--t-max", "1", "--dt", "1e-300",
+                   "--seed", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["theta-regular"],
     ["theta-rewiring", "--d", "3"],

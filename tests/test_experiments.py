@@ -236,6 +236,53 @@ def test_spawn_rng_refuses_a_bad_seed_or_index(seed, index):
         experiments.spawn_rng(seed, index)
 
 
+@pytest.fixture(scope="module")
+def small_result():
+    return experiments.run_ensemble(small_cfg(replicas=2))
+
+
+# an unknown observable leaked KeyError from both; run_ensemble refused it
+@pytest.mark.parametrize("call", [
+    lambda res: experiments.compare_to_prediction(
+        res, res.mean["heart_frac"], 0.1, observable="x"),
+    lambda res: experiments.estimate_theta(res, 40, observable="x"),
+], ids=["compare_to_prediction", "estimate_theta"])
+def test_unknown_observable_is_refused(small_result, call):
+    with pytest.raises(InvalidParameterError, match="observable"):
+        call(small_result)
+
+
+# float("a") leaked ValueError
+def test_compare_to_prediction_refuses_a_non_numeric_tolerance(small_result):
+    with pytest.raises(InvalidParameterError, match="tolerance"):
+        experiments.compare_to_prediction(
+            small_result, small_result.mean["discordant_frac"], "a")
+
+
+# numpy's UFuncTypeError leaked
+def test_homogenisation_check_refuses_a_non_numeric_coefficient(
+        small_result):
+    with pytest.raises(InvalidParameterError, match="coefficient"):
+        experiments.homogenisation_check(small_result, coefficient="a")
+
+
+# TypeError leaked from range() or from comparing "a" with 1
+@pytest.mark.parametrize("replicas", ["a", 2.5])
+def test_run_ensemble_refuses_a_replica_count_that_is_no_integer(replicas):
+    with pytest.raises(InvalidParameterError, match="replicas"):
+        experiments.run_ensemble(small_cfg(replicas=replicas))
+
+
+# AttributeError leaked from list.get
+@pytest.mark.parametrize("call", [
+    lambda: experiments.build_graph([], np.random.default_rng(1)),
+    lambda: experiments.resolve_prediction([1], [0.0, 1.0]),
+], ids=["build_graph", "resolve_prediction"])
+def test_a_spec_that_is_no_dict_is_refused(call):
+    with pytest.raises(InvalidParameterError, match="must be a dict"):
+        call()
+
+
 def test_homogenisation_t0_residual_is_noise():
     cfg = experiments.ExperimentConfig(
         model={"family": "rrg", "n": 200, "d": 3}, u=0.5, replicas=60,

@@ -91,6 +91,14 @@ def test_theta_rewiring_validation():
         limits.theta_rewiring(3, 0.0)
 
 
+# an infinite degree ran backward recurrences 2^23 deep for 2.4 s and then
+# raised NumericError; theta_regular and meeting_profile refused it at once
+def test_theta_rewiring_refuses_an_infinite_degree_at_once():
+    with deadline(1.0), pytest.raises(InvalidParameterError,
+                                      match="degree must be finite"):
+        limits.theta_rewiring(math.inf, 1.0)
+
+
 # ----------------------------------------------------------------------
 # meeting profile
 # ----------------------------------------------------------------------
@@ -321,6 +329,25 @@ def test_integrate_dense_limit_flat_weights_closed_form():
     times, p, q = limits.integrate_dense_limit(params, dt, t_max, q_path=qpath)
     exact = 0.5 + 0.3 * math.exp(-2 * t_max)
     assert abs(p[-1] - exact) < 1e-6
+
+
+# q outside [0, 1] gave a number: p_star(2.0, s) was 0.5, p_star(nan, s)
+# NaN; DenseLimitParams refuses such a q0
+@pytest.mark.parametrize("q", [2.0, -0.5, math.nan, math.inf])
+def test_p_star_refuses_q_outside_0_1(q):
+    with pytest.raises(InvalidParameterError, match="q must be"):
+        limits.p_star(q, FIG9)
+
+
+# t_max/dt = 1e300 leaked numpy's "Maximum allowed size exceeded", and
+# 1/5e-324 overflows to inf
+@pytest.mark.parametrize("dt, t_max", [(1e-300, 1.0), (5e-324, 1.0),
+                                       (1.0, 2.0**63)])
+def test_integrate_dense_limit_refuses_a_step_count_past_int64(rng, dt,
+                                                               t_max):
+    params = limits.DenseLimitParams(eta=1.0, rho=1.0, s=FIG9, p0=0.5, q0=0.5)
+    with pytest.raises(InvalidParameterError, match="step count"):
+        limits.integrate_dense_limit(params, dt, t_max, rng=rng)
 
 
 def test_integrate_dense_limit_qpath_validation(rng):
