@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (InvalidParameterError, SimulationTimeout, _INT64_MAX,
                      _cap, _opinion_list, _real, _size, _times)
-from .graphs import DirectedGraph, Graph, count_discordant
+from .graphs import DirectedGraph, Graph, _grouped, count_discordant
 
 __all__ = [
     "OpinionState",
@@ -137,37 +137,26 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
     with swaps the stubs ``S`` and ``T``, their owners and ``partner``."""
     max_events = _cap(max_events)
     n, m = g.n, g.m
-    if adopt_from is None:
-        if n == 0 or m == 0:
-            raise InvalidParameterError("graph must have at least one edge")
-        if nu > 0 and m < 2:
-            raise InvalidParameterError("rewiring needs at least two edges")
-        # stub 2e is the end of edge e at us[e], 2e+1 its end at vs[e]; sorted
-        # by vertex, so that owner, off and deg never change under swaps.  A
-        # stub copies the owner of the stub it is matched to.
-        ends = np.column_stack(g.endpoint_arrays()).ravel()
-        order = np.argsort(ends, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(2 * m)
-        owner_a = ends[order]
-        match = rank[order ^ 1]
-        src_a = owner_a[match]
-        deg = np.bincount(ends, minlength=n)
-    else:
-        us, vs, deg = _copy_arcs(g, adopt_from)
-        order = np.argsort(us, kind="stable")
-        owner_a, src_a = us[order], vs[order]
+    us, vs, deg = _copy_arcs(g, adopt_from)
+    if nu > 0 and m < 2:
+        raise InvalidParameterError("rewiring needs at least two edges")
+    # sorted by owner, so that owner, off and deg never change under swaps
+    order = np.argsort(us, kind="stable")
+    owner_a, src_a = us[order], vs[order]
     ops = _opinion_list(state.opinions, n)
     samples = _Samples(schedule, horizon)
     slots = len(owner_a)
     per_edge = slots // m  # two stubs to an edge, one slot to an arc
     verts = np.arange(n, dtype=object)
     if nu > 0:
-        # with swaps the matching changes; slot id -1 comes last, so that
-        # index -1 reads it
+        # with swaps the matching changes: the stub at position i starts
+        # matched to stub order[i] ^ 1, at position rank[order[i] ^ 1];
+        # slot id -1 comes last, so that index -1 reads it
+        rank = np.empty_like(order)
+        rank[order] = np.arange(slots)
         sids = np.append(np.arange(slots + 1), -1).astype(object)
         owner = verts[owner_a].tolist() + [0]
-        partner = sids[np.append(match, slots)].tolist()
+        partner = sids[np.append(rank[order ^ 1], slots)].tolist()
     else:
         partner = None
         # the vertex that copies and the one copied through each slot
@@ -198,16 +187,16 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
         # closed classes of the copy graph (the components of an undirected
         # one), with them each isolated vertex and all the rest
         if nu == 0:
-            cls = _closed_classes(n, copying[:slots].tolist(),
-                                  copied[:slots].tolist())
+            cls = _closed_classes(n, owner_a, src_a)
         else:
             iso = deg == 0
             cls = (np.cumsum(iso) * iso).tolist() if iso.any() else None
         classes = None if cls is None else _Classes(cls, ops)
 
     S = T = cum = end = None
-    # block size, next proposal in it, swap proposals in earlier blocks
-    B = pos = swept = flips = nulls = events = 0
+    # block size, next proposal in it, swap proposals in earlier blocks,
+    # flips before it
+    B = pos = swept = flips0 = flips = nulls = events = 0
     t0 = t_end = 0.0
     stops = samples.sched[:-1] + [math.inf if horizon is None else horizon]
     for stop in stops:
@@ -223,12 +212,17 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
                 end = "consensus"
             elif classes is not None and classes.split():
                 end = "unreachable"
+            elif nu == 0 and (events >= max_events or pos == B == _MAX_BLOCK
+                              and flips == flips0) and not recount(False):
+                # at the cap, or after a whole block of the largest size
+                # flipped nothing: with no discordant slot left, it is final
+                end = "frozen"
             elif events >= max_events:
-                # without swaps, a state with no discordant edge is final
-                end = "frozen" if nu == 0 and not recount(False) else "cap"
+                end = "cap"
             if end is not None or j >= K:
                 break
             if pos == B:
+                flips0 = flips
                 swept += int(cum[-1]) if cum is not None else 0
                 B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
                 S, T, cum = _proposals(rng, B, n / total, n, slots, csr,
@@ -425,8 +419,9 @@ def run_voter(g: Graph, state: OpinionState, horizon, schedule, rng, *,
 
     With ``horizon=None`` the run goes on until consensus, and raises
     :class:`SimulationTimeout` as soon as two connected components are
-    unanimous and disagree.  A finite-horizon run whose state can no longer
-    change returns it up to the horizon.
+    unanimous and disagree.  A run to a horizon, ``math.inf`` too, whose
+    state can no longer change stops drawing and returns that state up to
+    the horizon.
 
     On a K_n held as n alone (``g.implicit_complete``) the heart-count
     chain runs instead, its jumps drawn from ``rng`` in numpy blocks, with
@@ -490,15 +485,22 @@ def run_voter_directed(g: DirectedGraph, state: OpinionState, horizon,
                            max_events, check, False, adopt_from)
 
 
-def _copy_arcs(g: DirectedGraph, adopt_from):
+def _copy_arcs(g, adopt_from=None):
     """``(us, vs, degs)``, int64 arrays read from the graph's endpoint
-    arrays: arc ``a`` has ``us[a]`` copy ``vs[a]``, and ``degs[v]`` is the
-    number of arcs through which ``v`` copies.  Raises
-    InvalidParameterError on a graph with no arcs, an unknown
+    arrays: through copy slot ``a`` vertex ``us[a]`` copies ``vs[a]``, and
+    ``v`` has ``degs[v]`` slots.  With ``adopt_from`` None they are the
+    stubs of an undirected graph, edge ``e`` being stubs ``2e`` and
+    ``2e + 1``; else the arcs, in their copying direction.  Raises
+    InvalidParameterError on a graph with no edge or arc, an unknown
     ``adopt_from`` or a vertex that copies through no arc."""
     if g.n == 0 or g.m == 0:
-        raise InvalidParameterError("graph must have at least one arc")
+        raise InvalidParameterError("graph must have at least one " + (
+            "edge" if adopt_from is None else "arc"))
     tails, heads = g.endpoint_arrays()
+    if adopt_from is None:
+        us = np.column_stack((tails, heads)).ravel()
+        return us, us.reshape(-1, 2)[:, ::-1].ravel(), np.bincount(
+            us, minlength=g.n)
     if adopt_from == "out":
         us, vs = tails, heads
     elif adopt_from == "in":
@@ -566,57 +568,44 @@ def _closed_classes(n, us, vs):
     (-1 outside every closed class), or None if there are fewer than two.
 
     The classes are the strongly connected components with no arc leaving
-    them, found by Tarjan's algorithm with an explicit stack, in O(n + m).
+    them, found in O(n + m) by Kosaraju's two searches with explicit
+    stacks: finish times on the graph, then components on its reverse.
     """
-    succ = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        succ[u].append(v)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
+    a, b = (np.asarray(x, dtype=np.int64) for x in (us, vs))
+    succ, pred = _grouped(n, a, b), _grouped(n, b, a)
+    seen = [False] * n
+    finished = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, nxt = work[-1]
+            for w in nxt:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+            else:
+                work.pop()
+                finished.append(v)
     comp = [-1] * n
     n_comp = 0
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
+    for root in reversed(finished):
+        if comp[root] >= 0:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
+        comp[root] = n_comp
+        stack = [root]
+        while stack:
+            for w in pred[stack.pop()]:
+                if comp[w] < 0:
                     comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-    leaves = [False] * n_comp
-    for u, v in zip(us, vs):
-        if comp[u] != comp[v]:
-            leaves[comp[u]] = True
-    closed = [c for c in range(n_comp) if not leaves[c]]
+                    stack.append(w)
+        n_comp += 1
+    ca, cb = np.array(comp)[a], np.array(comp)[b]
+    # the components that no arc leaves, in increasing id
+    closed = np.setdiff1d(np.arange(n_comp), ca[ca != cb]).tolist()
     if len(closed) < 2:
         return None
     rank = {c: i for i, c in enumerate(closed)}

@@ -38,37 +38,59 @@ class InsufficientDataError(DiscordlabError, RuntimeError):
 _INT64_MAX = 2**63 - 1
 
 
+_PAST_FLOATS = "one past the float range"
+
+
+def _shown(x) -> str:
+    """``repr(x)``, but no digits of a number that a float cannot hold: the
+    repr of an int fails past 4,300 digits."""
+    try:
+        float(x)
+    except OverflowError:
+        return _PAST_FLOATS
+    except (TypeError, ValueError):
+        pass
+    return repr(x)
+
+
 def _real(x, what, lo=None, hi=None, strict=False):
-    """``x`` itself if it is a real number >= ``lo`` (> ``lo`` when
-    ``strict``) and <= ``hi``, else InvalidParameterError.  A bound of None
-    bounds nothing and an infinite one is never reached, so ``hi=math.inf``
-    asks for a finite number; NaN passes only when there is no bound."""
-    if not isinstance(x, numbers.Real):
-        raise InvalidParameterError(f"{what} must be a number, got {x!r}")
+    """``x`` itself if it is a real number that a float holds, >= ``lo`` (>
+    ``lo`` when ``strict``) and <= ``hi``, else InvalidParameterError.  A
+    bound of None bounds nothing and an infinite one is never reached, so
+    ``hi=math.inf`` asks for a finite number; NaN passes only unbounded."""
+    if not isinstance(x, numbers.Real) or _shown(x) == _PAST_FLOATS:
+        raise InvalidParameterError(
+            f"{what} must be a number, got {_shown(x)}")
+    return _bounded(x, what, lo, hi, strict)
+
+
+def _bounded(x, what, lo=None, hi=None, strict=False):
+    """``x`` itself if it lies within the bounds of :func:`_real`."""
     if not ((lo is None or x > lo or x == lo > -math.inf and not strict)
             and (hi is None or x < hi or x == hi < math.inf)):
         want = ["finite"] if math.inf in (hi, -(lo or 0)) else []
         if lo is not None and lo > -math.inf:
-            want.append(f"{'>' if strict else '>='} {lo}")
+            want.append(f"{'>' if strict else '>='} {_shown(lo)}")
         if hi is not None and hi < math.inf:
-            want.append(f"<= {hi}")
+            want.append(f"<= {_shown(hi)}")
         raise InvalidParameterError(
-            f"{what} must be {' and '.join(want)}, got {x!r}")
+            f"{what} must be {' and '.join(want)}, got {_shown(x)}")
     return x
 
 
 def _size(x, what, lo=None, hi=None) -> int:
     """``x`` as an int within the bounds of :func:`_real`, for a count, a
-    degree or a seed: NaN, an infinity, a fraction or a non-number raises
-    InvalidParameterError."""
+    degree or a seed, of any size: NaN, an infinity, a fraction or a
+    non-number raises InvalidParameterError."""
     try:
         n = int(x)
         integral = x == n
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
-        raise InvalidParameterError(f"{what} must be an integer, got {x!r}")
-    return _real(n, what, lo, hi)
+        raise InvalidParameterError(
+            f"{what} must be an integer, got {_shown(x)}")
+    return _bounded(n, what, lo, hi)
 
 
 def _cap(x, what="max_events"):
@@ -82,7 +104,7 @@ def _choice(x, what, options):
     """``x`` itself if it is one of ``options``."""
     if x not in options:
         raise InvalidParameterError(
-            f"{what} must be one of {options}, got {x!r}")
+            f"{what} must be one of {options}, got {_shown(x)}")
     return x
 
 

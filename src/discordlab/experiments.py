@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import typing
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -263,10 +264,13 @@ def _replica(cfg: ExperimentConfig, r: int) -> dict:
 
 
 def _takes_lockstep(cfg: ExperimentConfig) -> bool:
-    return (cfg.nu == 0.0 and cfg.horizon is not None
-            and math.isfinite(cfg.horizon)
+    # numpy draws no Poisson(n * gap) step count past 9.2e18: from n *
+    # horizon = 1e18 on, and for a malformed n, take the single-run engines
+    n, hz = cfg.model.get("n"), cfg.horizon
+    return (cfg.nu == 0.0 and hz is not None and math.isfinite(hz)
             and cfg.model.get("family") in ("rrg", "er", "dcm")
-            and cfg.replicas >= LOCKSTEP_MIN_REPLICAS)
+            and cfg.replicas >= LOCKSTEP_MIN_REPLICAS
+            and isinstance(n, numbers.Real) and (hz <= 0 or n < 1e18 / hz))
 
 
 def _lockstep_ensemble(cfg: ExperimentConfig):

@@ -26,19 +26,21 @@ Generator costs, for n vertices and m edges out:
 * ``generate_gnm``: O(n + m) expected while m is at most a constant
   fraction of C(n,2) (rejection of repeated pairs).
 
-Both graph classes hold only their endpoint arrays (K_n only n), which is
-all the engines read.  ``Graph.eu``, ``ev`` and ``inc`` build fresh lists
-from them on every read; see :class:`Graph`.
+Both graph kinds share one base that holds n and two read-only endpoint
+arrays (K_n only n), which is all the engines read; every reader of the
+edges, here and in the engines, reads ``endpoint_arrays()``.  ``Graph.eu``,
+``ev`` and ``inc`` build fresh lists from them on every read; see
+:class:`Graph`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, _INT64_MAX, _choice, _real, _size
+from .errors import (InvalidParameterError, _INT64_MAX, _choice,
+                     _opinion_list, _real, _size)
 
 __all__ = [
     "Graph",
@@ -53,7 +55,45 @@ __all__ = [
 ]
 
 
-class Graph:
+class _EndpointArrays:
+    """n vertices and two read-only endpoint arrays, the edges or arcs in
+    id order: all that a graph of either kind holds."""
+
+    __slots__ = ("n", "_ends")
+
+    def __init__(self, n, us=(), vs=()):
+        """The graph keeps read-only int64 copies of ``us`` and ``vs``,
+        checked to be endpoints of equally many edges within ``range(n)``."""
+        self.n = _size(n, "vertex count", 0)
+        us, vs = (np.array(x, dtype=np.int64) for x in (us, vs))
+        if len(us) != len(vs):
+            raise InvalidParameterError("endpoint arrays differ in length")
+        if len(us) and not (0 <= min(us.min(), vs.min())
+                            and max(us.max(), vs.max()) < self.n):
+            raise InvalidParameterError("endpoint out of range")
+        us.flags.writeable = vs.flags.writeable = False
+        self._ends = us, vs
+
+    def endpoint_arrays(self):
+        """``(us, vs)``: the endpoints of every edge or arc, in id order."""
+        return self._ends
+
+    @property
+    def m(self) -> int:
+        return len(self._ends[0])
+
+    def copy(self):
+        g = type(self)(self.n)
+        g._ends = self._ends  # read-only, so both graphs may hold them
+        return g
+
+    def _pairs(self):
+        """The ``(u, v)`` of every edge or arc in id order, as ints."""
+        us, vs = self.endpoint_arrays()
+        return zip(us.tolist(), vs.tolist())
+
+
+class Graph(_EndpointArrays):
     """Undirected multigraph on ``range(n)`` whose edge ``e`` joins
     ``us[e]`` and ``vs[e]``, held as two read-only endpoint arrays; the K_n
     of :func:`generate_complete` is held as n alone, and
@@ -65,12 +105,7 @@ class Graph:
     only :meth:`set_edges` replaces its edges.
     """
 
-    __slots__ = ("n", "_ends")
-
-    def __init__(self, n, us=(), vs=()):
-        """The graph keeps copies of ``us`` and ``vs``."""
-        self.n = _size(n, "vertex count", 0)
-        self._ends = _endpoints(self.n, us, vs)
+    __slots__ = ()
 
     @property
     def implicit_complete(self) -> bool:
@@ -78,8 +113,6 @@ class Graph:
         return self._ends is None
 
     def endpoint_arrays(self):
-        """``(us, vs)``, the endpoints of every edge in id order as int64
-        arrays."""
         if self._ends is None:
             return np.triu_indices(self.n, k=1)
         return self._ends
@@ -99,9 +132,8 @@ class Graph:
 
     @property
     def m(self) -> int:
-        if self._ends is None:
-            return self.n * (self.n - 1) // 2
-        return len(self._ends[0])
+        n = self.n
+        return n * (n - 1) // 2 if self._ends is None else len(self._ends[0])
 
     def set_edges(self, us, vs) -> None:
         """Make edge ``e`` join ``us[e]`` and ``vs[e]`` for every ``e``, as
@@ -112,26 +144,14 @@ class Graph:
         ends = np.concatenate(self.endpoint_arrays())
         return np.bincount(ends, minlength=self.n).tolist()
 
-    def edges(self):
-        if self._ends is None:
-            return itertools.combinations(range(self.n), 2)
-        return zip(self._ends[0].tolist(), self._ends[1].tolist())
-
-    def copy(self) -> "Graph":
-        g = Graph(self.n)
-        g._ends = self._ends  # read-only, so both graphs may hold them
-        return g
+    edges = _EndpointArrays._pairs
 
     def has_self_loop(self) -> bool:
-        if self._ends is None:  # the K_n of generate_complete is simple
-            return False
-        us, vs = self._ends
+        us, vs = self.endpoint_arrays()
         return bool(np.any(us == vs))
 
     def has_multi_edge(self) -> bool:
-        if self._ends is None:
-            return False
-        us, vs = self._ends
+        us, vs = self.endpoint_arrays()
         key = np.minimum(us, vs) * self.n + np.maximum(us, vs)
         return len(np.unique(key)) < len(key)
 
@@ -139,47 +159,13 @@ class Graph:
         return not self.has_self_loop() and not self.has_multi_edge()
 
 
-class DirectedGraph:
+class DirectedGraph(_EndpointArrays):
     """Directed multigraph on ``range(n)`` whose arc ``a`` points from
-    ``tails[a]`` to ``heads[a]``, held as two read-only endpoint arrays."""
+    ``tails[a]`` to ``heads[a]``: ``DirectedGraph(n, tails, heads)``."""
 
-    __slots__ = ("n", "_ends")
+    __slots__ = ()
 
-    def __init__(self, n, tails=(), heads=()):
-        """The graph keeps copies of ``tails`` and ``heads``."""
-        self.n = _size(n, "vertex count", 0)
-        self._ends = _endpoints(self.n, tails, heads)
-
-    def endpoint_arrays(self):
-        """``(tails, heads)``, the endpoints of every arc in id order as
-        read-only int64 arrays."""
-        return self._ends
-
-    @property
-    def m(self) -> int:
-        return len(self._ends[0])
-
-    def arcs(self):
-        return zip(self._ends[0].tolist(), self._ends[1].tolist())
-
-    def copy(self) -> "DirectedGraph":
-        g = DirectedGraph(self.n)
-        g._ends = self._ends  # read-only, so both graphs may hold them
-        return g
-
-
-def _endpoints(n, us, vs):
-    """Read-only int64 copies of ``us`` and ``vs``, checked to be endpoints
-    of equally many edges within ``range(n)``."""
-    us = np.array(us, dtype=np.int64)
-    vs = np.array(vs, dtype=np.int64)
-    if len(us) != len(vs):
-        raise InvalidParameterError("endpoint arrays differ in length")
-    if len(us) and not (0 <= min(us.min(), vs.min())
-                        and max(us.max(), vs.max()) < n):
-        raise InvalidParameterError("endpoint out of range")
-    us.flags.writeable = vs.flags.writeable = False
-    return us, vs
+    arcs = _EndpointArrays._pairs
 
 
 def _grouped(n, keys, ids) -> list[list[int]]:
@@ -330,14 +316,13 @@ def count_discordant(g, opinions) -> int:
     """Number of edges whose endpoints hold different opinions.
 
     Parallel edges count once per edge id; self-loops are never discordant.
-    Accepts a raw 0/1 sequence or anything with an ``.opinions`` attribute.
+    Takes n opinions, each 0 or 1, or anything with such ``.opinions``;
+    anything else raises InvalidParameterError, as in the engines.
     """
-    ops = getattr(opinions, "opinions", opinions)
-    if not hasattr(ops, "__len__") or len(ops) != g.n:
-        raise InvalidParameterError("opinion vector length != vertex count")
-    if isinstance(g, DirectedGraph):
-        return sum(1 for t, h in g.arcs() if ops[t] != ops[h])
-    return sum(1 for u, v in g.edges() if ops[u] != ops[v])
+    ops = np.array(_opinion_list(getattr(opinions, "opinions", opinions),
+                                 g.n), dtype=np.int8)
+    us, vs = g.endpoint_arrays()
+    return int(np.count_nonzero(ops[us] != ops[vs]))
 
 
 # ----------------------------------------------------------------------
@@ -345,10 +330,8 @@ def count_discordant(g, opinions) -> int:
 # ----------------------------------------------------------------------
 
 def edgelist_text(g) -> str:
-    directed = isinstance(g, DirectedGraph)
-    lines = [f"# n={g.n} directed={1 if directed else 0}"]
-    pairs = g.arcs() if directed else g.edges()
-    lines.extend(f"{u} {v}" for u, v in pairs)
+    lines = [f"# n={g.n} directed={int(isinstance(g, DirectedGraph))}"]
+    lines.extend(f"{u} {v}" for u, v in g._pairs())
     return "\n".join(lines) + "\n"
 
 

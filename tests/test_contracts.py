@@ -5,7 +5,9 @@ Every entry point in the ``__all__`` of ``graphs``, ``dynamics``,
 ``coevolution``, ``limits`` and ``experiments`` that takes a number, a
 size, a time grid or an opinion vector has one strategy here, which draws
 its arguments from valid values, with one of them spoiled: NaN,
-+-inf, -1, 2.5, "x", None, True, 2**64 or a numpy scalar.  A spoiled grid
++-inf, -1, 2.5, "x", None, True, 2**64, a numpy scalar, or 10**400 and
+10**5000, which no float holds (the second has more digits than Python
+turns into a string).  A spoiled grid
 or vector is that value alone or a valid one with one entry spoiled.  Sizes
 stay small, or at 2**63 and above, so that every call ends within its
 deadline and no call asks for more memory than it can have.
@@ -30,8 +32,8 @@ from _deadline import deadline
 
 SPOILS = st.sampled_from([
     math.nan, math.inf, -math.inf, -1, 2.5, "x", None, True, 2**64,
-    np.float64(math.nan), np.float64(-1.0), np.int64(-1), np.float32(2.5),
-    np.bool_(True)])
+    10**400, 10**5000, np.float64(math.nan), np.float64(-1.0), np.int64(-1),
+    np.float32(2.5), np.bool_(True)])
 BIG = st.sampled_from([2**63, 2**64])
 FIG9 = coevolution.SwitchProbs(s_c1=0.5, s_c0=1.5, s_d1=2.0, s_d0=0.7)
 

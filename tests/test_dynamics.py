@@ -191,6 +191,34 @@ def test_frozen_disconnected_graph_reports_timeout(rng):
         dynamics.consensus_time(g, st, rng)
 
 
+# the state is frozen short of consensus from the start: the run played
+# every one of its Poisson(n x horizon) proposals, and never returned at an
+# infinite horizon
+@pytest.mark.parametrize("horizon", [1e7, 1e30, math.inf])
+def test_frozen_run_stops_drawing_at_any_horizon(rng, horizon):
+    g = graphs.Graph(4, [0, 2], [1, 3])
+    st = dynamics.OpinionState([0, 0, 1, 1])
+    with deadline(5.0):
+        traj = dynamics.run_voter(g, st, horizon, [0.0, 1.0, 1e6], rng,
+                                  max_events=10)
+    assert traj.heart_frac.tolist() == [0.5] * 3
+    assert traj.discordant_frac.tolist() == [0.0] * 3
+    assert traj.consensus_time is None and traj.n_events == 0
+
+
+@pytest.mark.parametrize("horizon", [1e7, math.inf])
+def test_frozen_directed_run_stops_drawing_at_any_horizon(rng, horizon):
+    # two 2-cycles of opposite opinion
+    g = graphs.DirectedGraph(4, [0, 1, 2, 3], [1, 0, 3, 2])
+    st = dynamics.OpinionState([1, 1, 0, 0])
+    with deadline(5.0):
+        traj = dynamics.run_voter_directed(g, st, horizon, [0.0, 2.0], rng,
+                                           max_events=10)
+    assert traj.heart_frac.tolist() == [0.5] * 2
+    assert traj.discordant_frac.tolist() == [0.0] * 2
+    assert traj.consensus_time is None and traj.n_events == 0
+
+
 def test_consensus_time_refuses_rewiring_on_a_directed_graph(rng):
     g = graphs.DirectedGraph(2, [0, 1], [1, 0])
     st = dynamics.OpinionState([1, 0])
@@ -277,7 +305,7 @@ def _closed_by_reachability(n, us, vs):
 def test_closed_classes_match_reachability():
     rng = np.random.default_rng(5)
     for _ in range(300):
-        n = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 31))
         us = np.repeat(np.arange(n), rng.integers(1, 3, n)).tolist()
         vs = rng.integers(0, n, len(us)).tolist()
         want = _closed_by_reachability(n, us, vs)

@@ -6,6 +6,7 @@ import pytest
 from discordlab import dynamics, experiments, graphs
 from discordlab.errors import InsufficientDataError, InvalidParameterError
 
+from _deadline import deadline
 from _oracles import ensemble_from_samples, fisher_wright_ensemble
 
 
@@ -331,3 +332,19 @@ def test_lockstep_ensemble_builds_no_edge_lists(monkeypatch):
     assert experiments._takes_lockstep(cfg)
     res = experiments.run_ensemble(cfg)
     assert res.samples["heart_frac"].shape == (cfg.replicas, 4)
+
+
+# at R = 16 lockstep leaked numpy's "lam value too large", and at R = 15
+# the single-run engines spun on replicas frozen short of consensus: each
+# graph falls apart into pieces (edges, small components, cycles)
+@pytest.mark.parametrize("replicas", [15, 16])
+@pytest.mark.parametrize("model", [
+    {"family": "rrg", "n": 10, "d": 1}, {"family": "er", "n": 30, "p": 0.1},
+    {"family": "dcm", "n": 10, "d": 1}], ids=["rrg", "er", "dcm"])
+def test_ensemble_to_a_horizon_past_the_poisson_limit(model, replicas):
+    cfg = small_cfg(model=model, replicas=replicas, horizon=1e18,
+                    sample_times=[0.0, 1.0, 1e18])
+    with deadline(10.0):
+        res = experiments.run_ensemble(cfg)
+    assert res.timed_out == []
+    assert res.samples["discordant_frac"][:, -1].tolist() == [0.0] * replicas

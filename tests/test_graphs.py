@@ -431,6 +431,16 @@ def test_count_discordant_basics():
         graphs.count_discordant(g, [1, 0])
 
 
+# count_discordant counted such vectors (0 and 9 on this graph), where
+# every engine refuses them
+@pytest.mark.parametrize("ops", [[0.5] * 10, ["x", "y"] * 5, [0, 2] * 5],
+                         ids=["halves", "strings", "two"])
+def test_count_discordant_refuses_opinions_other_than_0_or_1(ops):
+    g = graphs.generate_random_regular(10, 3, np.random.default_rng(5))
+    with pytest.raises(InvalidParameterError, match="each 0 or 1"):
+        graphs.count_discordant(g, ops)
+
+
 def test_count_discordant_complete_product():
     g = graphs.generate_complete(9)
     for k in range(10):
