@@ -5,15 +5,24 @@ copying slots of its graph: the 2m edge stubs of an undirected graph,
 perfectly matched (Bollobas 1980), whose degrees swaps never change, or the
 m arcs of a directed one, each at the vertex that copies through it.
 Proposals, drawn in numpy blocks, come at the constant rate
-n + nu' m^2/2, nu' being the swap rate of one pair of edges (0 on a static
-or directed graph): a uniform vertex copies through a uniform own slot, or
-two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'} (a null
-when t is s or s').  A gap between sample times holds Poisson many
+n + nu' m^2/2 = n + nu m/4, nu' = nu/(2m) being the swap rate of one pair
+of edges (0 on a static or directed graph): a uniform vertex copies
+through a uniform own slot, or two uniform stubs rematch their edges.  On
+a regular graph with swaps the stubs lie in a position layout: ``Xo[p]``
+owns position ``p``, and positions 2e and 2e + 1 are the ends of edge e.
+An adoption through a uniform position i makes ``Xo[i]`` copy
+``Xo[i ^ 1]`` (a uniform position is a uniform stub of a uniform vertex
+when every degree is the same), and a swap of two uniform positions i, j
+exchanges their owners, rematching {a,a'}, {b,b'} into {b,a'}, {a,b'} (a
+null when i and j are ends of one edge): two list stores.  On any other
+graph the stubs are sorted by owner and matched through a partner table,
+and two uniform stubs s, t rematch {s,s'}, {t,t'} into {s,t}, {s',t'} (a
+null when t is s or s').  A gap between sample times holds Poisson many
 proposals, an event in it is placed by a Beta draw, and with no horizon the
 K-th proposal comes at a Gamma(K) time.  An adoption that changes no
 opinion is not an event.  A block reaches the Python loop as lists read
-through shared tables of vertex and slot ids, so it makes no int of its
-own.
+through shared tables of vertex and slot or position ids, so it makes no
+int of its own.
 
 On the K_n of ``generate_complete``, held as n alone, the heart count runs
 as a birth-death chain instead, its jumps also drawn from ``rng`` in numpy
@@ -127,53 +136,76 @@ _FIRST_BLOCK, _MAX_BLOCK = 256, 1 << 14
 def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
                     max_events, check, mutate_graph, adopt_from=None):
     """Every voter run off an implicit K_n: on an undirected graph, or on a
-    :class:`DirectedGraph` when ``adopt_from`` is given.  Through slot
-    ``s`` vertex ``owner_a[s]`` copies ``src_a[s]``; the slots are sorted
-    by owner, and slot ``slots`` is a null (vertex 0 copying itself).
+    :class:`DirectedGraph` when ``adopt_from`` is given.
+
+    With swaps on a regular graph the stubs lie in a position layout:
+    ``Xo[p]`` owns position ``p``, and positions ``2e`` and ``2e + 1`` are
+    the ends of edge ``e``.  A swap of positions ``i`` and ``j`` exchanges
+    their owners, and an adoption through ``i`` makes ``Xo[i]`` copy
+    ``Xo[i ^ 1]``.  Otherwise, through slot ``s`` vertex ``owner_a[s]``
+    copies ``src_a[s]``; the slots are sorted by owner, and slot ``slots``
+    is a null (vertex 0 copying itself); with swaps, stub ``s`` is matched
+    to stub ``partner[s]``.
 
     Every list the loop reads is a take through one of two object arrays
-    built once per run, the vertex ids and the slot ids, so it makes no int
-    of its own: without swaps the vertices that copy and those they copy,
-    with swaps the stubs ``S`` and ``T``, their owners and ``partner``."""
+    built once per run, the vertex ids and the slot or position ids, so it
+    makes no int of its own: without swaps the vertices that copy and
+    those they copy, with swaps ``S`` and ``T`` and the layout ``Xo`` (an
+    adoption's ``T`` being the negative id that reads its mate) or the
+    owners and ``partner``.  Proposals come at rate n + nu m/4, so a run
+    costs that rate times its length in time."""
     max_events = _cap(max_events)
     n, m = g.n, g.m
     us, vs, deg = _copy_arcs(g, adopt_from)
     if nu > 0 and m < 2:
         raise InvalidParameterError("rewiring needs at least two edges")
-    # sorted by owner, so that owner, off and deg never change under swaps
-    order = np.argsort(us, kind="stable")
-    owner_a, src_a = us[order], vs[order]
     ops = _opinion_list(state.opinions, n)
     samples = _Samples(schedule, horizon)
-    slots = len(owner_a)
-    per_edge = slots // m  # two stubs to an edge, one slot to an arc
+    slots = len(us)
     verts = np.arange(n, dtype=object)
-    if nu > 0:
-        # with swaps the matching changes: the stub at position i starts
-        # matched to stub order[i] ^ 1, at position rank[order[i] ^ 1];
-        # slot id -1 comes last, so that index -1 reads it
-        rank = np.empty_like(order)
-        rank[order] = np.arange(slots)
-        sids = np.append(np.arange(slots + 1), -1).astype(object)
-        owner = verts[owner_a].tolist() + [0]
-        partner = sids[np.append(rank[order ^ 1], slots)].tolist()
-    else:
-        partner = None
-        # the vertex that copies and the one copied through each slot
-        copying = verts[np.append(owner_a, 0)]
-        copied = verts[np.append(src_a, 0)]
     csr = None if deg.min() == deg.max() else (np.cumsum(deg) - deg, deg)
+    Xo = partner = None
+    if nu > 0 and csr is None:
+        # the position layout, in the stub order of _copy_arcs; ids
+        # 0..slots-1, then -slots..-1, so that index t reads id t.  On an
+        # irregular graph a uniform position is no uniform stub of a
+        # uniform vertex: adoptions thinned by degree would come at rate
+        # 2m/d_min, about 3n on a sparse ER graph, each a loop pass.
+        Xo = verts[us].tolist()
+        pids = np.r_[0:slots, -slots:0].astype(object)
+    else:
+        # sorted by owner, so that owner, off and deg never change under
+        # swaps
+        order = np.argsort(us, kind="stable")
+        owner_a, src_a = us[order], vs[order]
+        per_edge = slots // m  # two stubs to an edge, one slot to an arc
+        if nu > 0:
+            # the stub at position i starts matched to stub order[i] ^ 1,
+            # at position rank[order[i] ^ 1]; slot id -1 comes last, so
+            # that index -1 reads it
+            rank = np.empty_like(order)
+            rank[order] = np.arange(slots)
+            sids = np.append(np.arange(slots + 1), -1).astype(object)
+            owner = verts[owner_a].tolist() + [0]
+            partner = sids[np.append(rank[order ^ 1], slots)].tolist()
+        else:
+            # the vertex that copies and the one copied through each slot
+            copying = verts[np.append(owner_a, 0)]
+            copied = verts[np.append(src_a, 0)]
     pair_rate = nu / (2.0 * m)
     # a swap proposal is a null one time in m, so each pair of edges swaps
     # at pair_rate
     total = n + pair_rate * m * m / 2.0
     heart = sum(ops)
 
-    # bound as defaults, so that the loop below reads ops, partner and n
-    # as plain locals and not as cells of this closure
-    def recount(verify, ops=ops, partner=partner, n=n):
+    # bound as defaults, so that the loop below reads ops, Xo, partner and
+    # n as plain locals and not as cells of this closure
+    def recount(verify, ops=ops, Xo=Xo, partner=partner, n=n):
         """Discordant edges now; with ``verify``, held to
         :func:`count_discordant`."""
+        if Xo is not None:
+            a, b = _layout_edges(Xo)
+            return _recount(ops, a, b, 1, Graph(n, a, b) if verify else None)
         if partner is None:
             return _recount(ops, owner_a, src_a, per_edge,
                             g if verify else None)
@@ -194,8 +226,8 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
         classes = None if cls is None else _Classes(cls, ops)
 
     S = T = cum = end = None
-    # block size, next proposal in it, swap proposals in earlier blocks,
-    # flips before it
+    # block size, next proposal in it, effective swaps (swap proposals on
+    # the partner table) in earlier blocks, flips before it
     B = pos = swept = flips0 = flips = nulls = events = 0
     t0 = t_end = 0.0
     stops = samples.sched[:-1] + [math.inf if horizon is None else horizon]
@@ -226,15 +258,33 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
                 swept += int(cum[-1]) if cum is not None else 0
                 B = min(2 * B, _MAX_BLOCK) if B else _FIRST_BLOCK
                 S, T, cum = _proposals(rng, B, n / total, n, slots, csr,
-                                       partner is not None)
-                if partner is None:
-                    S, T = copying[S].tolist(), copied[S].tolist()
-                else:
+                                       nu > 0)
+                if Xo is not None:
+                    S, T = pids[S].tolist(), pids[T].tolist()
+                elif partner is not None:
                     S, T = sids[S].tolist(), sids[T].tolist()
+                else:
+                    S, T = copying[S].tolist(), copied[S].tolist()
                 pos = 0
             c = int(min(K - j, B - pos, max_events - events))
             si = iter(S[pos:pos + c])
-            if partner is None:
+            if Xo is not None:
+                # an adoption through position s from its mate t < 0, or
+                # the swap of positions s and t
+                for s, t in zip(si, T[pos:pos + c]):
+                    if t < 0:
+                        v = Xo[s]
+                        x = ops[Xo[t]]
+                        if ops[v] != x:
+                            ops[v] = x
+                            flips += 1
+                            heart += 1 if x else -1
+                            if (heart == 0 or heart == n or classes is not None
+                                    and classes.flip(v, x)):
+                                break
+                    else:
+                        Xo[s], Xo[t] = Xo[t], Xo[s]
+            elif partner is None:
                 # vertex v copies vertex w
                 for v, w in zip(si, T[pos:pos + c]):
                     x = ops[w]
@@ -286,7 +336,8 @@ def _literal_engine(g, state: OpinionState, nu, horizon, schedule, rng,
         d = 0 if cons and not check else recount(check)
         samples.record(math.inf, heart / n, d / m)
     if mutate_graph:
-        g.set_edges(*_matched_edges(owner_a, np.array(partner[:slots])))
+        g.set_edges(*(_layout_edges(Xo) if Xo is not None else
+                      _matched_edges(owner_a, np.array(partner[:slots]))))
     if classes is not None:
         _check_classes(classes, samples, t_end, events)
     if end == "cap":
@@ -301,13 +352,18 @@ def _proposals(rng, size, pa, n, slots, csr, swaps):
     """``size`` proposals as int64 arrays: the slots ``S`` and, with
     ``swaps``, ``T`` and the running count of swaps (else ``None, None``).
     With probability ``pa`` an adoption through a uniform slot ``S`` of a
-    uniform vertex (``T = -1``), through the null slot ``slots`` at a
-    vertex with none; else a swap of the uniform stubs ``S`` and ``T``."""
+    uniform vertex, through the null slot ``slots`` at a vertex with none;
+    else a swap of the uniform stubs ``S`` and ``T``.  On a regular graph
+    (``csr`` None) the stubs are positions of the layout: an adoption's
+    ``T`` is ``(S ^ 1) - slots``, the negative id of its mate, and the
+    count leaves out the null swaps, of two ends of one edge.  Else an
+    adoption's ``T`` is -1, and the loop finds the null swaps."""
     u, y = rng.random((2, size))
     # the adoption slot of every proposal, kept where u < pa (every one
     # without swaps, where pa == 1)
     if csr is None:
-        a = (y * slots).astype(np.int64)
+        y *= slots
+        a = y.astype(np.int64)
     else:
         off, deg = csr
         v = np.minimum((u * (n / pa)).astype(np.int64), n - 1)
@@ -316,15 +372,30 @@ def _proposals(rng, size, pa, n, slots, csr, swaps):
     if not swaps:
         return a, None, None
     adopt = u < pa
-    # rounding in pa can carry this product to its upper bound; a pa that
-    # rounds to 1 makes every proposal an adoption
-    s = np.where(adopt, a, np.minimum(
-        ((u - pa) * (slots / (1.0 - pa))).astype(np.int64), slots - 1)
-        if pa < 1.0 else 0)
+    if pa < 1.0:
+        # rounding in pa can carry this product to its upper bound; the
+        # adoptions' negative values are clipped before the cast, which
+        # they could overflow when 1 - pa is tiny
+        u -= pa
+        u *= slots / (1.0 - pa)
+        b = np.clip(u, 0, slots - 1, out=u).astype(np.int64)
+    else:
+        # a pa that rounds to 1 makes every proposal an adoption
+        b = np.empty_like(a)
+    if csr is None:
+        np.subtract(a ^ 1, slots, out=b, where=adopt)
+        return a, b, np.cumsum((a ^ b) > 1)
     # the stub T of a swap is y * slots, as ``a`` is on a regular graph
-    t = a if csr is None else (y * slots).astype(np.int64)
+    t = (y * slots).astype(np.int64)
     t[adopt] = -1
-    return s, t, np.cumsum(t >= 0)
+    return np.where(adopt, a, b), t, np.cumsum(~adopt)
+
+
+def _layout_edges(Xo):
+    """Endpoint arrays of the edges of a position layout: edge ``e`` joins
+    ``Xo[2e]`` and ``Xo[2e + 1]``."""
+    x = np.array(Xo, dtype=np.int64)
+    return x[0::2], x[1::2]
 
 
 def _matched_edges(owner, partner):
@@ -449,11 +520,13 @@ def run_voter_rewiring(g: Graph, state: OpinionState, nu, horizon, schedule,
     With nu=0 this is :func:`run_voter`, byte-identical on the same seed,
     and the graph is left as it is.  Otherwise, unless ``mutate_graph`` is
     set, the caller's graph is left untouched; with it, the graph is handed
-    back with the final edges, renumbered.  With ``horizon=None`` the run
-    raises :class:`SimulationTimeout` as soon as the isolated vertices
-    disagree with each other or with all the rest.  The cost grows linearly
-    with nu times the horizon: nu = 1e12 runs to ``max_events`` (1e9 by
-    default, minutes) in a unit of time.
+    back with the final edges: on a regular graph, edge e joining the owners
+    of positions 2e and 2e + 1 of the layout; on any other, renumbered.
+    With ``horizon=None`` the run raises :class:`SimulationTimeout` as soon
+    as the isolated vertices disagree with each other or with all the
+    rest.  Proposals come at rate N + nu M/4, and the cost grows linearly
+    with that rate times the horizon: nu = 1e12 runs to ``max_events``
+    (1e9 by default, minutes) in a unit of time.
     """
     _real(nu, "rewiring rate", 0, math.inf)
     if nu == 0:

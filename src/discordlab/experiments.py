@@ -472,7 +472,7 @@ def homogenisation_check(result: EnsembleResult, coefficient=2.0,
     to N/(N-1)); at diffusive times on the random d-regular graph the
     matching prefactor is 2*theta_d, which the caller passes explicitly.
     """
-    _real(coefficient, "coefficient")
+    _real(coefficient, "coefficient", -math.inf, math.inf)
     if times is None:
         idx = np.arange(len(result.times))
     else:

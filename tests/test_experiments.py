@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -265,6 +266,15 @@ def test_homogenisation_check_refuses_a_non_numeric_coefficient(
         small_result):
     with pytest.raises(InvalidParameterError, match="coefficient"):
         experiments.homogenisation_check(small_result, coefficient="a")
+
+
+# NaN or inf gave a report of NaN residuals after three RuntimeWarnings
+@pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+def test_homogenisation_check_refuses_a_non_finite_coefficient(
+        small_result, coefficient):
+    with pytest.raises(InvalidParameterError, match="coefficient must be "
+                       "finite"):
+        experiments.homogenisation_check(small_result, coefficient)
 
 
 # TypeError leaked from range() or from comparing "a" with 1

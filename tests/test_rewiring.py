@@ -12,6 +12,7 @@ reference engine reaches consensus too.
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,19 @@ def test_cap_is_hit_at_the_time_of_the_capped_event():
     assert stats.kstest(times, stats.gamma(20).cdf).pvalue > ALPHA
 
 
+def test_a_tiny_swap_rate_casts_no_overflowing_draw():
+    # at nu = 1e-15 on 3,000 edges a swap is about 4e-16 of the proposals,
+    # so an adoption's scaled swap draw reached -1e19, past int64, and
+    # numpy warned "invalid value encountered in cast"
+    rng = np.random.default_rng(1)
+    g = graphs.generate_random_regular(2000, 3, rng)
+    st = dynamics.init_opinions_iid(g.n, 0.5, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = dynamics.run_voter_rewiring(g, st, 1e-15, 1.0, [1.0], rng)
+    assert traj.n_events > 0
+
+
 # ----------------------------------------------------------------------
 # consensus out of reach: components at nu = 0, isolated vertices at nu > 0
 # ----------------------------------------------------------------------
@@ -389,7 +403,7 @@ def test_swap_run_holds_no_fresh_int_per_proposal():
     # nu = 10 on 30,000 edges: about 95,000 proposals to t = 1, in blocks
     # of up to 16,384.  With a fresh int per slot and per proposal the run
     # peaked at 12.45 MiB; with its lists read through shared tables of
-    # vertex and slot ids, at 8.49 MiB.
+    # vertex and position ids (negative ones included), at 8.17 MiB.
     rng = np.random.default_rng(5)
     g = graphs.generate_random_regular(20_000, 3, rng)
     st = dynamics.init_opinions_iid(g.n, 0.5, rng)
